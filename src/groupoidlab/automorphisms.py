@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import BudgetExceeded, NotInvariant
-from .groups import FiniteGroup, GroupAction, validate_group
+from .groups import FiniteGroup, GroupAction, _perm_group
 from .structures import Element, MultiSortedStructure
 
 CARRIER_BUDGET = 300
@@ -101,10 +101,12 @@ class _Rel:
 
 
 class _SearchSpace:
-    """Flattened structure shared by every search over the same structure."""
+    """Flattened structure shared by every search over the same structure,
+    and the groups enumerated on it so far, keyed by base.  One instance per
+    structure, reached through ``MultiSortedStructure.search_space``."""
 
     def __init__(self, s: MultiSortedStructure):
-        self.structure = s
+        self.groups: dict[tuple[Element, ...], AutomorphismGroup] = {}
         self.offsets: dict[str, int] = {}
         self.sort_of_point: list[int] = []
         off = 0
@@ -171,19 +173,6 @@ class _SearchSpace:
         return [mapping[k] for k in keys]
 
 
-_space_cache: dict[int, tuple[MultiSortedStructure, _SearchSpace]] = {}
-_group_cache: dict[tuple[int, tuple[Element, ...]], tuple[MultiSortedStructure, AutomorphismGroup]] = {}
-
-
-def _space(s: MultiSortedStructure) -> _SearchSpace:
-    hit = _space_cache.get(id(s))
-    if hit is not None and hit[0] is s:
-        return hit[1]
-    sp = _SearchSpace(s)
-    _space_cache[id(s)] = (s, sp)
-    return sp
-
-
 def _solutions(
     s: MultiSortedStructure,
     base: tuple[Element, ...],
@@ -191,7 +180,7 @@ def _solutions(
 ) -> Iterator[tuple[int, ...]]:
     """Yield global image arrays of every automorphism fixing base pointwise
     and extending the given partial constraints, in deterministic order."""
-    space = _space(s)
+    space = s.search_space
     n = space.n_points
     pinned = frozenset(
         [space.point(e) for e in base] + list(space.const_points)
@@ -307,17 +296,14 @@ def automorphism_group(
     """Enumerate every automorphism of s fixing base pointwise."""
     check_budget(s)
     base_t = tuple(sorted(set(base)))
-    key = (id(s), base_t)
-    hit = _group_cache.get(key)
-    if hit is not None and hit[0] is s:
-        return hit[1]
-    members = tuple(
-        _to_automorphism(s, flat)
-        for flat in sorted(_solutions(s, base_t))
-    )
-    group = AutomorphismGroup(structure=s, base=base_t, members=members)
-    _group_cache[key] = (s, group)
-    return group
+    groups = s.search_space.groups
+    if base_t not in groups:
+        members = tuple(
+            _to_automorphism(s, flat)
+            for flat in sorted(_solutions(s, base_t))
+        )
+        groups[base_t] = AutomorphismGroup(structure=s, base=base_t, members=members)
+    return groups[base_t]
 
 
 def iter_automorphisms(
@@ -478,16 +464,13 @@ def _build_restricted(
         if prev is None or aut.flat() < prev.flat():
             seen[perm] = aut
     perms = tuple(sorted(seen))
-    reps = tuple(seen[p] for p in perms)
-    index = {p: i for i, p in enumerate(perms)}
-    table = tuple(
-        tuple(index[tuple(p[q[k]] for k in range(len(carrier)))] for q in perms)
-        for p in perms
-    )
-    ident = index[tuple(range(len(carrier)))]
-    group = validate_group(table, ident)
     return RestrictedAutGroup(
-        structure=s, base=base, carrier=carrier, group=group, perms=perms, reps=reps
+        structure=s,
+        base=base,
+        carrier=carrier,
+        group=_perm_group(perms),
+        perms=perms,
+        reps=tuple(seen[p] for p in perms),
     )
 
 
@@ -542,8 +525,3 @@ def automorphism_group_to_json(group: AutomorphismGroup) -> dict:
         "sorts": list(group.structure.sort_names),
         "members": [[list(m) for m in aut.maps] for aut in group.members],
     }
-
-
-def clear_caches() -> None:
-    _space_cache.clear()
-    _group_cache.clear()

@@ -1,5 +1,6 @@
 """Command-line entry point: build instances, run verification suites,
-merge reports.
+merge reports.  Argument parsing and I/O only; the suites and their
+registry live in ``groupoidlab.verify``.
 
 Exit codes: 0 all claims pass, 1 claim failure, 2 input error, 3 enumeration
 budget exceeded.  JSON output is the contract; text rendering is secondary.
@@ -15,52 +16,17 @@ from pathlib import Path
 from typing import Optional
 
 from .errors import BudgetExceeded, GroupoidLabError, InvalidInput
-from .groups import (
-    FiniteGroup,
-    cyclic_group,
-    group_from_json,
-    group_from_spec,
-    isomorphism_search,
-)
-from .groupoids import build_standard_groupoid, vertex_group
-from .limits import (
-    check_pi2_gamma2,
-    inverse_limit_stage,
-    restriction_epimorphism,
-    validate_system,
-)
-from .paths import (
-    all_paths,
-    build_extended_groupoid,
-    class_key,
-    path_equivalent,
-    probe_candidates,
-    reduce_path,
-    verify_reduction,
-)
-from .report import (
-    SKIPPED,
-    ClaimEntry,
-    Report,
-    dumps_canonical,
-    merge_reports,
-    render_matrix,
-)
+from .groups import FiniteGroup, group_from_json, group_from_spec
+from .groupoids import build_standard_groupoid
+from .report import dumps_canonical, merge_reports, render_matrix
 from .structures import (
-    Element,
     MultiSortedStructure,
     encode_double_cover,
     encode_groupoid,
-    morphism_tuple,
-    morphisms_between,
-    object_closure,
     structure_from_json,
     structure_to_json,
 )
-from .verify import check_witness, standard_witness, verify_section2, verify_section3
-from .witness import YSystem, x_tuples
-
-SUITES = ("section2", "section3", "witness", "fgroupoid", "limits", "all")
+from .verify import SUITES, run_suites
 
 MIN_OBJECTS, MAX_OBJECTS = 2, 6
 MAX_SUITE_GROUP_ORDER = 8
@@ -109,291 +75,6 @@ def _build_structure(config: RunConfig) -> MultiSortedStructure:
 
 
 # ---------------------------------------------------------------------------
-# suites
-
-
-def _suite_section2(config: RunConfig, s: Optional[MultiSortedStructure]) -> Report:
-    if s is not None and not any(name == "I" for name, _ in s.sorts):
-        return verify_section2(s, config.group)
-    gpd = build_standard_groupoid(config.group, config.objects)
-    return verify_section2(encode_groupoid(gpd), config.group)
-
-
-def _suite_section3(config: RunConfig, s: Optional[MultiSortedStructure]) -> Report:
-    if config.objects < 3:
-        raise InvalidInput("suite section3 needs --objects >= 3")
-    return verify_section3(s if s is not None else _build_structure(config))
-
-
-def _suite_witness(config: RunConfig, s: Optional[MultiSortedStructure]) -> Report:
-    if config.objects < 3:
-        raise InvalidInput("suite witness needs --objects >= 3")
-    if s is None:
-        s = _build_structure(config)
-    return check_witness(standard_witness(s))
-
-
-def _suite_fgroupoid(config: RunConfig, s: Optional[MultiSortedStructure]) -> Report:
-    if config.objects < 4:
-        raise InvalidInput("suite fgroupoid needs --objects >= 4")
-    if s is None:
-        s = _build_structure(config)
-    report = Report(instance=f"quotient groupoid on {config.describe()}")
-    ys = YSystem(s)
-
-    def wdef() -> Optional[object]:
-        a, b, c = 0, 1, 2
-        for g in ys.y_set(a, b).members:
-            for h in ys.y_set(b, c).members:
-                outs = {
-                    ys.compose(h, g, decomposition=(g0, h0))
-                    for g0 in x_tuples(s, a, b)
-                    for h0 in x_tuples(s, b, c)
-                }
-                if len(outs) != 1:
-                    return {"g": g, "h": h, "distinct_results": len(outs)}
-        return None
-
-    report.add(
-        "composition-well-defined",
-        "composites agree over every decomposition",
-        wdef,
-    )
-
-    def divisors() -> Optional[object]:
-        a, b, c = 0, 1, 2
-        for f in ys.y_set(a, c).members:
-            for g in ys.y_set(a, b).members:
-                hits = [
-                    h for h in ys.y_set(b, c).members if ys.compose(h, g) == f
-                ]
-                if len(hits) != 1:
-                    return {"f": f, "g": g, "divisors": len(hits)}
-        return None
-
-    report.add("unique-divisor", "each composite has a unique divisor", divisors)
-
-    ext_box: list = []
-
-    def builds() -> Optional[object]:
-        ext_box.append(build_extended_groupoid(ys))
-        return None
-
-    report.add(
-        "quotient-valid",
-        "the two-step path classes assemble into a valid groupoid",
-        builds,
-    )
-    if not ext_box:
-        return report
-    ext = ext_box[0]
-
-    def vertex_iso() -> Optional[object]:
-        vg = vertex_group(ext.groupoid, 0)
-        fg = ys.f_group(0, 1)
-        if isomorphism_search(vg.group, fg.group) is None:
-            return {"vertex_order": vg.group.order, "f_order": fg.group.order}
-        return None
-
-    report.add(
-        "vertex-is-f-group",
-        "quotient vertex groups are isomorphic to the Y-set groups",
-        vertex_iso,
-    )
-
-    def injection() -> Optional[object]:
-        gpd = ys.gpd
-        inj = [ext.inject_standard(m) for m in range(gpd.n_morphisms)]
-        for m1 in range(gpd.n_morphisms):
-            for m2 in range(gpd.n_morphisms):
-                if gpd.ter[m1] == gpd.init[m2]:
-                    lhs = ext.inject_standard(gpd.compose(m1, m2))
-                    rhs = ext.groupoid.compose(inj[m1], inj[m2])
-                    if lhs != rhs:
-                        return {"pair": (m1, m2)}
-        return None
-
-    report.add(
-        "injection-preserves-composition",
-        "the standard groupoid embeds compatibly into the quotient",
-        injection,
-    )
-
-    def sizes() -> Optional[object]:
-        for a in range(config.objects):
-            for b in range(config.objects):
-                if a == b:
-                    continue
-                count = sum(1 for k in ext.keys if k[1] == a and k[2] == b)
-                if count != ys.y_set(a, b).size:
-                    return {"pair": (a, b), "classes": count}
-        return None
-
-    report.add("classes-match-y", "morphism counts equal Y-set sizes", sizes)
-
-    def equivalence() -> Optional[object]:
-        d2 = list(all_paths(ys, 0, 1, 2))
-        keys = [class_key(ys, q) for q in d2]
-        for i, q in enumerate(d2):
-            for j, r in enumerate(d2):
-                if not any(True for _ in probe_candidates(ys, q, r)):
-                    continue
-                if path_equivalent(ys, q, r) != (keys[i] == keys[j]):
-                    return {"q": i, "r": j}
-        return None
-
-    report.add(
-        "path-equivalence-consistent",
-        "probe folding agrees with canonical class keys on every two-step "
-        "path pair that admits a probe",
-        equivalence,
-    )
-
-    def reductions() -> Optional[object]:
-        for q in all_paths(ys, 0, 1, 3):
-            r = reduce_path(ys, q)
-            if r.n_steps != 2 or not verify_reduction(ys, q, r):
-                return {"path": q}
-        return None
-
-    report.add(
-        "three-step-reduction",
-        "every three-step path reduces to an equivalent two-step path",
-        reductions,
-    )
-    return report
-
-
-def _suite_limits(config: RunConfig, s: Optional[MultiSortedStructure]) -> Report:
-    report = Report(instance=f"directed systems on {config.describe()}")
-
-    def chain() -> Optional[object]:
-        z8, z4, z2 = cyclic_group(8), cyclic_group(4), cyclic_group(2)
-        sys_chain = validate_system(
-            indices=("z2", "z4", "z8"),
-            order_pairs=[("z2", "z4"), ("z4", "z8")],
-            groups={"z2": z2, "z4": z4, "z8": z8},
-            transitions={
-                ("z2", "z4"): [x % 2 for x in range(4)],
-                ("z4", "z8"): [x % 4 for x in range(8)],
-                ("z2", "z8"): [x % 2 for x in range(8)],
-            },
-        )
-        lim = inverse_limit_stage(sys_chain, ("z2", "z4", "z8"))
-        if isomorphism_search(lim, z8) is None:
-            return {"limit_order": lim.order}
-        return None
-
-    report.add(
-        "chain-limit",
-        "the mod-tower chain validates and its stage limit is the top group",
-        chain,
-    )
-
-    def constant() -> Optional[object]:
-        z2 = cyclic_group(2)
-        sys_const = validate_system(
-            indices=("lo", "hi"),
-            order_pairs=[("lo", "hi")],
-            groups={"lo": z2, "hi": z2},
-            transitions={("lo", "hi"): [0, 1]},
-        )
-        lim = inverse_limit_stage(sys_const, ("lo", "hi"))
-        if isomorphism_search(lim, z2) is None:
-            return {"limit_order": lim.order}
-        return None
-
-    report.add(
-        "constant-limit",
-        "a constant system's stage limit is the constant group",
-        constant,
-    )
-
-    if s is None:
-        s = _build_structure(config)
-
-    def epi() -> Optional[object]:
-        base0 = object_closure(s, 0)
-        m = min(morphisms_between(s, 0, 1))
-        hom = restriction_epimorphism(
-            s, base0, (Element("M", m),), morphism_tuple(s, m)
-        )
-        if not hom.is_surjective():
-            return {"problem": "not surjective"}
-        expected_kernel = hom.source.order // hom.target.order
-        if len(hom.kernel()) != expected_kernel:
-            return {"kernel": len(hom.kernel()), "expected": expected_kernel}
-        return None
-
-    report.add(
-        "restriction-epimorphism",
-        "restricting the full-tuple group to the raw morphism is a "
-        "surjection with the index-sized kernel",
-        epi,
-    )
-
-    tower = check_pi2_gamma2([("instance", s, (0, 1))])
-    report.extend(tower)
-    return report
-
-
-_SUITE_RUNNERS = {
-    "section2": _suite_section2,
-    "section3": _suite_section3,
-    "witness": _suite_witness,
-    "fgroupoid": _suite_fgroupoid,
-    "limits": _suite_limits,
-}
-
-
-def run_suites(
-    config: RunConfig, structure: Optional[MultiSortedStructure] = None
-) -> Report:
-    """Run the selected verification suites.
-
-    A suite that cannot run at the configured size is recorded with an
-    explicit skipped entry rather than silently dropped; a suite that blows
-    up on a broken instance is recorded as a claim failure.
-    """
-    names = SUITES[:-1] if config.suite == "all" else (config.suite,)
-    combined = Report(instance=config.describe())
-    for name in names:
-        skip_reason = None
-        if config.suite == "all":
-            if name in ("section3", "witness") and config.objects < 3:
-                skip_reason = "needs at least 3 objects"
-            if name == "fgroupoid" and config.objects < 4:
-                skip_reason = "needs at least 4 objects"
-        if skip_reason is not None:
-            combined.entries.append(
-                ClaimEntry(
-                    claim_id=f"{name}.skipped",
-                    anchor=f"suite {name} skipped: {skip_reason}",
-                    status=SKIPPED,
-                )
-            )
-            continue
-        try:
-            sub = _SUITE_RUNNERS[name](config, structure)
-        except (InvalidInput, BudgetExceeded):
-            raise
-        except GroupoidLabError as exc:
-            combined.entries.append(
-                ClaimEntry(
-                    claim_id=f"{name}.instance-error",
-                    anchor=f"suite {name} aborted on this instance",
-                    status="fail",
-                    witness=f"{type(exc).__name__}: {exc}",
-                )
-            )
-            continue
-        for entry in sub.entries:
-            entry.claim_id = f"{name}.{entry.claim_id}"
-        combined.extend(sub)
-    return combined
-
-
-# ---------------------------------------------------------------------------
 # commands
 
 
@@ -412,7 +93,7 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    structure = None
+    structure: Optional[MultiSortedStructure] = None
     group, spec = _load_group(args.group)
     objects = args.objects
     if args.structure:
@@ -429,7 +110,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         cover=args.cover,
         suite=args.suite,
     )
-    report = run_suites(config, structure)
+    if structure is None:
+        structure = _build_structure(config)
+    report = run_suites(structure, config.group, config.suite, config.describe())
     doc = report.to_json()
     rendered = (
         dumps_canonical(doc) if args.format == "json" else report.render_text() + "\n"
@@ -474,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_build.set_defaults(func=cmd_build)
 
     p_verify = sub.add_parser("verify", help="run verification suites")
-    p_verify.add_argument("--suite", choices=SUITES, default="all")
+    p_verify.add_argument("--suite", choices=(*SUITES, "all"), default="all")
     p_verify.add_argument("--group", required=True)
     p_verify.add_argument("--objects", type=int, default=4)
     p_verify.add_argument("--cover", action="store_true")

@@ -118,4 +118,5 @@ class NotWellDefined(GroupoidLabError):
 
 
 class ReportMergeError(GroupoidLabError):
-    """Conflicting duplicate claim entries while merging reports."""
+    """A malformed report, or conflicting duplicate claim entries, while
+    merging reports."""

@@ -280,13 +280,15 @@ def cyclic_group(n: int) -> FiniteGroup:
     return validate_group(table, 0)
 
 
-def _perm_group(perms: list[tuple[int, ...]]) -> FiniteGroup:
+def compose_perms(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
+    """The permutation p after q."""
+    return tuple(p[i] for i in q)
+
+
+def _perm_group(perms: Sequence[tuple[int, ...]]) -> FiniteGroup:
     """Cayley table of a list of permutations closed under composition."""
     index = {p: i for i, p in enumerate(perms)}
-    table = tuple(
-        tuple(index[tuple(p[q[k]] for k in range(len(q)))] for q in perms)
-        for p in perms
-    )
+    table = tuple(tuple(index[compose_perms(p, q)] for q in perms) for p in perms)
     ident = index[tuple(range(len(perms[0])))]
     return validate_group(table, ident)
 

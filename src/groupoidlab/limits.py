@@ -26,7 +26,7 @@ from .errors import (
     NotWellDefined,
     TransitionNotEpi,
 )
-from .groups import FiniteGroup, validate_group
+from .groups import FiniteGroup, compose_perms, validate_group
 from .report import Report
 from .structures import (
     Element,
@@ -240,8 +240,8 @@ def restriction_epimorphism(
     Well-definedness is checked: base-fixing automorphisms agreeing on the
     bigger carrier must agree on the smaller one.
     """
-    a_small, b_small = tuple_endpoints_generic(s, f_small)
-    a_big, b_big = tuple_endpoints_generic(s, f_big)
+    a_small, b_small = tuple_endpoints(s, f_small)
+    a_big, b_big = tuple_endpoints(s, f_big)
     y_small = compute_Y(s, a_small, b_small, f=f_small, base=base)
     y_big = compute_Y(s, a_big, b_big, f=f_big, base=base)
     big_group = setwise_restricted_group(s, base, y_big.members)
@@ -288,16 +288,6 @@ def restriction_epimorphism(
     return hom
 
 
-def tuple_endpoints_generic(s: MultiSortedStructure, t: YTuple) -> tuple[int, int]:
-    """Endpoints of a morphism tuple, full or raw single-morphism form."""
-    if len(t) == 1 and t[0].sort == "M":
-        m = t[0].index
-        init = {r[0]: r[1] for r in s.function("init").rows}
-        ter = {r[0]: r[1] for r in s.function("ter").rows}
-        return init[m], ter[m]
-    return tuple_endpoints(s, t)
-
-
 def system_to_json(sys: DirectedSystemOfGroups) -> dict:
     from .groups import group_to_json
 
@@ -338,19 +328,10 @@ def _perm_set(rg: RestrictedAutGroup) -> set[tuple[int, ...]]:
 
 
 def _is_normal_in(sub: set[tuple[int, ...]], big: RestrictedAutGroup) -> bool:
-    def compose(p, q):  # p after q
-        return tuple(p[q[i]] for i in range(len(q)))
-
-    def invert(p):
-        out = [0] * len(p)
-        for i, v in enumerate(p):
-            out[v] = i
-        return tuple(out)
-
-    for g in big.perms:
-        gi = invert(g)
+    for k, g in enumerate(big.perms):
+        gi = big.perms[big.group.inv(k)]
         for h in sub:
-            if compose(g, compose(h, gi)) not in sub:
+            if compose_perms(g, compose_perms(h, gi)) not in sub:
                 return False
     return True
 
@@ -401,9 +382,7 @@ def check_pi2_gamma2(
         def central(name=name, f_full=f_full, g_sub=g_sub, pi_perms=pi_perms):
             for p in _perm_set(g_sub):
                 for q in pi_perms:
-                    pq = tuple(p[q[i]] for i in range(len(q)))
-                    qp = tuple(q[p[i]] for i in range(len(p)))
-                    if pq != qp:
+                    if compose_perms(p, q) != compose_perms(q, p):
                         return {"instance": name, "noncommuting": (p, q)}
             return None
 

@@ -145,14 +145,21 @@ def dumps_canonical(doc: dict) -> str:
 def merge_reports(docs: list[dict]) -> dict:
     """Merge report documents into an instances-by-claims matrix.
 
+    Every document must be a report: a dict with a string ``instance`` and
+    a list of claims, each a dict with string ``id`` and ``status``.
     Duplicate claim ids within one instance must agree or the merge fails.
     """
     matrix: dict[str, dict[str, str]] = {}
     claim_order: list[str] = []
-    for doc in docs:
-        inst = doc.get("instance", "?")
+    for k, doc in enumerate(docs):
+        if not _is_report(doc):
+            raise ReportMergeError(
+                f"document {k + 1} is not a report: it needs a string 'instance' "
+                "and a list of claims, each with a string 'id' and 'status'"
+            )
+        inst = doc["instance"]
         row = matrix.setdefault(inst, {})
-        for claim in doc.get("claims", ()):
+        for claim in doc["claims"]:
             cid = claim["id"]
             if cid not in claim_order:
                 claim_order.append(cid)
@@ -170,6 +177,18 @@ def merge_reports(docs: list[dict]) -> dict:
             for inst in sorted(matrix)
         },
     }
+
+
+def _is_report(doc: Any) -> bool:
+    return (
+        isinstance(doc, dict)
+        and isinstance(doc.get("instance"), str)
+        and isinstance(doc.get("claims"), list)
+        and all(
+            isinstance(c, dict) and isinstance(c.get("id"), str) and isinstance(c.get("status"), str)
+            for c in doc["claims"]
+        )
+    )
 
 
 def render_matrix(merged: dict) -> str:

@@ -9,10 +9,14 @@ relation; the double cover adds a fiber sort I with a two-to-one projection.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from functools import cached_property
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .errors import AxiomViolation, InvalidInput
 from .groupoids import FiniteGroupoid, validate_groupoid
+
+if TYPE_CHECKING:
+    from .automorphisms import _SearchSpace
 
 
 class Element(NamedTuple):
@@ -90,6 +94,21 @@ class MultiSortedStructure:
 
     def has_function(self, name: str) -> bool:
         return any(f.name == name for f in self.functions)
+
+    # State derived from the structure is built on first use and lives in
+    # the instance dict: it stays out of eq, hash and repr, and is freed
+    # with the structure.
+
+    @cached_property
+    def search_space(self) -> "_SearchSpace":
+        """The automorphism engine's flattened structure and group cache."""
+        from .automorphisms import _SearchSpace
+
+        return _SearchSpace(self)
+
+    @cached_property
+    def groupoid_view(self) -> "GroupoidView":
+        return GroupoidView(self)
 
 
 def validate_structure(s: MultiSortedStructure) -> MultiSortedStructure:
@@ -178,8 +197,46 @@ def encode_double_cover(gpd: FiniteGroupoid) -> MultiSortedStructure:
     return validate_structure(s)
 
 
+class GroupoidView:
+    """The groupoid inside an encoded structure, indexed once: the init and
+    ter arrays, Mor(a, b) in increasing order and, on the double cover, the
+    fiber over each object.  Indexing reads the functions and checks nothing
+    more; the groupoid axioms are checked by ``groupoid``."""
+
+    def __init__(self, s: MultiSortedStructure):
+        self.structure = s
+        n_mor = s.sort_size("M")
+        init = {row[0]: row[1] for row in s.function("init").rows}
+        ter = {row[0]: row[1] for row in s.function("ter").rows}
+        self.init = tuple(init[m] for m in range(n_mor))
+        self.ter = tuple(ter[m] for m in range(n_mor))
+        mor: dict[tuple[int, int], list[int]] = {}
+        for m, ends in enumerate(zip(self.init, self.ter)):
+            mor.setdefault(ends, []).append(m)
+        self.mor = {ends: tuple(ms) for ends, ms in mor.items()}
+
+    @cached_property
+    def fibers(self) -> dict[int, tuple[int, ...]]:
+        s = self.structure
+        proj = {row[0]: row[1] for row in s.function("proj").rows}
+        fibers: dict[int, list[int]] = {}
+        for i in range(s.sort_size("I")):
+            fibers.setdefault(proj[i], []).append(i)
+        return {a: tuple(points) for a, points in fibers.items()}
+
+    @cached_property
+    def groupoid(self) -> FiniteGroupoid:
+        """The decoded groupoid, validated on first use.  A failed
+        validation caches nothing: it raises again on every use."""
+        return _decode(self.structure)
+
+
 def decode_groupoid(s: MultiSortedStructure) -> FiniteGroupoid:
     """Rebuild the groupoid from an encoded structure (round-trip inverse)."""
+    return s.groupoid_view.groupoid
+
+
+def _decode(s: MultiSortedStructure) -> FiniteGroupoid:
     n_obj = s.sort_size("O")
     n_mor = s.sort_size("M")
     init = tuple(v for _, v in sorted(s.function("init").rows))
@@ -227,16 +284,8 @@ def objects_of(s: MultiSortedStructure) -> range:
     return range(s.sort_size("O"))
 
 
-def _unary_map(s: MultiSortedStructure, name: str) -> dict[int, int]:
-    return {row[0]: row[1] for row in s.function(name).rows}
-
-
 def morphisms_between(s: MultiSortedStructure, a: int, b: int) -> tuple[int, ...]:
-    init = _unary_map(s, "init")
-    ter = _unary_map(s, "ter")
-    return tuple(
-        m for m in range(s.sort_size("M")) if init[m] == a and ter[m] == b
-    )
+    return s.groupoid_view.mor.get((a, b), ())
 
 
 def vertex_morphisms(s: MultiSortedStructure, a: int) -> tuple[int, ...]:
@@ -244,8 +293,7 @@ def vertex_morphisms(s: MultiSortedStructure, a: int) -> tuple[int, ...]:
 
 
 def fiber_points(s: MultiSortedStructure, a: int) -> tuple[int, ...]:
-    proj = _unary_map(s, "proj")
-    return tuple(i for i in range(s.sort_size("I")) if proj[i] == a)
+    return s.groupoid_view.fibers.get(a, ())
 
 
 def object_tuple(s: MultiSortedStructure, a: int) -> tuple[Element, ...]:
@@ -259,9 +307,8 @@ def object_tuple(s: MultiSortedStructure, a: int) -> tuple[Element, ...]:
 
 def morphism_tuple(s: MultiSortedStructure, m: int) -> tuple[Element, ...]:
     """A morphism with both endpoint tuples embedded, e.g. (c0,c1,c,d0,d1,d,m)."""
-    init = _unary_map(s, "init")
-    ter = _unary_map(s, "ter")
-    return object_tuple(s, init[m]) + object_tuple(s, ter[m]) + (Element("M", m),)
+    view = s.groupoid_view
+    return object_tuple(s, view.init[m]) + object_tuple(s, view.ter[m]) + (Element("M", m),)
 
 
 def object_closure(s: MultiSortedStructure, a: int) -> tuple[Element, ...]:

@@ -1,4 +1,4 @@
-"""Witness checking and the claim-verification suites.
+"""Witness checking, the claim-verification suites and their registry.
 
 Each suite returns a Report whose entries carry exact pass/fail status and
 a concrete witness on failure.  Types and orbits are replaced by their
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from .automorphisms import (
     Automorphism,
@@ -22,14 +22,30 @@ from .automorphisms import (
     restricted_group,
     setwise_restricted_group,
 )
-from .errors import InvalidInput
-from .groups import FiniteGroup, center, isomorphism_search
-from .groupoids import vertex_group
-from .report import Report
+from .errors import BudgetExceeded, GroupoidLabError, InvalidInput
+from .groups import FiniteGroup, center, compose_perms, cyclic_group, isomorphism_search
+from .groupoids import build_standard_groupoid, vertex_group
+from .limits import (
+    check_pi2_gamma2,
+    inverse_limit_stage,
+    restriction_epimorphism,
+    validate_system,
+)
+from .paths import (
+    all_paths,
+    build_extended_groupoid,
+    class_key,
+    path_equivalent,
+    probe_candidates,
+    reduce_path,
+    verify_reduction,
+)
+from .report import FAIL, SKIPPED, ClaimEntry, Report
 from .structures import (
     Element,
     MultiSortedStructure,
     decode_groupoid,
+    encode_groupoid,
     has_cover,
     morphism_tuple,
     morphisms_between,
@@ -459,9 +475,7 @@ def verify_section3(
                 if p not in fset:
                     return {"pair": (a, b), "problem": "not a subgroup"}
                 for q in fg.perms:
-                    pq = tuple(p[q[i]] for i in range(len(q)))
-                    qp = tuple(q[p[i]] for i in range(len(p)))
-                    if pq != qp:
+                    if compose_perms(p, q) != compose_perms(q, p):
                         return {"pair": (a, b), "noncommuting": (p, q)}
         return None
 
@@ -557,3 +571,273 @@ def verify_section3(
         reference_independence,
     )
     return report
+
+
+def verify_fgroupoid(s: MultiSortedStructure) -> Report:
+    """Claims about the quotient groupoid of two-step path classes on the
+    first objects of an instance with at least four objects."""
+    n = s.sort_size("O")
+    report = Report(instance=f"quotient groupoid on {n} objects")
+    ys = YSystem(s)
+
+    def wdef() -> Optional[object]:
+        a, b, c = 0, 1, 2
+        for g in ys.y_set(a, b).members:
+            for h in ys.y_set(b, c).members:
+                outs = {
+                    ys.compose(h, g, decomposition=(g0, h0))
+                    for g0 in x_tuples(s, a, b)
+                    for h0 in x_tuples(s, b, c)
+                }
+                if len(outs) != 1:
+                    return {"g": g, "h": h, "distinct_results": len(outs)}
+        return None
+
+    report.add(
+        "composition-well-defined",
+        "composites agree over every decomposition",
+        wdef,
+    )
+
+    def divisors() -> Optional[object]:
+        a, b, c = 0, 1, 2
+        for f in ys.y_set(a, c).members:
+            for g in ys.y_set(a, b).members:
+                hits = [
+                    h for h in ys.y_set(b, c).members if ys.compose(h, g) == f
+                ]
+                if len(hits) != 1:
+                    return {"f": f, "g": g, "divisors": len(hits)}
+        return None
+
+    report.add("unique-divisor", "each composite has a unique divisor", divisors)
+
+    ext_box: list = []
+
+    def builds() -> Optional[object]:
+        ext_box.append(build_extended_groupoid(ys))
+        return None
+
+    report.add(
+        "quotient-valid",
+        "the two-step path classes assemble into a valid groupoid",
+        builds,
+    )
+    if not ext_box:
+        return report
+    ext = ext_box[0]
+
+    def vertex_iso() -> Optional[object]:
+        vg = vertex_group(ext.groupoid, 0)
+        fg = ys.f_group(0, 1)
+        if isomorphism_search(vg.group, fg.group) is None:
+            return {"vertex_order": vg.group.order, "f_order": fg.group.order}
+        return None
+
+    report.add(
+        "vertex-is-f-group",
+        "quotient vertex groups are isomorphic to the Y-set groups",
+        vertex_iso,
+    )
+
+    def injection() -> Optional[object]:
+        gpd = ys.gpd
+        inj = [ext.inject_standard(m) for m in range(gpd.n_morphisms)]
+        for m1 in range(gpd.n_morphisms):
+            for m2 in range(gpd.n_morphisms):
+                if gpd.ter[m1] == gpd.init[m2]:
+                    lhs = ext.inject_standard(gpd.compose(m1, m2))
+                    rhs = ext.groupoid.compose(inj[m1], inj[m2])
+                    if lhs != rhs:
+                        return {"pair": (m1, m2)}
+        return None
+
+    report.add(
+        "injection-preserves-composition",
+        "the standard groupoid embeds compatibly into the quotient",
+        injection,
+    )
+
+    def sizes() -> Optional[object]:
+        for a in range(n):
+            for b in range(n):
+                if a == b:
+                    continue
+                count = sum(1 for k in ext.keys if k[1] == a and k[2] == b)
+                if count != ys.y_set(a, b).size:
+                    return {"pair": (a, b), "classes": count}
+        return None
+
+    report.add("classes-match-y", "morphism counts equal Y-set sizes", sizes)
+
+    def equivalence() -> Optional[object]:
+        d2 = list(all_paths(ys, 0, 1, 2))
+        keys = [class_key(ys, q) for q in d2]
+        for i, q in enumerate(d2):
+            for j, r in enumerate(d2):
+                if not any(True for _ in probe_candidates(ys, q, r)):
+                    continue
+                if path_equivalent(ys, q, r) != (keys[i] == keys[j]):
+                    return {"q": i, "r": j}
+        return None
+
+    report.add(
+        "path-equivalence-consistent",
+        "probe folding agrees with canonical class keys on every two-step "
+        "path pair that admits a probe",
+        equivalence,
+    )
+
+    def reductions() -> Optional[object]:
+        for q in all_paths(ys, 0, 1, 3):
+            r = reduce_path(ys, q)
+            if r.n_steps != 2 or not verify_reduction(ys, q, r):
+                return {"path": q}
+        return None
+
+    report.add(
+        "three-step-reduction",
+        "every three-step path reduces to an equivalent two-step path",
+        reductions,
+    )
+    return report
+
+
+def verify_limits(s: MultiSortedStructure) -> Report:
+    """Two fixed directed systems, then the restriction epimorphism and the
+    restricted-group tower on the first object pair of s."""
+    report = Report(instance="directed systems")
+
+    def chain() -> Optional[object]:
+        z8, z4, z2 = cyclic_group(8), cyclic_group(4), cyclic_group(2)
+        sys_chain = validate_system(
+            indices=("z2", "z4", "z8"),
+            order_pairs=[("z2", "z4"), ("z4", "z8")],
+            groups={"z2": z2, "z4": z4, "z8": z8},
+            transitions={
+                ("z2", "z4"): [x % 2 for x in range(4)],
+                ("z4", "z8"): [x % 4 for x in range(8)],
+                ("z2", "z8"): [x % 2 for x in range(8)],
+            },
+        )
+        lim = inverse_limit_stage(sys_chain, ("z2", "z4", "z8"))
+        if isomorphism_search(lim, z8) is None:
+            return {"limit_order": lim.order}
+        return None
+
+    report.add(
+        "chain-limit",
+        "the mod-tower chain validates and its stage limit is the top group",
+        chain,
+    )
+
+    def constant() -> Optional[object]:
+        z2 = cyclic_group(2)
+        sys_const = validate_system(
+            indices=("lo", "hi"),
+            order_pairs=[("lo", "hi")],
+            groups={"lo": z2, "hi": z2},
+            transitions={("lo", "hi"): [0, 1]},
+        )
+        lim = inverse_limit_stage(sys_const, ("lo", "hi"))
+        if isomorphism_search(lim, z2) is None:
+            return {"limit_order": lim.order}
+        return None
+
+    report.add(
+        "constant-limit",
+        "a constant system's stage limit is the constant group",
+        constant,
+    )
+
+    def epi() -> Optional[object]:
+        base0 = object_closure(s, 0)
+        m = min(morphisms_between(s, 0, 1))
+        hom = restriction_epimorphism(
+            s, base0, (Element("M", m),), morphism_tuple(s, m)
+        )
+        if not hom.is_surjective():
+            return {"problem": "not surjective"}
+        expected_kernel = hom.source.order // hom.target.order
+        if len(hom.kernel()) != expected_kernel:
+            return {"kernel": len(hom.kernel()), "expected": expected_kernel}
+        return None
+
+    report.add(
+        "restriction-epimorphism",
+        "restricting the full-tuple group to the raw morphism is a "
+        "surjection with the index-sized kernel",
+        epi,
+    )
+
+    report.extend(check_pi2_gamma2([("instance", s, (0, 1))]))
+    return report
+
+
+# ---------------------------------------------------------------------------
+# the suite registry
+
+
+def _section2_on_plain(s: MultiSortedStructure, g: FiniteGroup) -> Report:
+    """Standard-model claims; on a double cover they run on the plain
+    encoding of the standard groupoid of g instead."""
+    if has_cover(s):
+        s = encode_groupoid(build_standard_groupoid(g, s.sort_size("O")))
+    return verify_section2(s, g)
+
+
+Suite = Callable[[MultiSortedStructure, FiniteGroup], Report]
+
+# name -> (runner, minimum object count), in the order "all" runs them
+SUITES: dict[str, tuple[Suite, int]] = {
+    "section2": (_section2_on_plain, 2),
+    "section3": (lambda s, g: verify_section3(s), 3),
+    "witness": (lambda s, g: check_witness(standard_witness(s)), 3),
+    "fgroupoid": (lambda s, g: verify_fgroupoid(s), 4),
+    "limits": (lambda s, g: verify_limits(s), 2),
+}
+
+
+def run_suites(
+    s: MultiSortedStructure, g: FiniteGroup, suite: str, instance: str
+) -> Report:
+    """Run one suite of SUITES, or every suite for "all", on one structure.
+
+    Under "all", a suite that needs more objects than s has is recorded with
+    an explicit skipped entry rather than silently dropped; asked for alone,
+    it is an input error.  A suite that blows up on a broken instance is
+    recorded as a claim failure.
+    """
+    n = s.sort_size("O")
+    combined = Report(instance=instance)
+    for name in SUITES if suite == "all" else (suite,):
+        runner, min_objects = SUITES[name]
+        if n < min_objects:
+            if suite != "all":
+                raise InvalidInput(f"suite {name} needs --objects >= {min_objects}")
+            combined.entries.append(
+                ClaimEntry(
+                    claim_id=f"{name}.skipped",
+                    anchor=f"suite {name} skipped: needs at least {min_objects} objects",
+                    status=SKIPPED,
+                )
+            )
+            continue
+        try:
+            sub = runner(s, g)
+        except (InvalidInput, BudgetExceeded):
+            raise
+        except GroupoidLabError as exc:
+            combined.entries.append(
+                ClaimEntry(
+                    claim_id=f"{name}.instance-error",
+                    anchor=f"suite {name} aborted on this instance",
+                    status=FAIL,
+                    witness=f"{type(exc).__name__}: {exc}",
+                )
+            )
+            continue
+        for entry in sub.entries:
+            entry.claim_id = f"{name}.{entry.claim_id}"
+        combined.extend(sub)
+    return combined

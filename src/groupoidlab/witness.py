@@ -61,7 +61,11 @@ class YSet:
 
 
 def tuple_endpoints(s: MultiSortedStructure, t: YTuple) -> tuple[int, int]:
-    """Source and target objects of a morphism tuple."""
+    """Source and target objects of a morphism tuple, full or raw
+    single-morphism form."""
+    if len(t) == 1 and t[0].sort == "M":
+        view = s.groupoid_view
+        return view.init[t[0].index], view.ter[t[0].index]
     part = 3 if has_cover(s) else 1
     if len(t) != 2 * part + 1 or t[part - 1].sort != "O" or t[2 * part - 1].sort != "O":
         raise InvalidInput(f"not a morphism tuple: {t!r}")
@@ -90,14 +94,11 @@ def _tuple_orbit(
     each is certified by an explicit automorphism search, avoiding full
     enumeration of the base-fixing group.
     """
-    a, b = tuple_endpoints(s, f) if len(f) > 1 else (None, None)
-    if a is None:
+    a, b = tuple_endpoints(s, f)
+    base_set = set(base)
+    if len(f) == 1:
         # raw single-morphism tuple
-        m = raw_morphism(f)
-        init = {r[0]: r[1] for r in s.function("init").rows}
-        ter = {r[0]: r[1] for r in s.function("ter").rows}
-        a, b = init[m], ter[m]
-        if a == b or Element("O", a) not in set(base):
+        if a == b or Element("O", a) not in base_set:
             return orbit_of(s, base, f)
         source_part: tuple[Element, ...] = ()
         target_parts = {q: ((),) for q in range(s.sort_size("O"))}
@@ -112,9 +113,8 @@ def _tuple_orbit(
             else:
                 swapped = (canon[1], canon[0], canon[2])
                 target_parts[q] = (canon, swapped)
-    if any(e not in set(base) for e in source_part):
+    if any(e not in base_set for e in source_part):
         return orbit_of(s, base, f)  # general fallback
-    base_set = set(base)
     targets = (
         [b]
         if len(f) > 1 and all(e in base_set for e in f[len(source_part):-1])
@@ -206,7 +206,11 @@ def F_group(
     Restrictions of base-fixing automorphisms that map the Y-set onto
     itself; the action must be regular or the instance is mismodelled.
     """
-    y = compute_Y(s, a, b, base=base)
+    return _regular_group(s, a, b, compute_Y(s, a, b, base=base))
+
+
+def _regular_group(s: MultiSortedStructure, a: int, b: int, y: YSet) -> RestrictedAutGroup:
+    """The restriction group of Y(a, b) over its base; it must act regularly."""
     rg = restriction_group_by_reference(s, y.base, y)
     if not rg.is_regular():
         raise RegularityFailure((a, b, rg.group.order, y.size))
@@ -245,11 +249,7 @@ class YSystem:
 
     def f_group(self, a: int, b: int) -> RestrictedAutGroup:
         if (a, b) not in self._fgroups:
-            y = self.y_set(a, b)
-            rg = restriction_group_by_reference(self.structure, y.base, y)
-            if not rg.is_regular():
-                raise RegularityFailure((a, b, rg.group.order, y.size))
-            self._fgroups[(a, b)] = rg
+            self._fgroups[(a, b)] = _regular_group(self.structure, a, b, self.y_set(a, b))
         return self._fgroups[(a, b)]
 
     def g_subgroup(self, a: int, b: int) -> RestrictedAutGroup:

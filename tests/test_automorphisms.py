@@ -274,3 +274,17 @@ def test_engine_handles_binary_functions_and_constants():
     assert klein_aut.order == 6  # Sym(3) permuting the involutions
     for aut in klein_aut.members:
         assert aut.maps[0][klein.identity] == klein.identity
+
+
+def test_structure_is_freed_after_a_search():
+    # the search space and the group cache live on the structure, so
+    # nothing else keeps a searched structure alive
+    import gc
+    import weakref
+
+    s = plain(cyclic_group(2), 3)
+    assert automorphism_group(s, object_closure(s, 0)).order > 1
+    ref = weakref.ref(s)
+    del s
+    gc.collect()
+    assert ref() is None

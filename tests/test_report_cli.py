@@ -136,6 +136,24 @@ def test_report_merging_cli(tmp_path):
     assert main(["report", str(r1), str(r3)]) == 2
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"sorts": [["O", 2], ["M", 8]], "functions": [], "relations": []},
+        [{"instance": "a", "claims": []}],
+        {"instance": "a", "claims": [{"id": "x"}]},
+    ],
+    ids=["structure-file", "json-array", "claim-without-status"],
+)
+def test_report_rejects_malformed_input(doc, tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert main(["report", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    with pytest.raises(ReportMergeError):
+        merge_reports([doc])
+
+
 def test_console_script_runs():
     out = run_cli("build", "--group", "cyclic:2", "--objects", "2")
     assert out.returncode == 0

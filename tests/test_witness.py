@@ -256,3 +256,26 @@ def test_reference_generated_groups_match_full_enumeration(cover_z2_4):
         slow = setwise_restricted_group(cover_z2_4, y.base, y.members)
         assert fast.perms == slow.perms
         assert fast.group == slow.group
+
+
+@pytest.mark.parametrize(
+    "group,cover",
+    [("cyclic:2", False), ("cyclic:2", True), ("symmetric:3", False)],
+    ids=["z2-plain", "z2-cover", "s3-plain"],
+)
+def test_tuple_orbit_matches_full_enumeration(group, cover):
+    # structural candidates certified by targeted searches against the orbit
+    # read off the fully enumerated base-fixing group, for raw and full
+    # morphism tuples, over bases with and without the target part
+    from groupoidlab import Element, group_from_spec, object_closure, orbit_of, pair_base
+    from groupoidlab.witness import _tuple_orbit
+
+    gpd = build_standard_groupoid(group_from_spec(group), 3)
+    s = encode_double_cover(gpd) if cover else encode_groupoid(gpd)
+    bases = (object_closure(s, 0), pair_base(s, 0, 1))
+    morphisms = morphisms_between(s, 0, 1) + morphisms_between(s, 0, 2)[:1]
+    morphisms += morphisms_between(s, 0, 0)[-1:] + morphisms_between(s, 1, 2)[:1]
+    for base in bases:
+        for m in morphisms:
+            for f in ((Element("M", m),), morphism_tuple(s, m)):
+                assert _tuple_orbit(s, base, f) == orbit_of(s, base, f), (base, f)

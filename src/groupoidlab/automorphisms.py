@@ -1,10 +1,18 @@
-"""Exhaustive automorphism-group computation for finite multi-sorted structures.
+"""Automorphism search for finite multi-sorted structures.
 
-The search backtracks over sort-wise bijections with partition-refinement
-pruning: points are colored by iterated signatures (sort, pinned base points,
-relation incidence patterns), and assignments propagate through functions and
-through every functional direction of each relation.  Enumeration order is
-deterministic.
+One backtracking search (``_solutions``) runs over sort-wise bijections with
+partition-refinement pruning: points are colored by iterated signatures
+(sort, pinned base points, relation incidence patterns), and assignments
+propagate through functions and through every functional direction of each
+relation.  Enumeration order is deterministic.
+
+The search runs in two modes.  Without a lead it yields every automorphism
+fixing the base; ``automorphism_group`` and ``dcl_of`` enumerate the group
+this way and are the ground-truth oracle.  With a lead tuple it assigns the
+lead's points first and yields one automorphism per image of the lead, so
+``orbit_of``, ``interdefinable`` and the restriction groups of the Y-set
+layer read a tuple's images off the first levels of the search tree without
+enumerating the group.
 """
 
 from __future__ import annotations
@@ -32,9 +40,6 @@ class Automorphism:
     def apply_tuple(self, els: tuple[Element, ...]) -> tuple[Element, ...]:
         return tuple(self.apply(e) for e in els)
 
-    def fixes(self, el: Element) -> bool:
-        return self.apply(el) == el
-
     def compose(self, other: "Automorphism") -> "Automorphism":
         """self after other."""
         maps = tuple(
@@ -51,9 +56,6 @@ class Automorphism:
                 inv[v] = i
             maps.append(tuple(inv))
         return Automorphism(self.sort_names, tuple(maps))
-
-    def is_identity(self) -> bool:
-        return all(all(v == i for i, v in enumerate(m)) for m in self.maps)
 
     def flat(self) -> tuple[int, ...]:
         return tuple(v for m in self.maps for v in m)
@@ -177,9 +179,15 @@ def _solutions(
     s: MultiSortedStructure,
     base: tuple[Element, ...],
     constraints: Optional[dict[Element, Element]] = None,
+    lead: tuple[Element, ...] = (),
 ) -> Iterator[tuple[int, ...]]:
     """Yield global image arrays of every automorphism fixing base pointwise
-    and extending the given partial constraints, in deterministic order."""
+    and extending the given partial constraints, in deterministic order.
+
+    With a lead tuple the lead's points are assigned first, and only the
+    first completion of each distinct image of the lead is yielded: one
+    automorphism per member of the lead's orbit, the one ``find_automorphism``
+    returns when constrained to send the lead to that image."""
     space = s.search_space
     n = space.n_points
     pinned = frozenset(
@@ -248,18 +256,30 @@ def _solutions(
                 undo(seed)
                 return
 
+    lead_points = list(dict.fromkeys(space.point(e) for e in lead))
+    n_lead = len(lead_points)
     class_size = {c: color.count(c) for c in set(color)}
-    order = sorted(
-        (p for p in range(n) if img[p] == -1),
+    order = lead_points + sorted(
+        (p for p in range(n) if img[p] == -1 and p not in lead_points),
         key=lambda p: (class_size[color[p]], p),
     )
     cand: dict[int, list[int]] = {}
     for p in range(n):
         cand.setdefault(color[p], []).append(p)
 
-    def gen(pos: int) -> Iterator[tuple[int, ...]]:
+    def gen(pos: int, lead_open: bool) -> Iterator[tuple[int, ...]]:
         while pos < len(order) and img[order[pos]] != -1:
             pos += 1
+        if lead_open and pos >= n_lead:
+            # the lead's image is fixed: keep its first completion only
+            rest = gen(pos, False)
+            try:
+                for flat in rest:
+                    yield flat
+                    break
+            finally:
+                rest.close()
+            return
         if pos == len(order):
             yield tuple(img)
             return
@@ -268,11 +288,13 @@ def _solutions(
             if pre[y] != -1:
                 continue
             trail: list[int] = []
-            if try_assign(x, y, trail):
-                yield from gen(pos + 1)
-            undo(trail)
+            try:
+                if try_assign(x, y, trail):
+                    yield from gen(pos + 1, lead_open)
+            finally:
+                undo(trail)
 
-    yield from gen(0)
+    yield from gen(0, n_lead > 0)
     undo(seed)
 
 
@@ -367,13 +389,29 @@ def is_automorphism(s: MultiSortedStructure, aut: Automorphism) -> bool:
     return True
 
 
+def _images(
+    s: MultiSortedStructure,
+    base: Iterable[Element],
+    x: tuple[Element, ...],
+) -> Iterator[tuple[tuple[Element, ...], tuple[int, ...]]]:
+    """Each image of x under Aut(s/base) once, with the first automorphism
+    (a global image array) found sending x there."""
+    check_budget(s)
+    offsets = s.search_space.offsets
+    for flat in _solutions(s, tuple(base), lead=x):
+        image = tuple(
+            Element(e.sort, flat[offsets[e.sort] + e.index] - offsets[e.sort]) for e in x
+        )
+        yield image, flat
+
+
 def orbit_of(
     s: MultiSortedStructure,
     base: Iterable[Element],
     x: tuple[Element, ...],
 ) -> tuple[tuple[Element, ...], ...]:
-    group = automorphism_group(s, base)
-    return tuple(sorted({aut.apply_tuple(x) for aut in group.members}))
+    """The orbit of x under Aut(s/base), read off one lead search."""
+    return tuple(sorted(image for image, _ in _images(s, base, x)))
 
 
 def dcl_of(s: MultiSortedStructure, base: Iterable[Element]) -> tuple[Element, ...]:
@@ -394,13 +432,11 @@ def interdefinable(
     x: tuple[Element, ...],
     y: tuple[Element, ...],
 ) -> bool:
-    """x in dcl(base + y) and y in dcl(base + x), componentwise."""
-    base_t = tuple(base)
-    g_with_y = automorphism_group(s, base_t + tuple(y))
-    if any(not aut.fixes(e) for aut in g_with_y.members for e in x):
-        return False
-    g_with_x = automorphism_group(s, base_t + tuple(x))
-    return all(aut.fixes(e) for aut in g_with_x.members for e in y)
+    """x in dcl(base + y) and y in dcl(base + x), componentwise.  Each lead
+    search stops at the first image that moves its tuple."""
+    base_t, x, y = tuple(base), tuple(x), tuple(y)
+    x_fixed = all(image == x for image, _ in _images(s, base_t + y, x))
+    return x_fixed and all(image == y for image, _ in _images(s, base_t + x, y))
 
 
 @dataclass(frozen=True)
@@ -427,9 +463,6 @@ class RestrictedAutGroup:
             group=self.group, domain_size=len(self.carrier), moves=self.perms
         )
 
-    def index_of(self, t: tuple[Element, ...]) -> int:
-        return self.carrier.index(t)
-
     def perm_index(self, perm: tuple[int, ...]) -> int:
         return self.perms.index(perm)
 
@@ -442,6 +475,8 @@ def _restriction(
     carrier: tuple[tuple[Element, ...], ...],
     index: dict[tuple[Element, ...], int],
 ) -> Optional[tuple[int, ...]]:
+    """The permutation of carrier (positions, via index) that aut induces;
+    None when aut sends a carrier tuple outside the carrier."""
     perm = []
     for t in carrier:
         image = aut.apply_tuple(t)
@@ -450,6 +485,15 @@ def _restriction(
             return None
         perm.append(k)
     return tuple(perm)
+
+
+def _escapee(
+    aut: Automorphism,
+    carrier: tuple[tuple[Element, ...], ...],
+    index: dict[tuple[Element, ...], int],
+) -> tuple[Element, ...]:
+    """The first carrier tuple that aut sends outside the carrier."""
+    return next(t for t in carrier if aut.apply_tuple(t) not in index)
 
 
 def _build_restricted(
@@ -474,6 +518,25 @@ def _build_restricted(
     )
 
 
+def _restricted(
+    s: MultiSortedStructure,
+    base: Iterable[Element],
+    tuples: Iterable[tuple[Element, ...]],
+    invariant: bool,
+) -> RestrictedAutGroup:
+    base_t = tuple(sorted(set(base)))
+    carrier = tuple(sorted(set(tuples)))
+    index = {t: i for i, t in enumerate(carrier)}
+    pairs = []
+    for aut in automorphism_group(s, base_t).members:
+        perm = _restriction(aut, carrier, index)
+        if perm is not None:
+            pairs.append((perm, aut))
+        elif invariant:
+            raise NotInvariant(aut, _escapee(aut, carrier, index))
+    return _build_restricted(s, base_t, carrier, pairs)
+
+
 def restricted_group(
     s: MultiSortedStructure,
     base: Iterable[Element],
@@ -484,18 +547,7 @@ def restricted_group(
     Raises NotInvariant when some base-fixing automorphism moves a carrier
     tuple out of the carrier.
     """
-    base_t = tuple(sorted(set(base)))
-    carrier = tuple(sorted(set(tuples)))
-    index = {t: i for i, t in enumerate(carrier)}
-    group = automorphism_group(s, base_t)
-    pairs = []
-    for aut in group.members:
-        perm = _restriction(aut, carrier, index)
-        if perm is None:
-            bad = next(t for t in carrier if aut.apply_tuple(t) not in index)
-            raise NotInvariant(aut, bad)
-        pairs.append((perm, aut))
-    return _build_restricted(s, base_t, carrier, pairs)
+    return _restricted(s, base, tuples, invariant=True)
 
 
 def setwise_restricted_group(
@@ -506,16 +558,7 @@ def setwise_restricted_group(
     """Restrictions of the automorphisms of Aut(s/base) that stabilize the
     carrier setwise: the finite stand-in for the group of elementary maps
     from the carrier onto itself over the base."""
-    base_t = tuple(sorted(set(base)))
-    carrier = tuple(sorted(set(tuples)))
-    index = {t: i for i, t in enumerate(carrier)}
-    group = automorphism_group(s, base_t)
-    pairs = []
-    for aut in group.members:
-        perm = _restriction(aut, carrier, index)
-        if perm is not None:
-            pairs.append((perm, aut))
-    return _build_restricted(s, base_t, carrier, pairs)
+    return _restricted(s, base, tuples, invariant=False)
 
 
 def automorphism_group_to_json(group: AutomorphismGroup) -> dict:

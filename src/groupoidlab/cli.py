@@ -23,6 +23,7 @@ from .structures import (
     MultiSortedStructure,
     encode_double_cover,
     encode_groupoid,
+    has_cover,
     structure_from_json,
     structure_to_json,
 )
@@ -39,8 +40,6 @@ class RunConfig:
     objects: int
     cover: bool
     suite: str = "all"
-    out: Optional[str] = None
-    fmt: str = "json"
 
     def __post_init__(self) -> None:
         if not MIN_OBJECTS <= self.objects <= MAX_OBJECTS:
@@ -95,19 +94,19 @@ def cmd_build(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     structure: Optional[MultiSortedStructure] = None
     group, spec = _load_group(args.group)
-    objects = args.objects
+    objects, cover = args.objects, args.cover
     if args.structure:
         try:
             data = json.loads(Path(args.structure).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise InvalidInput(f"cannot read structure: {exc}") from exc
         structure = structure_from_json(data)
-        objects = structure.sort_size("O")
+        objects, cover = structure.sort_size("O"), has_cover(structure)
     config = RunConfig(
         group=group,
         group_spec=spec,
         objects=objects,
-        cover=args.cover,
+        cover=cover,
         suite=args.suite,
     )
     if structure is None:

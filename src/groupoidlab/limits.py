@@ -14,6 +14,8 @@ from typing import Iterable, Sequence
 
 from .automorphisms import (
     RestrictedAutGroup,
+    _escapee,
+    _restriction,
     automorphism_group,
     restricted_group,
     setwise_restricted_group,
@@ -252,28 +254,17 @@ def restriction_epimorphism(
     ambient = automorphism_group(s, base)
     induced: dict[tuple[int, ...], tuple[int, ...]] = {}
     for aut in ambient.members:
-        big_perm = []
-        ok = True
-        for t in big_group.carrier:
-            k = big_index.get(aut.apply_tuple(t))
-            if k is None:
-                ok = False
-                break
-            big_perm.append(k)
-        if not ok:
+        key = _restriction(aut, big_group.carrier, big_index)
+        if key is None:
             continue
-        small_perm = []
-        for t in small_group.carrier:
-            k = small_index.get(aut.apply_tuple(t))
-            if k is None:
-                raise NotWellDefined((aut, t))
-            small_perm.append(k)
-        key = tuple(big_perm)
+        small_perm = _restriction(aut, small_group.carrier, small_index)
+        if small_perm is None:
+            raise NotWellDefined((aut, _escapee(aut, small_group.carrier, small_index)))
         prev = induced.get(key)
         if prev is None:
-            induced[key] = tuple(small_perm)
-        elif prev != tuple(small_perm):
-            raise NotWellDefined((key, prev, tuple(small_perm)))
+            induced[key] = small_perm
+        elif prev != small_perm:
+            raise NotWellDefined((key, prev, small_perm))
 
     mapping = tuple(
         small_group.perm_index(induced[p]) for p in big_group.perms

@@ -16,6 +16,10 @@ from .automorphisms import (
     Automorphism,
     RestrictedAutGroup,
     _build_restricted,
+    _escapee,
+    _images,
+    _restriction,
+    _to_automorphism,
     find_automorphism,
     interdefinable,
     orbit_of,
@@ -84,56 +88,6 @@ def x_tuples(s: MultiSortedStructure, a: int, b: int) -> tuple[YTuple, ...]:
     return tuple(head + (Element("M", m),) for m in morphisms_between(s, a, b))
 
 
-def _tuple_orbit(
-    s: MultiSortedStructure, base: tuple[Element, ...], f: YTuple
-) -> tuple[YTuple, ...]:
-    """Orbit of a morphism tuple over a base containing its source part.
-
-    Candidate images are generated structurally (the source part is pinned by
-    the base; the target part is pinned too when the base contains it) and
-    each is certified by an explicit automorphism search, avoiding full
-    enumeration of the base-fixing group.
-    """
-    a, b = tuple_endpoints(s, f)
-    base_set = set(base)
-    if len(f) == 1:
-        # raw single-morphism tuple
-        if a == b or Element("O", a) not in base_set:
-            return orbit_of(s, base, f)
-        source_part: tuple[Element, ...] = ()
-        target_parts = {q: ((),) for q in range(s.sort_size("O"))}
-    else:
-        part = len(object_tuple(s, a))
-        source_part = f[:part]
-        target_parts = {}
-        for q in range(s.sort_size("O")):
-            canon = object_tuple(s, q)
-            if part == 1:
-                target_parts[q] = (canon,)
-            else:
-                swapped = (canon[1], canon[0], canon[2])
-                target_parts[q] = (canon, swapped)
-    if any(e not in base_set for e in source_part):
-        return orbit_of(s, base, f)  # general fallback
-    targets = (
-        [b]
-        if len(f) > 1 and all(e in base_set for e in f[len(source_part):-1])
-        else [q for q in range(s.sort_size("O")) if q != a]
-    )
-    found = []
-    for q in targets:
-        for tpart in target_parts[q]:
-            for m2 in morphisms_between(s, a, q):
-                cand = source_part + tpart + (Element("M", m2),)
-                if cand == f:
-                    found.append(cand)
-                    continue
-                constraints = dict(zip(f, cand))
-                if find_automorphism(s, base=base, constraints=constraints) is not None:
-                    found.append(cand)
-    return tuple(sorted(found))
-
-
 def compute_Y(
     s: MultiSortedStructure,
     a: int,
@@ -150,13 +104,9 @@ def compute_Y(
     if f is None:
         f = x_tuples(s, a, b)[0]
     members = tuple(
-        sorted(
-            g
-            for g in _tuple_orbit(s, tuple(base), f)
-            if g == f or interdefinable(s, base, f, g)
-        )
+        g for g in orbit_of(s, base, f) if g == f or interdefinable(s, base, f, g)
     )
-    for t in _tuple_orbit(s, pair_base(s, a, b), f):
+    for t in orbit_of(s, pair_base(s, a, b), f):
         if t not in members:
             raise AxiomViolation("y-missing-standard-coset", t)
     return YSet(
@@ -174,24 +124,22 @@ def restriction_group_by_reference(
     """Restrictions to a Y-set of the base-fixing automorphisms stabilizing it.
 
     Every Y-member is interdefinable with the reference over the base, so a
-    restriction is determined by where it sends the reference; one
-    automorphism search per candidate image replaces enumerating the whole
-    base-fixing group.  Equal to the setwise-stabilizer restriction group.
+    restriction is determined by where it sends the reference; one lead
+    search yields one automorphism per image of the reference, which
+    replaces enumerating the whole base-fixing group.  Equal to the
+    setwise-stabilizer restriction group.
     """
     carrier = y.members
     index = {t: i for i, t in enumerate(carrier)}
+    found = dict(_images(s, base, y.reference))
     pairs = []
     for g in carrier:
-        aut = find_automorphism(s, base=base, constraints=dict(zip(y.reference, g)))
-        if aut is None:
-            continue
-        perm = []
-        for t in carrier:
-            k = index.get(aut.apply_tuple(t))
-            if k is None:
-                raise RegularityFailure(("image leaves the Y-set", t))
-            perm.append(k)
-        pairs.append((tuple(perm), aut))
+        if g in found:
+            aut = _to_automorphism(s, found[g])
+            perm = _restriction(aut, carrier, index)
+            if perm is None:
+                raise RegularityFailure(("image leaves the Y-set", _escapee(aut, carrier, index)))
+            pairs.append((perm, aut))
     return _build_restricted(s, tuple(sorted(set(base))), carrier, pairs)
 
 
@@ -308,14 +256,12 @@ class YSystem:
         f_ab: RestrictedAutGroup,
     ) -> tuple[int, ...]:
         psi_inv = psi.inverse()
+        carrier_index = {t: i for i, t in enumerate(f_ab.carrier)}
         index = {p: i for i, p in enumerate(f_ab.perms)}
         mapping = []
         for rep in f_ref.reps:
-            perm = []
-            for t in f_ab.carrier:
-                image = psi.apply_tuple(rep.apply_tuple(psi_inv.apply_tuple(t)))
-                perm.append(f_ab.carrier.index(image))
-            idx = index.get(tuple(perm))
+            conj = psi.compose(rep).compose(psi_inv)
+            idx = index.get(_restriction(conj, f_ab.carrier, carrier_index))
             if idx is None:
                 raise DecompositionFailure("transport image escapes target group")
             mapping.append(idx)

@@ -42,7 +42,7 @@ GOLDEN = [
 
 # --suite all on a built cover structure: section2 falls back to the plain
 # encoding of the configured group, every other suite runs on the file.
-STRUCTURE_DIGEST = "8030e0230f8f4664303b08250862154af8b749372494990d3b81e5dc8630df71"
+STRUCTURE_DIGEST = "3773fdd7fc73ca2bd69cf375986efc40a86c0ad9b6baa300a3548d886edd4f2e"
 
 # a single suite below its minimum object count is an input error
 TOO_SMALL = [

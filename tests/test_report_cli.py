@@ -112,6 +112,24 @@ def test_verify_corrupted_structure_exits_one(tmp_path):
     assert failed and failed[0].get("witness")
 
 
+@pytest.mark.parametrize(
+    "build_cover,verify_cover,instance",
+    [(True, False, "group=cyclic:2 objects=2 cover"), (False, True, "group=cyclic:2 objects=2")],
+    ids=["cover-file", "plain-file"],
+)
+def test_verify_structure_file_labelled_from_the_structure(
+    build_cover, verify_cover, instance, tmp_path, capsys
+):
+    # the instance label follows the structure file, not the --cover flag
+    built, out = tmp_path / "s.json", tmp_path / "rep.json"
+    build = ["build", "--group", "cyclic:2", "--objects", "2", "--out", str(built)]
+    assert main(build + ["--cover"] * build_cover) == 0
+    verify = ["verify", "--suite", "all", "--group", "cyclic:2", "--structure", str(built)]
+    assert main(verify + ["--cover"] * verify_cover + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    assert json.loads(out.read_text())["instance"] == instance
+
+
 def test_verify_budget_exit_three():
     rc = main(["verify", "--suite", "section3", "--group", "cyclic:8",
                "--objects", "6", "--cover"])

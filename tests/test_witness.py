@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -263,19 +264,79 @@ def test_reference_generated_groups_match_full_enumeration(cover_z2_4):
     [("cyclic:2", False), ("cyclic:2", True), ("symmetric:3", False)],
     ids=["z2-plain", "z2-cover", "s3-plain"],
 )
-def test_tuple_orbit_matches_full_enumeration(group, cover):
-    # structural candidates certified by targeted searches against the orbit
-    # read off the fully enumerated base-fixing group, for raw and full
-    # morphism tuples, over bases with and without the target part
-    from groupoidlab import Element, group_from_spec, object_closure, orbit_of, pair_base
-    from groupoidlab.witness import _tuple_orbit
+def test_orbit_and_interdefinable_match_full_enumeration(group, cover):
+    # the lead searches behind orbit_of and interdefinable against the
+    # orbits and fixed points read off the fully enumerated base-fixing
+    # groups, for raw and full morphism tuples, over bases with and without
+    # the target part
+    from groupoidlab import (
+        Element,
+        automorphism_group,
+        group_from_spec,
+        interdefinable,
+        object_closure,
+        orbit_of,
+        pair_base,
+    )
 
     gpd = build_standard_groupoid(group_from_spec(group), 3)
     s = encode_double_cover(gpd) if cover else encode_groupoid(gpd)
+
+    def fixed_over(base, t):
+        return all(aut.apply_tuple(t) == t for aut in automorphism_group(s, base).members)
+
     bases = (object_closure(s, 0), pair_base(s, 0, 1))
     morphisms = morphisms_between(s, 0, 1) + morphisms_between(s, 0, 2)[:1]
     morphisms += morphisms_between(s, 0, 0)[-1:] + morphisms_between(s, 1, 2)[:1]
     for base in bases:
+        members = automorphism_group(s, base).members
         for m in morphisms:
             for f in ((Element("M", m),), morphism_tuple(s, m)):
-                assert _tuple_orbit(s, base, f) == orbit_of(s, base, f), (base, f)
+                orbit = tuple(sorted({aut.apply_tuple(f) for aut in members}))
+                assert orbit_of(s, base, f) == orbit, (base, f)
+                for g in orbit:
+                    expected = fixed_over(base + g, f) and fixed_over(base + f, g)
+                    assert interdefinable(s, base, f, g) == expected, (base, f, g)
+
+
+def _relabelled(s, seed):
+    """s with every sort's indices permuted at random, and the object map."""
+    from groupoidlab import structure_from_json, structure_to_json
+
+    rng = random.Random(seed)
+    perms = {}
+    for name, size in s.sorts:
+        perms[name] = list(range(size))
+        rng.shuffle(perms[name])
+    data = structure_to_json(s)
+    for f in data["functions"]:
+        sorts = (*f["args"], f["result"])
+        f["rows"] = [[perms[n][v] for n, v in zip(sorts, row)] for row in f["rows"]]
+    for r in data["relations"]:
+        r["tuples"] = [[perms[n][v] for n, v in zip(r["args"], t)] for t in r["tuples"]]
+    for c in data["constants"]:
+        c["index"] = perms[c["sort"]][c["index"]]
+    return structure_from_json(data), perms["O"]
+
+
+@pytest.mark.parametrize(
+    "group,objects,cover",
+    [("cyclic:2", 4, True), ("symmetric:3", 3, False)],
+    ids=["z2-cover-4", "s3-plain-3"],
+)
+def test_relabelling_keeps_y_sizes_and_f_orders(group, objects, cover):
+    # no result may depend on the standard numbering: relabel every sort and
+    # compare the Y-set sizes and F-group orders of corresponding pairs
+    from groupoidlab import group_from_spec
+
+    gpd = build_standard_groupoid(group_from_spec(group), objects)
+    s = encode_double_cover(gpd) if cover else encode_groupoid(gpd)
+    r, obj = _relabelled(s, seed=20150)
+    assert obj != sorted(obj)
+    ys, yr = YSystem(s), YSystem(r)
+    for a in range(objects):
+        for b in range(objects):
+            if a != b:
+                pr = (obj[a], obj[b])
+                assert yr.y_set(*pr).size == ys.y_set(a, b).size, (a, b)
+                assert yr.f_group(*pr).order == ys.f_group(a, b).order, (a, b)

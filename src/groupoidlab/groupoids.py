@@ -61,9 +61,6 @@ class VertexGroup:
     group: FiniteGroup
     members: tuple[int, ...]  # members[i] is the morphism for group element i
 
-    def element_of(self, morphism: int) -> int:
-        return self.members.index(morphism)
-
 
 @dataclass(frozen=True)
 class BindingGroup:
@@ -77,12 +74,6 @@ class BindingGroup:
     group: FiniteGroup
     classes: tuple[frozenset[int], ...]
     reps: tuple[tuple[int, ...], ...]
-
-    def class_of(self, vertex_morphism: int) -> int:
-        for k, cls in enumerate(self.classes):
-            if vertex_morphism in cls:
-                return k
-        raise InvalidInput(f"morphism {vertex_morphism} is not a vertex morphism")
 
 
 def build_standard_groupoid(group: FiniteGroup, n: int) -> FiniteGroupoid:

@@ -17,7 +17,6 @@ from .automorphisms import (
     _escapee,
     _restriction,
     automorphism_group,
-    restricted_group,
     setwise_restricted_group,
 )
 from .errors import (
@@ -35,7 +34,6 @@ from .structures import (
     MultiSortedStructure,
     morphisms_between,
     object_closure,
-    pair_base,
 )
 from .witness import YTuple, compute_Y, tuple_endpoints
 
@@ -337,10 +335,11 @@ def check_pi2_gamma2(
     report = Report(instance="restricted-group tower")
     for name, s, (u, v) in instances:
         slug = name.replace(" ", "-")
+        ys = s.y_system
         base_u = object_closure(s, u)
-        y_full = compute_Y(s, u, v)
-        f_full = setwise_restricted_group(s, base_u, y_full.members)
-        g_sub = restricted_group(s, pair_base(s, u, v), y_full.members)
+        y_full = ys.y_set(u, v)
+        f_full = ys.f_group(u, v)
+        g_sub = ys.g_subgroup(u, v)
         raw_f = (Element("M", min(morphisms_between(s, u, v))),)
         y_raw = compute_Y(s, u, v, f=raw_f, base=base_u)
 

@@ -330,7 +330,7 @@ def build_extended_groupoid(
     """Assemble the quotient groupoid: objects are the structure's objects,
     morphisms are 2-step path classes, composition is concatenation followed
     by reduction.  The result passes full groupoid validation."""
-    ys = s_or_ys if isinstance(s_or_ys, YSystem) else YSystem(s_or_ys)
+    ys = s_or_ys if isinstance(s_or_ys, YSystem) else s_or_ys.y_system
     s = ys.structure
     n = s.sort_size("O")
     if n < 4:

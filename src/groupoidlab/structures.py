@@ -17,6 +17,7 @@ from .groupoids import FiniteGroupoid, validate_groupoid
 
 if TYPE_CHECKING:
     from .automorphisms import _SearchSpace
+    from .witness import YSystem
 
 
 class Element(NamedTuple):
@@ -89,12 +90,6 @@ class MultiSortedStructure:
                 return r
         raise InvalidInput(f"unknown relation {name!r}")
 
-    def has_relation(self, name: str) -> bool:
-        return any(r.name == name for r in self.relations)
-
-    def has_function(self, name: str) -> bool:
-        return any(f.name == name for f in self.functions)
-
     # State derived from the structure is built on first use and lives in
     # the instance dict: it stays out of eq, hash and repr, and is freed
     # with the structure.
@@ -109,6 +104,14 @@ class MultiSortedStructure:
     @cached_property
     def groupoid_view(self) -> "GroupoidView":
         return GroupoidView(self)
+
+    @cached_property
+    def y_system(self) -> "YSystem":
+        """Y-sets, their restriction groups and transports, shared by every
+        suite that runs on the structure."""
+        from .witness import YSystem
+
+        return YSystem(self)
 
 
 def validate_structure(s: MultiSortedStructure) -> MultiSortedStructure:

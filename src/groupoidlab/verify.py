@@ -8,6 +8,7 @@ definable closure, distinct objects for independence.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -56,7 +57,7 @@ from .structures import (
     pair_closure,
     vertex_morphisms,
 )
-from .witness import YSystem, YTuple, compute_Y, raw_morphism, x_tuples
+from .witness import YTuple, compute_Y, raw_morphism, x_tuples
 
 INDEPENDENCE_SURROGATE = "independence-as-distinct-objects"
 TYPE_SURROGATE = "type-equality-as-orbit"
@@ -282,8 +283,12 @@ def verify_section2(s: MultiSortedStructure, g: FiniteGroup) -> Report:
         vg_a.members[i] for i in center(vg_a.group).members
     ]
 
+    @functools.cache
+    def coset_orbit() -> tuple[YTuple, ...]:
+        return orbit_of(s, pbase, (Element("M", f0),))
+
     def coset() -> Optional[object]:
-        orbit = {t[0].index for t in orbit_of(s, pbase, (Element("M", f0),))}
+        orbit = {t[0].index for t in coset_orbit()}
         expected = {gpd.compose(x, f0) for x in z_members}
         if orbit != expected:
             return {"orbit": sorted(orbit), "center_translates": sorted(expected)}
@@ -303,8 +308,7 @@ def verify_section2(s: MultiSortedStructure, g: FiniteGroup) -> Report:
     )
 
     def coset_group() -> Optional[object]:
-        x_set = orbit_of(s, pbase, (Element("M", f0),))
-        rg = restricted_group(s, pbase, x_set)
+        rg = restricted_group(s, pbase, coset_orbit())
         zg = center(g).as_group()
         if isomorphism_search(rg.group, zg) is None:
             return {"restricted_order": rg.group.order, "center_order": zg.order}
@@ -393,15 +397,11 @@ def verify_section2(s: MultiSortedStructure, g: FiniteGroup) -> Report:
     return report
 
 
-def verify_section3(
-    s: MultiSortedStructure, w: Optional[WitnessInstance] = None
-) -> Report:
+def verify_section3(s: MultiSortedStructure) -> Report:
     """Claims about the extended groupoid machinery on one instance."""
-    if w is None:
-        w = standard_witness(s)
     n = s.sort_size("O")
-    o0, o1, _ = w.objects
-    ys = YSystem(s, ref_pair=(o0, o1))
+    o0, o1, _ = standard_witness(s).objects
+    ys = s.y_system
     gpd = ys.gpd
     kind = "double-cover" if has_cover(s) else "plain"
     report = Report(instance=f"{kind} standard(|G|={len(vertex_morphisms(s, 0))}, n={n})")
@@ -578,7 +578,7 @@ def verify_fgroupoid(s: MultiSortedStructure) -> Report:
     first objects of an instance with at least four objects."""
     n = s.sort_size("O")
     report = Report(instance=f"quotient groupoid on {n} objects")
-    ys = YSystem(s)
+    ys = s.y_system
 
     def wdef() -> Optional[object]:
         a, b, c = 0, 1, 2

@@ -143,43 +143,23 @@ def restriction_group_by_reference(
     return _build_restricted(s, tuple(sorted(set(base))), carrier, pairs)
 
 
-def F_group(
-    s: MultiSortedStructure,
-    a: int,
-    b: int,
-    base: Optional[tuple[Element, ...]] = None,
-) -> RestrictedAutGroup:
-    """The automorphism group of Y(a, b) over the source closure.
-
-    Restrictions of base-fixing automorphisms that map the Y-set onto
-    itself; the action must be regular or the instance is mismodelled.
-    """
-    return _regular_group(s, a, b, compute_Y(s, a, b, base=base))
-
-
-def _regular_group(s: MultiSortedStructure, a: int, b: int, y: YSet) -> RestrictedAutGroup:
-    """The restriction group of Y(a, b) over its base; it must act regularly."""
-    rg = restriction_group_by_reference(s, y.base, y)
-    if not rg.is_regular():
-        raise RegularityFailure((a, b, rg.group.order, y.size))
-    return rg
-
-
 class YSystem:
-    """Caches Y-sets, restriction groups and transports over one structure.
+    """Caches Y-sets, restriction groups and transports over one structure;
+    the structure's own system is ``MultiSortedStructure.y_system``.
 
-    The reference pair's group plays the role of the shared abstract group;
-    transports to other pairs conjugate along object-tuple-matched
-    automorphisms that fix every binding class setwise (the stand-in for
-    fixing the named closure of the empty set).
+    The group at the reference pair (0, 1) plays the role of the shared
+    abstract group; transports to other pairs conjugate along
+    object-tuple-matched automorphisms that fix every binding class setwise
+    (the stand-in for fixing the named closure of the empty set).
     """
 
-    def __init__(self, s: MultiSortedStructure, ref_pair: tuple[int, int] = (0, 1)):
+    ref_pair = (0, 1)
+
+    def __init__(self, s: MultiSortedStructure):
         if s.sort_size("O") < 2:
             raise InvalidInput("need at least two objects")
         self.structure = s
         self.gpd = decode_groupoid(s)
-        self.ref_pair = ref_pair
         self._ysets: dict[tuple[int, int], YSet] = {}
         self._fgroups: dict[tuple[int, int], RestrictedAutGroup] = {}
         self._ggroups: dict[tuple[int, int], RestrictedAutGroup] = {}
@@ -196,8 +176,17 @@ class YSystem:
         return self._ysets[(a, b)]
 
     def f_group(self, a: int, b: int) -> RestrictedAutGroup:
+        """The automorphism group of Y(a, b) over the source closure.
+
+        Restrictions of base-fixing automorphisms that map the Y-set onto
+        itself; the action must be regular or the instance is mismodelled.
+        """
         if (a, b) not in self._fgroups:
-            self._fgroups[(a, b)] = _regular_group(self.structure, a, b, self.y_set(a, b))
+            y = self.y_set(a, b)
+            rg = restriction_group_by_reference(self.structure, y.base, y)
+            if not rg.is_regular():
+                raise RegularityFailure((a, b, rg.group.order, y.size))
+            self._fgroups[(a, b)] = rg
         return self._fgroups[(a, b)]
 
     def g_subgroup(self, a: int, b: int) -> RestrictedAutGroup:

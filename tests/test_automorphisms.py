@@ -277,13 +277,15 @@ def test_engine_handles_binary_functions_and_constants():
 
 
 def test_structure_is_freed_after_a_search():
-    # the search space and the group cache live on the structure, so
-    # nothing else keeps a searched structure alive
+    # the search space, the group cache and the Y-set system live on the
+    # structure, so nothing else keeps a searched structure alive; the
+    # system refers back to its structure, a cycle the collector frees
     import gc
     import weakref
 
     s = plain(cyclic_group(2), 3)
     assert automorphism_group(s, object_closure(s, 0)).order > 1
+    assert s.y_system.f_group(0, 1).order == 2
     ref = weakref.ref(s)
     del s
     gc.collect()

@@ -5,8 +5,9 @@ Each configuration is run through the CLI in-process and its report is
 hashed after ``strip_volatile`` exactly as ``dumps_canonical`` renders it.
 Together the configurations cover all five suites on both encodings, the
 ``skipped`` entries of ``--suite all``, a structure file carrying the double
-cover, and a non-abelian vertex group.  A changed hash means a changed
-report: find out why before re-recording anything.
+cover, and a non-abelian vertex group, alone and under ``--suite all``.  A
+changed hash means a changed report: find out why before re-recording
+anything.
 """
 
 import hashlib
@@ -20,23 +21,35 @@ from groupoidlab.report import dumps_canonical, strip_volatile
 GOLDEN = [
     (
         "verify --suite all --group cyclic:2 --objects 4",
+        0,
         "863b0fe00b0d67dc85a224a5f6b003accbb8a6713e37411b6aaaf1deaeb0cb1d",
     ),
     (
         "verify --suite all --group cyclic:2 --objects 3 --cover",
+        0,
         "3773fdd7fc73ca2bd69cf375986efc40a86c0ad9b6baa300a3548d886edd4f2e",
     ),
     (
         "verify --suite all --group cyclic:2 --objects 2 --cover",
+        0,
         "f17f6acf4fc5215656142b17096dfaf9ed9273c71eb4aceaa0cf0d96a99536b5",
     ),
     (
         "verify --suite fgroupoid --group cyclic:2 --objects 4 --cover",
+        0,
         "fc53d88471e59e388cd9ea778d4a4b155dc950dfd5886982f6882aac7da580b9",
     ),
     (
         "verify --suite section2 --group symmetric:3 --objects 3",
+        0,
         "436d91112bb6c63eeebf38c54e3f15ab8b99cb01eef9e5629f7642e16279ab6d",
+    ),
+    (
+        # claims fail on a non-abelian vertex group (exit 1), and the
+        # suites share the structure's state across those failures
+        "verify --suite all --group symmetric:3 --objects 3",
+        1,
+        "1b37456546ffa02d8dad31c42dfab4e04b304f7edb8202de160382c34bc0a725",
     ),
 ]
 
@@ -57,10 +70,10 @@ def report_sha256(path) -> str:
     return hashlib.sha256(dumps_canonical(doc).encode()).hexdigest()
 
 
-@pytest.mark.parametrize("argv,digest", GOLDEN, ids=[a for a, _ in GOLDEN])
-def test_report_bytes_unchanged(argv, digest, tmp_path, capsys):
+@pytest.mark.parametrize("argv,code,digest", GOLDEN, ids=[a for a, *_ in GOLDEN])
+def test_report_bytes_unchanged(argv, code, digest, tmp_path, capsys):
     out = tmp_path / "report.json"
-    assert main([*argv.split(), "--out", str(out)]) == 0
+    assert main([*argv.split(), "--out", str(out)]) == code
     capsys.readouterr()
     assert report_sha256(out) == digest
 

@@ -55,3 +55,30 @@ def test_witness_report_is_stable_under_repetition():
     first = [(e.claim_id, e.status) for e in check_witness(w).entries]
     second = [(e.claim_id, e.status) for e in check_witness(w).entries]
     assert first == second
+
+
+def test_section3_needs_three_objects():
+    s = encode_groupoid(build_standard_groupoid(cyclic_group(2), 2))
+    with pytest.raises(InvalidInput, match="witness needs at least three objects"):
+        verify_section3(s)
+
+
+def test_fgroupoid_reuses_the_y_sets_of_section3(monkeypatch):
+    # both suites read the structure's one Y-set system, so after section3
+    # the fgroupoid suite computes no Y-set of its own
+    from groupoidlab import witness
+    from groupoidlab.verify import verify_fgroupoid
+
+    s = encode_double_cover(build_standard_groupoid(cyclic_group(2), 4))
+    assert verify_section3(s).passed
+    calls = []
+    compute_Y = witness.compute_Y
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:3])
+        return compute_Y(*args, **kwargs)
+
+    monkeypatch.setattr(witness, "compute_Y", counted)
+    rep = verify_fgroupoid(s)
+    assert rep.passed, rep.render_text()
+    assert calls == []

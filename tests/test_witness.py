@@ -5,7 +5,6 @@ import pytest
 
 from groupoidlab import (
     DecompositionFailure,
-    F_group,
     InvalidInput,
     WitnessInstance,
     YSystem,
@@ -55,19 +54,18 @@ def test_y_rejects_equal_endpoints(cover_z2_3):
 
 def test_f_group_orders(cover_z2_3):
     plain = encode_groupoid(build_standard_groupoid(cyclic_group(2), 3))
-    fp = F_group(plain, 0, 1)
+    fp = plain.y_system.f_group(0, 1)
     assert fp.order == 2
     assert isomorphism_search(fp.group, cyclic_group(2)) is not None
-    fc = F_group(cover_z2_3, 0, 1)
+    fc = cover_z2_3.y_system.f_group(0, 1)
     assert fc.order == 4 and fc.group.is_abelian() and fc.is_regular()
 
 
 def test_f_group_z3_cover_proper_central():
     s = encode_double_cover(build_standard_groupoid(cyclic_group(3), 3))
-    f = F_group(s, 0, 1)
+    f = s.y_system.f_group(0, 1)
     assert f.order == 6 and f.group.is_abelian()
-    ys = YSystem(s)
-    g_sub = ys.g_subgroup(0, 1)
+    g_sub = s.y_system.g_subgroup(0, 1)
     assert g_sub.order == 3
     assert set(g_sub.perms) < set(f.perms)
     assert center(f.group).order == f.order  # Z(F) = F
@@ -247,16 +245,28 @@ def test_associativity_on_z3_cover():
 
 def test_reference_generated_groups_match_full_enumeration(cover_z2_4):
     # the targeted construction must agree with restricting the fully
-    # enumerated stabilizer
-    from groupoidlab import setwise_restricted_group
+    # enumerated stabilizer, over the source closure (the F-group) and over
+    # the pair base (the G-group, which must leave the Y-set invariant)
+    from groupoidlab import pair_base, restricted_group, setwise_restricted_group
     from groupoidlab.witness import restriction_group_by_reference
 
     for (a, b) in ((0, 1), (2, 3)):
         y = compute_Y(cover_z2_4, a, b)
-        fast = restriction_group_by_reference(cover_z2_4, y.base, y)
-        slow = setwise_restricted_group(cover_z2_4, y.base, y.members)
-        assert fast.perms == slow.perms
-        assert fast.group == slow.group
+        pbase = pair_base(cover_z2_4, a, b)
+        for fast, slow in (
+            (
+                restriction_group_by_reference(cover_z2_4, y.base, y),
+                setwise_restricted_group(cover_z2_4, y.base, y.members),
+            ),
+            (
+                restriction_group_by_reference(cover_z2_4, pbase, y),
+                restricted_group(cover_z2_4, pbase, y.members),
+            ),
+        ):
+            assert fast.carrier == slow.carrier
+            assert fast.perms == slow.perms
+            assert fast.reps == slow.reps
+            assert fast.group == slow.group
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,21 @@ partition-refinement pruning: points are colored by iterated signatures
 propagate through functions and through every functional direction of each
 relation.  Enumeration order is deterministic.
 
+The stable colouring is computed once per pinned set (the base points and
+the constants) and kept on the structure's ``_SearchSpace`` with its cells,
+the points of each colour in increasing order; every later search over the
+same pinned set reads it.  A search branches on the open points by cell
+size, then by index, and tries each cell's points in increasing order, so
+its order depends only on the partition, not on the colour labels.
+Propagation counts, per tuple of every relation, its distinct points not
+yet assigned: an assignment lowers the count of each tuple through the
+point and ``undo`` raises it again, and a tuple is read only when its count
+reaches one (a functional direction may force the last image) or zero (its
+image must be a tuple of the relation).  An open point sitting twice in a
+tuple forces nothing.  A tuple whose every point is fixed by the others
+through a functional direction was completed by forcing, so it is not
+read again at zero.
+
 The search runs in two modes.  Without a lead it yields every automorphism
 fixing the base; ``automorphism_group`` and ``dcl_of`` enumerate the group
 this way and are the ground-truth oracle.  With a lead tuple it assigns the
@@ -18,6 +33,7 @@ enumerating the group.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import BudgetExceeded, NotInvariant
@@ -25,6 +41,10 @@ from .groups import FiniteGroup, GroupAction, _perm_group
 from .structures import Element, MultiSortedStructure
 
 CARRIER_BUDGET = 300
+
+# a stable colouring of the points and its cells, the points of each colour
+# in increasing order
+_Partition = tuple[list[int], tuple[tuple[int, ...], ...]]
 
 
 @dataclass(frozen=True)
@@ -81,20 +101,25 @@ class AutomorphismGroup:
 
 
 class _Rel:
-    """A relation flattened to global point ids, with functional-direction maps."""
+    """A relation flattened to global point ids, with functional-direction
+    maps.  Both are keyed the way ``itemgetter(*t)`` reads a tuple t off an
+    image array: ``members`` holds the tuples (bare points for arity one),
+    and ``lookups[r]``, for each position r that the others determine, maps
+    a tuple with -1 at position r, as read while that point is open, to the
+    point that fills it."""
 
     __slots__ = ("tuples", "members", "lookups")
 
     def __init__(self, tuples: list[tuple[int, ...]]):
         self.tuples = tuples
-        self.members = set(tuples)
         arity = len(tuples[0]) if tuples else 0
+        self.members = {t[0] for t in tuples} if arity == 1 else set(tuples)
         self.lookups: dict[int, dict[tuple[int, ...], int]] = {}
-        for r in range(arity):
+        for r in range(arity) if arity > 1 else ():
             table: dict[tuple[int, ...], int] = {}
             ok = True
             for t in tuples:
-                key = t[:r] + t[r + 1:]
+                key = t[:r] + (-1,) + t[r + 1:]
                 if table.setdefault(key, t[r]) != t[r]:
                     ok = False
                     break
@@ -104,11 +129,13 @@ class _Rel:
 
 class _SearchSpace:
     """Flattened structure shared by every search over the same structure,
-    and the groups enumerated on it so far, keyed by base.  One instance per
-    structure, reached through ``MultiSortedStructure.search_space``."""
+    the stable partition of each pinned set searched so far, and the groups
+    enumerated on it, keyed by base.  One instance per structure, reached
+    through ``MultiSortedStructure.search_space``."""
 
     def __init__(self, s: MultiSortedStructure):
         self.groups: dict[tuple[Element, ...], AutomorphismGroup] = {}
+        self.partitions: dict[frozenset[int], _Partition] = {}
         self.offsets: dict[str, int] = {}
         self.sort_of_point: list[int] = []
         off = 0
@@ -132,11 +159,37 @@ class _SearchSpace:
             ]
             self.rels.append(_Rel(rows))
 
-        self.by_point: list[list[tuple[int, int]]] = [[] for _ in range(self.n_points)]
-        for ri, rel in enumerate(self.rels):
-            for ti, t in enumerate(rel.tuples):
-                for p in set(t):
-                    self.by_point[p].append((ri, ti))
+        # every tuple of every relation, numbered in relation order: its
+        # count of distinct points, its image getter, its relation's members,
+        # its forcers and whether it is determined; per point, the numbers
+        # of the tuples through it.  A forcer (q, lookup) is a point q sitting
+        # once in the tuple at a position with a functional direction: when
+        # q is the last open point, lookup maps the tuple's image to q's
+        # image.  In a determined tuple every point is a forcer, so the
+        # tuple is a member once its last point is assigned.
+        self.n_distinct: list[int] = []
+        self.image_of: list[Callable] = []
+        self.members_of: list[set] = []
+        self.forcers_of: list[tuple] = []
+        self.determined: list[bool] = []
+        self.incident: list[list[int]] = [[] for _ in range(self.n_points)]
+        for rel in self.rels:
+            for t in rel.tuples:
+                if not t:
+                    continue  # a nullary relation holds under every bijection
+                points = set(t)
+                for p in points:
+                    self.incident[p].append(len(self.n_distinct))
+                self.n_distinct.append(len(points))
+                self.image_of.append(itemgetter(*t))
+                self.members_of.append(rel.members)
+                forcers = tuple(
+                    (q, rel.lookups[i])
+                    for i, q in enumerate(t)
+                    if i in rel.lookups and t.count(q) == 1
+                )
+                self.forcers_of.append(forcers)
+                self.determined.append(len(points) > 1 and len(forcers) == len(t))
 
         self.const_points = tuple(
             self.offsets[c.sort] + c.index for c in s.constants
@@ -144,6 +197,17 @@ class _SearchSpace:
 
     def point(self, el: Element) -> int:
         return self.offsets[el.sort] + el.index
+
+    def partition(self, pinned: frozenset[int]) -> _Partition:
+        """The stable partition of the pinned set, refined on first use."""
+        hit = self.partitions.get(pinned)
+        if hit is None:
+            color = self.colors(pinned)
+            cells: list[list[int]] = [[] for _ in range(max(color, default=-1) + 1)]
+            for p, c in enumerate(color):
+                cells[c].append(p)
+            hit = self.partitions[pinned] = (color, tuple(map(tuple, cells)))
+        return hit
 
     def colors(self, pinned: frozenset[int]) -> list[int]:
         """Iterated refinement; pinned points keep unique colors throughout."""
@@ -193,12 +257,14 @@ def _solutions(
     pinned = frozenset(
         [space.point(e) for e in base] + list(space.const_points)
     )
-    color = space.colors(pinned)
+    color, cells = space.partition(pinned)
 
     img = [-1] * n
     pre = [-1] * n
-    rels = space.rels
-    by_point = space.by_point
+    open_points = list(space.n_distinct)  # per tuple, its unassigned points
+    incident = space.incident
+    image_of, members_of, forcers_of = space.image_of, space.members_of, space.forcers_of
+    determined = space.determined
 
     def try_assign(x: int, y: int, trail: list[int]) -> bool:
         stack = [(x, y)]
@@ -214,36 +280,38 @@ def _solutions(
             img[a] = b
             pre[b] = a
             trail.append(a)
-            for ri, ti in by_point[a]:
-                t = rels[ri].tuples[ti]
-                missing = -1
-                count = 0
-                for i, p in enumerate(t):
-                    if img[p] == -1:
-                        missing = i
-                        count += 1
-                        if count > 1:
-                            break
-                if count == 0:
-                    if tuple(img[p] for p in t) not in rels[ri].members:
-                        return False
-                elif count == 1:
-                    lookup = rels[ri].lookups.get(missing)
-                    if lookup is None:
+            through_a = incident[a]
+            for k, tid in enumerate(through_a):
+                left = open_points[tid] - 1
+                open_points[tid] = left
+                if left == 0:
+                    if determined[tid] or image_of[tid](img) in members_of[tid]:
                         continue
-                    key = tuple(
-                        img[p] for i, p in enumerate(t) if i != missing
-                    )
-                    forced = lookup.get(key)
-                    if forced is None:
-                        return False
-                    stack.append((t[missing], forced))
+                elif left > 1 or not forcers_of[tid]:
+                    continue
+                else:
+                    for q, lookup in forcers_of[tid]:
+                        if img[q] == -1:
+                            image_q = lookup.get(image_of[tid](img))
+                            break
+                    else:
+                        continue  # the open point sits twice: nothing forced
+                    if image_q is not None:
+                        stack.append((q, image_q))
+                        continue
+                # a's assignment fails; count it off its other tuples too,
+                # since undo restores every tuple through a
+                for tid in through_a[k + 1:]:
+                    open_points[tid] -= 1
+                return False
         return True
 
     def undo(trail: list[int]) -> None:
         for a in reversed(trail):
             pre[img[a]] = -1
             img[a] = -1
+            for tid in incident[a]:
+                open_points[tid] += 1
 
     seed: list[int] = []
     for p in pinned:
@@ -258,14 +326,10 @@ def _solutions(
 
     lead_points = list(dict.fromkeys(space.point(e) for e in lead))
     n_lead = len(lead_points)
-    class_size = {c: color.count(c) for c in set(color)}
     order = lead_points + sorted(
         (p for p in range(n) if img[p] == -1 and p not in lead_points),
-        key=lambda p: (class_size[color[p]], p),
+        key=lambda p: (len(cells[color[p]]), p),
     )
-    cand: dict[int, list[int]] = {}
-    for p in range(n):
-        cand.setdefault(color[p], []).append(p)
 
     def gen(pos: int, lead_open: bool) -> Iterator[tuple[int, ...]]:
         while pos < len(order) and img[order[pos]] != -1:
@@ -284,7 +348,7 @@ def _solutions(
             yield tuple(img)
             return
         x = order[pos]
-        for y in cand[color[x]]:
+        for y in cells[color[x]]:
             if pre[y] != -1:
                 continue
             trail: list[int] = []

@@ -32,10 +32,8 @@ from .report import Report
 from .structures import (
     Element,
     MultiSortedStructure,
-    morphisms_between,
-    object_closure,
 )
-from .witness import YTuple, compute_Y, tuple_endpoints
+from .witness import YSet, YTuple, compute_Y, tuple_endpoints
 
 Index = str
 
@@ -244,6 +242,27 @@ def restriction_epimorphism(
     a_big, b_big = tuple_endpoints(s, f_big)
     y_small = compute_Y(s, a_small, b_small, f=f_small, base=base)
     y_big = compute_Y(s, a_big, b_big, f=f_big, base=base)
+    return _epimorphism(s, base, y_small, y_big)
+
+
+def raw_restriction_epimorphism(
+    s: MultiSortedStructure, u: int, v: int
+) -> GroupHomomorphism:
+    """``restriction_epimorphism`` over the closure of u from the full
+    reference of Y(u, v) to the raw least morphism u -> v, built from the
+    structure's Y-sets and kept in its Y-set system; a failure keeps
+    nothing, so it raises again on the next call."""
+    ys = s.y_system
+    hom = ys.epimorphisms.get((u, v))
+    if hom is None:
+        y_small, y_big = ys.raw_y_set(u, v), ys.y_set(u, v)
+        hom = ys.epimorphisms[(u, v)] = _epimorphism(s, y_big.base, y_small, y_big)
+    return hom
+
+
+def _epimorphism(
+    s: MultiSortedStructure, base: tuple[Element, ...], y_small: YSet, y_big: YSet
+) -> GroupHomomorphism:
     big_group = setwise_restricted_group(s, base, y_big.members)
     small_group = setwise_restricted_group(s, base, y_small.members)
     small_index = {t: i for i, t in enumerate(small_group.carrier)}
@@ -336,12 +355,9 @@ def check_pi2_gamma2(
     for name, s, (u, v) in instances:
         slug = name.replace(" ", "-")
         ys = s.y_system
-        base_u = object_closure(s, u)
-        y_full = ys.y_set(u, v)
         f_full = ys.f_group(u, v)
         g_sub = ys.g_subgroup(u, v)
-        raw_f = (Element("M", min(morphisms_between(s, u, v))),)
-        y_raw = compute_Y(s, u, v, f=raw_f, base=base_u)
+        y_raw = ys.raw_y_set(u, v)
 
         # the interdefinability-preserving members: those whose global reps
         # stabilize every dcl-class carrier attached to the pair
@@ -406,8 +422,8 @@ def check_pi2_gamma2(
             abelian,
         )
 
-        def two_stage(name=name, s=s, base_u=base_u, raw_f=raw_f, y_full=y_full):
-            hom = restriction_epimorphism(s, base_u, raw_f, y_full.reference)
+        def two_stage(name=name, s=s, u=u, v=v):
+            hom = raw_restriction_epimorphism(s, u, v)
             if not hom.is_surjective():
                 return {"instance": name, "problem": "restriction not surjective"}
             sys = validate_system(

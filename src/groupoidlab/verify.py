@@ -29,7 +29,7 @@ from .groupoids import build_standard_groupoid, vertex_group
 from .limits import (
     check_pi2_gamma2,
     inverse_limit_stage,
-    restriction_epimorphism,
+    raw_restriction_epimorphism,
     validate_system,
 )
 from .paths import (
@@ -560,6 +560,8 @@ def verify_section3(s: MultiSortedStructure) -> Report:
     def reference_independence() -> Optional[object]:
         y01 = ys.y_set(o0, o1)
         for ref in x_tuples(s, o0, o1):
+            if ref == y01.reference:
+                continue
             again = compute_Y(s, o0, o1, f=ref)
             if again.members != y01.members:
                 return {"reference": ref}
@@ -751,11 +753,7 @@ def verify_limits(s: MultiSortedStructure) -> Report:
     )
 
     def epi() -> Optional[object]:
-        base0 = object_closure(s, 0)
-        m = min(morphisms_between(s, 0, 1))
-        hom = restriction_epimorphism(
-            s, base0, (Element("M", m),), morphism_tuple(s, m)
-        )
+        hom = raw_restriction_epimorphism(s, 0, 1)
         if not hom.is_surjective():
             return {"problem": "not surjective"}
         expected_kernel = hom.source.order // hom.target.order

@@ -10,7 +10,7 @@ morphisms, transported along a shared abstract group.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .automorphisms import (
     Automorphism,
@@ -41,6 +41,9 @@ from .structures import (
     object_tuple,
     pair_base,
 )
+
+if TYPE_CHECKING:
+    from .limits import GroupHomomorphism
 
 YTuple = tuple[Element, ...]
 
@@ -144,8 +147,9 @@ def restriction_group_by_reference(
 
 
 class YSystem:
-    """Caches Y-sets, restriction groups and transports over one structure;
-    the structure's own system is ``MultiSortedStructure.y_system``.
+    """Caches Y-sets, restriction groups, transports and the restriction
+    epimorphisms of the limits tower over one structure; the structure's own
+    system is ``MultiSortedStructure.y_system``.
 
     The group at the reference pair (0, 1) plays the role of the shared
     abstract group; transports to other pairs conjugate along
@@ -161,6 +165,9 @@ class YSystem:
         self.structure = s
         self.gpd = decode_groupoid(s)
         self._ysets: dict[tuple[int, int], YSet] = {}
+        self._raw_ysets: dict[tuple[int, int], YSet] = {}
+        # filled by limits.raw_restriction_epimorphism
+        self.epimorphisms: dict[tuple[int, int], GroupHomomorphism] = {}
         self._fgroups: dict[tuple[int, int], RestrictedAutGroup] = {}
         self._ggroups: dict[tuple[int, int], RestrictedAutGroup] = {}
         self._transports: dict[tuple[int, int], tuple[int, ...]] = {}
@@ -174,6 +181,14 @@ class YSystem:
         if (a, b) not in self._ysets:
             self._ysets[(a, b)] = compute_Y(self.structure, a, b)
         return self._ysets[(a, b)]
+
+    def raw_y_set(self, a: int, b: int) -> YSet:
+        """The Y-set over the source closure whose reference is the raw
+        least morphism a -> b rather than its full tuple."""
+        if (a, b) not in self._raw_ysets:
+            raw = (Element("M", min(morphisms_between(self.structure, a, b))),)
+            self._raw_ysets[(a, b)] = compute_Y(self.structure, a, b, f=raw)
+        return self._raw_ysets[(a, b)]
 
     def f_group(self, a: int, b: int) -> RestrictedAutGroup:
         """The automorphism group of Y(a, b) over the source closure.

@@ -15,6 +15,7 @@ from groupoidlab import (
     interdefinable,
     is_automorphism,
     isomorphism_search,
+    morphism_tuple,
     morphisms_between,
     object_closure,
     orbit_of,
@@ -276,6 +277,27 @@ def test_engine_handles_binary_functions_and_constants():
         assert aut.maps[0][klein.identity] == klein.identity
 
 
+def test_engine_handles_nullary_and_unary_relations():
+    # a nullary relation holds under every bijection; a unary one is a
+    # subset to preserve
+    from groupoidlab.structures import MultiSortedStructure, Relation, validate_structure
+
+    s = validate_structure(
+        MultiSortedStructure(
+            sorts=(("P", 4),),
+            functions=(),
+            relations=(
+                Relation(name="flag", arg_sorts=(), tuples=((),)),
+                Relation(name="red", arg_sorts=("P",), tuples=((0,), (1,))),
+            ),
+            constants=(),
+        )
+    )
+    group = automorphism_group(s)
+    assert group.order == 4
+    assert all(set(aut.maps[0][:2]) == {0, 1} for aut in group.members)
+
+
 def test_structure_is_freed_after_a_search():
     # the search space, the group cache and the Y-set system live on the
     # structure, so nothing else keeps a searched structure alive; the
@@ -290,3 +312,99 @@ def test_structure_is_freed_after_a_search():
     del s
     gc.collect()
     assert ref() is None
+
+
+def _searches(s):
+    # several bases, each searched with two leads and, but for the empty
+    # base, without one, in one order
+    from groupoidlab.automorphisms import _solutions
+
+    f = morphism_tuple(s, morphisms_between(s, 0, 1)[0])
+    g = (Element("M", morphisms_between(s, 1, 2)[0]),)
+    runs = []
+    for base in ((), object_closure(s, 0), pair_base(s, 0, 1), object_closure(s, 2)):
+        for lead in ((), f, g) if base else (f, g):
+            runs.append(list(_solutions(s, base, lead=lead)))
+    return runs
+
+
+CACHE_CASES = {
+    "z2-4-cover": lambda: encode_double_cover(build_standard_groupoid(cyclic_group(2), 4)),
+    "s3-3-plain": lambda: plain(symmetric_group(3), 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CACHE_CASES))
+def test_partition_cache_does_not_change_searches(case):
+    # the same searches yield the same image arrays in the same order on a
+    # fresh structure and on one whose partitions were refined by other
+    # searches, one of them a lead search closed after its first yield
+    from groupoidlab.automorphisms import _solutions
+
+    fresh = _searches(CACHE_CASES[case]())
+    warm = CACHE_CASES[case]()
+    for base in (pair_base(warm, 0, 2), object_closure(warm, 0)):
+        automorphism_group(warm, base)
+    lead = morphism_tuple(warm, morphisms_between(warm, 0, 2)[0])
+    closed = _solutions(warm, object_closure(warm, 0), lead=lead)
+    next(closed)
+    closed.close()
+    for base in ((), pair_base(warm, 0, 1)):
+        orbit_of(warm, base, lead)
+    assert len(warm.search_space.partitions) == 4
+    assert _searches(warm) == fresh
+
+
+@pytest.mark.parametrize("case", sorted(CACHE_CASES))
+def test_cached_partitions_match_fresh_refinement(case):
+    from groupoidlab.automorphisms import _SearchSpace
+
+    s = CACHE_CASES[case]()
+    _searches(s)
+    fresh = _SearchSpace(s)
+    for pinned, (color, cells) in s.search_space.partitions.items():
+        assert color == fresh.colors(pinned)
+        by_color = {}
+        for p, c in enumerate(color):
+            by_color.setdefault(c, []).append(p)
+        assert cells == tuple(tuple(by_color[c]) for c in range(len(by_color)))
+
+
+def test_refinement_runs_once_per_pinned_set(monkeypatch):
+    # section3 runs many searches over few pinned sets: each set is refined
+    # once, so the refinement rounds are (distinct pinned sets) x (rounds
+    # per set), not (searches) x (rounds)
+    from groupoidlab import automorphisms, verify_section3
+    from groupoidlab.automorphisms import _SearchSpace
+
+    refined, compressed, searches = [], [0], [0]
+    colors, compress, solutions = (
+        _SearchSpace.colors, _SearchSpace._compress, automorphisms._solutions
+    )
+
+    def counted_colors(self, pinned):
+        refined.append(pinned)
+        return colors(self, pinned)
+
+    def counted_compress(keys):
+        compressed[0] += 1
+        return compress(keys)
+
+    def counted_solutions(*args, **kwargs):
+        searches[0] += 1
+        return solutions(*args, **kwargs)
+
+    monkeypatch.setattr(_SearchSpace, "colors", counted_colors)
+    monkeypatch.setattr(_SearchSpace, "_compress", staticmethod(counted_compress))
+    monkeypatch.setattr(automorphisms, "_solutions", counted_solutions)
+    s = encode_double_cover(build_standard_groupoid(cyclic_group(2), 4))
+    assert verify_section3(s).passed
+    in_section3 = compressed[0]
+
+    assert len(refined) == len(set(refined))
+    assert searches[0] > 4 * len(refined)
+    compressed[0] = 0
+    fresh = _SearchSpace(s)
+    for pinned in set(refined):
+        colors(fresh, pinned)
+    assert in_section3 == compressed[0]

@@ -82,3 +82,67 @@ def test_fgroupoid_reuses_the_y_sets_of_section3(monkeypatch):
     rep = verify_fgroupoid(s)
     assert rep.passed, rep.render_text()
     assert calls == []
+
+
+def _count_compute_Y(monkeypatch, calls):
+    # compute_Y is imported by name into the modules that call it
+    from groupoidlab import limits, verify, witness
+
+    compute_Y = witness.compute_Y
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("f"))
+        return compute_Y(*args, **kwargs)
+
+    for module in (witness, verify, limits):
+        monkeypatch.setattr(module, "compute_Y", counted)
+
+
+def test_section3_reference_independence_skips_the_default_reference(monkeypatch):
+    from groupoidlab import x_tuples
+
+    s = encode_double_cover(build_standard_groupoid(cyclic_group(2), 4))
+    calls = []
+    _count_compute_Y(monkeypatch, calls)
+    assert verify_section3(s).passed
+    default, *others = x_tuples(s, 0, 1)
+    assert default not in calls
+    assert [f for f in calls if f is not None] == others
+
+
+def test_limits_builds_one_restriction_epimorphism(monkeypatch):
+    # the restriction-epimorphism claim and the tower's two-stage limit share
+    # one epimorphism, built from the structure's Y-sets Y(0, 1) and raw Y(0, 1)
+    from groupoidlab import limits
+    from groupoidlab.verify import verify_limits
+
+    s = encode_double_cover(build_standard_groupoid(cyclic_group(2), 4))
+    calls, built = [], []
+    _count_compute_Y(monkeypatch, calls)
+    epimorphism = limits._epimorphism
+
+    def counted(*args):
+        built.append(args[1])
+        return epimorphism(*args)
+
+    monkeypatch.setattr(limits, "_epimorphism", counted)
+    rep = verify_limits(s)
+    assert rep.passed, rep.render_text()
+    assert len(built) == 1
+    assert len(calls) == 2
+
+
+def test_limits_epimorphism_failure_lands_in_each_claim(monkeypatch):
+    from groupoidlab import NotWellDefined, limits
+    from groupoidlab.verify import verify_limits
+
+    def broken(*args):
+        raise NotWellDefined(("not a homomorphism", 0, 1))
+
+    monkeypatch.setattr(limits, "_epimorphism", broken)
+    s = encode_double_cover(build_standard_groupoid(cyclic_group(2), 4))
+    status = {e.claim_id: (e.status, e.witness) for e in verify_limits(s).entries}
+    for claim in ("restriction-epimorphism", "instance.two-stage-limit"):
+        assert status[claim][0] == "fail"
+        assert status[claim][1].startswith("NotWellDefined")
+    assert status["instance.tower-containment"][0] == "pass"

@@ -25,9 +25,14 @@ The search runs in two modes.  Without a lead it yields every automorphism
 fixing the base; ``automorphism_group`` and ``dcl_of`` enumerate the group
 this way and are the ground-truth oracle.  With a lead tuple it assigns the
 lead's points first and yields one automorphism per image of the lead, so
-``orbit_of``, ``interdefinable`` and the restriction groups of the Y-set
-layer read a tuple's images off the first levels of the search tree without
-enumerating the group.
+``orbit_of`` and ``interdefinable`` read a tuple's images off the first
+levels of the search tree without enumerating the group.
+
+Every restriction group comes from one such lead search (``_restricted``).
+The lead fixes the restriction: by default it is the carrier's points; the
+Y-set groups lead with the Y-set's reference, with which every member is
+interdefinable over the base.  Each image of the lead gives one
+automorphism and so one restriction.
 """
 
 from __future__ import annotations
@@ -490,17 +495,23 @@ def dcl_of(s: MultiSortedStructure, base: Iterable[Element]) -> tuple[Element, .
     return tuple(fixed)
 
 
+def _fixed(
+    s: MultiSortedStructure, base: Iterable[Element], x: tuple[Element, ...]
+) -> bool:
+    """x is fixed by Aut(s/base), componentwise: x in dcl(base).  The lead
+    search stops at the first image that moves x."""
+    return all(image == x for image, _ in _images(s, base, x))
+
+
 def interdefinable(
     s: MultiSortedStructure,
     base: Iterable[Element],
     x: tuple[Element, ...],
     y: tuple[Element, ...],
 ) -> bool:
-    """x in dcl(base + y) and y in dcl(base + x), componentwise.  Each lead
-    search stops at the first image that moves its tuple."""
+    """x in dcl(base + y) and y in dcl(base + x), componentwise."""
     base_t, x, y = tuple(base), tuple(x), tuple(y)
-    x_fixed = all(image == x for image, _ in _images(s, base_t + y, x))
-    return x_fixed and all(image == y for image, _ in _images(s, base_t + x, y))
+    return _fixed(s, base_t + y, x) and _fixed(s, base_t + x, y)
 
 
 @dataclass(frozen=True)
@@ -508,7 +519,8 @@ class RestrictedAutGroup:
     """Restrictions of base-fixing automorphisms to a finite carrier of tuples.
 
     ``perms[k]`` is the permutation of ``carrier`` realized by group element k;
-    ``reps[k]`` is the least global automorphism restricting to it.
+    ``reps[k]`` is the first automorphism restricting to it that the
+    builder's lead search finds.
     """
 
     structure: MultiSortedStructure
@@ -551,54 +563,46 @@ def _restriction(
     return tuple(perm)
 
 
-def _escapee(
-    aut: Automorphism,
-    carrier: tuple[tuple[Element, ...], ...],
-    index: dict[tuple[Element, ...], int],
-) -> tuple[Element, ...]:
-    """The first carrier tuple that aut sends outside the carrier."""
-    return next(t for t in carrier if aut.apply_tuple(t) not in index)
-
-
-def _build_restricted(
-    s: MultiSortedStructure,
-    base: tuple[Element, ...],
-    carrier: tuple[tuple[Element, ...], ...],
-    pairs: list[tuple[tuple[int, ...], Automorphism]],
-) -> RestrictedAutGroup:
-    seen: dict[tuple[int, ...], Automorphism] = {}
-    for perm, aut in pairs:
-        prev = seen.get(perm)
-        if prev is None or aut.flat() < prev.flat():
-            seen[perm] = aut
-    perms = tuple(sorted(seen))
-    return RestrictedAutGroup(
-        structure=s,
-        base=base,
-        carrier=carrier,
-        group=_perm_group(perms),
-        perms=perms,
-        reps=tuple(seen[p] for p in perms),
-    )
-
-
 def _restricted(
     s: MultiSortedStructure,
     base: Iterable[Element],
     tuples: Iterable[tuple[Element, ...]],
     invariant: bool,
+    lead: Optional[tuple[Element, ...]] = None,
 ) -> RestrictedAutGroup:
+    """The restrictions to the carrier of the automorphisms of Aut(s/base)
+    that map it onto itself, from one lead search.
+
+    The lead must fix the restriction; it defaults to the carrier's points.
+    Each image of the lead yields one automorphism and so one restriction,
+    read off the search's image array.  An automorphism sending a carrier
+    tuple outside the carrier is skipped, or raises NotInvariant when the
+    carrier must be invariant; one is materialised only to be kept as a
+    rep or to be raised.
+    """
     base_t = tuple(sorted(set(base)))
     carrier = tuple(sorted(set(tuples)))
-    index = {t: i for i, t in enumerate(carrier)}
-    pairs = []
-    for aut in automorphism_group(s, base_t).members:
-        perm = _restriction(aut, carrier, index)
-        if perm is not None:
-            pairs.append((perm, aut))
-        elif invariant:
-            raise NotInvariant(aut, _escapee(aut, carrier, index))
-    return _build_restricted(s, base_t, carrier, pairs)
+    point = s.search_space.point
+    index = {tuple(map(point, t)): k for k, t in enumerate(carrier)}
+    if lead is None:
+        lead = tuple(e for t in carrier for e in t)
+    found: dict[tuple[int, ...], Automorphism] = {}
+    for _, flat in _images(s, base_t, lead):
+        perm = tuple(index.get(tuple(flat[p] for p in t), -1) for t in index)
+        if -1 in perm:
+            if invariant:
+                raise NotInvariant(_to_automorphism(s, flat), carrier[perm.index(-1)])
+        elif perm not in found:
+            found[perm] = _to_automorphism(s, flat)
+    perms = tuple(sorted(found))
+    return RestrictedAutGroup(
+        structure=s,
+        base=base_t,
+        carrier=carrier,
+        group=_perm_group(perms),
+        perms=perms,
+        reps=tuple(found[p] for p in perms),
+    )
 
 
 def restricted_group(

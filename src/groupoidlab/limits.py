@@ -14,10 +14,9 @@ from typing import Iterable, Sequence
 
 from .automorphisms import (
     RestrictedAutGroup,
-    _escapee,
+    _fixed,
+    _restricted,
     _restriction,
-    automorphism_group,
-    setwise_restricted_group,
 )
 from .errors import (
     AxiomViolation,
@@ -242,55 +241,52 @@ def restriction_epimorphism(
     a_big, b_big = tuple_endpoints(s, f_big)
     y_small = compute_Y(s, a_small, b_small, f=f_small, base=base)
     y_big = compute_Y(s, a_big, b_big, f=f_big, base=base)
-    return _epimorphism(s, base, y_small, y_big)
+    big = _restricted(s, base, y_big.members, False, y_big.reference)
+    return _epimorphism(s, base, y_small, big)
 
 
 def raw_restriction_epimorphism(
     s: MultiSortedStructure, u: int, v: int
 ) -> GroupHomomorphism:
     """``restriction_epimorphism`` over the closure of u from the full
-    reference of Y(u, v) to the raw least morphism u -> v, built from the
-    structure's Y-sets and kept in its Y-set system; a failure keeps
-    nothing, so it raises again on the next call."""
+    reference of Y(u, v), whose group is the F-group, to the raw least
+    morphism u -> v, built from the structure's Y-sets and kept in its Y-set
+    system; a failure keeps nothing, so it raises again on the next call."""
     ys = s.y_system
     hom = ys.epimorphisms.get((u, v))
     if hom is None:
-        y_small, y_big = ys.raw_y_set(u, v), ys.y_set(u, v)
-        hom = ys.epimorphisms[(u, v)] = _epimorphism(s, y_big.base, y_small, y_big)
+        big = ys.f_group(u, v)
+        hom = ys.epimorphisms[(u, v)] = _epimorphism(s, big.base, ys.raw_y_set(u, v), big)
     return hom
 
 
 def _epimorphism(
-    s: MultiSortedStructure, base: tuple[Element, ...], y_small: YSet, y_big: YSet
+    s: MultiSortedStructure,
+    base: tuple[Element, ...],
+    y_small: YSet,
+    big: RestrictedAutGroup,
 ) -> GroupHomomorphism:
-    big_group = setwise_restricted_group(s, base, y_big.members)
-    small_group = setwise_restricted_group(s, base, y_small.members)
-    small_index = {t: i for i, t in enumerate(small_group.carrier)}
-    big_index = {t: i for i, t in enumerate(big_group.carrier)}
-
-    ambient = automorphism_group(s, base)
-    induced: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for aut in ambient.members:
-        key = _restriction(aut, big_group.carrier, big_index)
-        if key is None:
-            continue
-        small_perm = _restriction(aut, small_group.carrier, small_index)
-        if small_perm is None:
-            raise NotWellDefined((aut, _escapee(aut, small_group.carrier, small_index)))
-        prev = induced.get(key)
-        if prev is None:
-            induced[key] = small_perm
-        elif prev != small_perm:
-            raise NotWellDefined((key, prev, small_perm))
-
-    mapping = tuple(
-        small_group.perm_index(induced[p]) for p in big_group.perms
-    )
-    hom = GroupHomomorphism(source=big_group, target=small_group, mapping=mapping)
-    for i in range(big_group.order):
-        for j in range(big_group.order):
-            lhs = mapping[big_group.group.mul(i, j)]
-            rhs = small_group.group.mul(mapping[i], mapping[j])
+    """The restriction map from the bigger group onto the group of the
+    smaller Y-set.  It is well defined when every smaller-carrier tuple is
+    fixed over the base and the bigger carrier's points; each restriction is
+    then read off a rep of the bigger group."""
+    small = _restricted(s, base, y_small.members, False, y_small.reference)
+    pinned = tuple(base) + tuple(e for t in big.carrier for e in t)
+    for t in small.carrier:
+        if not _fixed(s, pinned, t):
+            raise NotWellDefined(("moves over the bigger carrier", t))
+    small_index = {t: i for i, t in enumerate(small.carrier)}
+    mapping = []
+    for rep in big.reps:
+        perm = _restriction(rep, small.carrier, small_index)
+        if perm is None:
+            raise NotWellDefined(("leaves the smaller carrier", rep))
+        mapping.append(small.perm_index(perm))
+    hom = GroupHomomorphism(source=big, target=small, mapping=tuple(mapping))
+    for i in range(big.order):
+        for j in range(big.order):
+            lhs = mapping[big.group.mul(i, j)]
+            rhs = small.group.mul(mapping[i], mapping[j])
             if lhs != rhs:
                 raise NotWellDefined(("not a homomorphism", i, j))
     return hom

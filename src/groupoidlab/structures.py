@@ -202,12 +202,14 @@ def encode_double_cover(gpd: FiniteGroupoid) -> MultiSortedStructure:
 
 class GroupoidView:
     """The groupoid inside an encoded structure, indexed once: the init and
-    ter arrays, Mor(a, b) in increasing order and, on the double cover, the
-    fiber over each object.  Indexing reads the functions and checks nothing
-    more; the groupoid axioms are checked by ``groupoid``."""
+    ter arrays, Mor(a, b) in increasing order, whether the structure is the
+    double cover and, on the cover, the fiber over each object.  Indexing
+    reads the functions and checks nothing more; the groupoid axioms are
+    checked by ``groupoid``."""
 
     def __init__(self, s: MultiSortedStructure):
         self.structure = s
+        self.cover = has_cover(s)
         n_mor = s.sort_size("M")
         init = {row[0]: row[1] for row in s.function("init").rows}
         ter = {row[0]: row[1] for row in s.function("ter").rows}
@@ -302,7 +304,7 @@ def fiber_points(s: MultiSortedStructure, a: int) -> tuple[int, ...]:
 def object_tuple(s: MultiSortedStructure, a: int) -> tuple[Element, ...]:
     """The tuple standing for an object: its fiber points (if any), then itself."""
     parts: list[Element] = []
-    if has_cover(s):
+    if s.groupoid_view.cover:
         parts.extend(Element("I", i) for i in fiber_points(s, a))
     parts.append(Element("O", a))
     return tuple(parts)

@@ -15,8 +15,9 @@ from typing import Callable, Optional
 
 from .automorphisms import (
     Automorphism,
+    RestrictedAutGroup,
+    _fixed,
     automorphism_group,
-    dcl_of,
     is_automorphism,
     iter_automorphisms,
     orbit_of,
@@ -164,8 +165,7 @@ def check_witness(w: WitnessInstance) -> Report:
             closure = set(pair_closure(s, oi, oj))
             if any(e not in closure for e in f):
                 return f"{name} leaves the pair closure"
-            fixed = set(dcl_of(s, object_closure(s, oi) + object_closure(s, oj)))
-            if all(e in fixed for e in f):
+            if _fixed(s, object_closure(s, oi) + object_closure(s, oj), f):
                 return f"{name} is definable from the separate closures"
         return None
 
@@ -321,11 +321,13 @@ def verify_section2(s: MultiSortedStructure, g: FiniteGroup) -> Report:
         surrogates=(ACL_SURROGATE,),
     )
 
-    mor_ab = tuple((Element("M", m),) for m in morphisms_between(s, a, b))
-    base_a = object_closure(s, a)
+    @functools.cache
+    def mor_group_ab() -> RestrictedAutGroup:
+        mor_ab = tuple((Element("M", m),) for m in morphisms_between(s, a, b))
+        return setwise_restricted_group(s, object_closure(s, a), mor_ab)
 
     def mor_group() -> Optional[object]:
-        rg = setwise_restricted_group(s, base_a, mor_ab)
+        rg = mor_group_ab()
         if isomorphism_search(rg.group, g) is None:
             return {"restricted_order": rg.group.order, "group_order": g.order}
         return None
@@ -339,8 +341,7 @@ def verify_section2(s: MultiSortedStructure, g: FiniteGroup) -> Report:
     )
 
     def mor_group_center() -> Optional[object]:
-        rg = setwise_restricted_group(s, base_a, mor_ab)
-        zc = center(rg.group).as_group()
+        zc = center(mor_group_ab().group).as_group()
         zg = center(g).as_group()
         if isomorphism_search(zc, zg) is None:
             return {"center_order": zc.order, "expected": zg.order}

@@ -15,11 +15,8 @@ from typing import TYPE_CHECKING, Optional
 from .automorphisms import (
     Automorphism,
     RestrictedAutGroup,
-    _build_restricted,
-    _escapee,
-    _images,
+    _restricted,
     _restriction,
-    _to_automorphism,
     find_automorphism,
     interdefinable,
     orbit_of,
@@ -35,7 +32,6 @@ from .structures import (
     Element,
     MultiSortedStructure,
     decode_groupoid,
-    has_cover,
     morphisms_between,
     object_closure,
     object_tuple,
@@ -70,10 +66,10 @@ class YSet:
 def tuple_endpoints(s: MultiSortedStructure, t: YTuple) -> tuple[int, int]:
     """Source and target objects of a morphism tuple, full or raw
     single-morphism form."""
+    view = s.groupoid_view
     if len(t) == 1 and t[0].sort == "M":
-        view = s.groupoid_view
         return view.init[t[0].index], view.ter[t[0].index]
-    part = 3 if has_cover(s) else 1
+    part = 3 if view.cover else 1
     if len(t) != 2 * part + 1 or t[part - 1].sort != "O" or t[2 * part - 1].sort != "O":
         raise InvalidInput(f"not a morphism tuple: {t!r}")
     return t[part - 1].index, t[2 * part - 1].index
@@ -119,31 +115,6 @@ def compute_Y(
         members=members,
         reference=f,
     )
-
-
-def restriction_group_by_reference(
-    s: MultiSortedStructure, base: tuple[Element, ...], y: YSet
-) -> RestrictedAutGroup:
-    """Restrictions to a Y-set of the base-fixing automorphisms stabilizing it.
-
-    Every Y-member is interdefinable with the reference over the base, so a
-    restriction is determined by where it sends the reference; one lead
-    search yields one automorphism per image of the reference, which
-    replaces enumerating the whole base-fixing group.  Equal to the
-    setwise-stabilizer restriction group.
-    """
-    carrier = y.members
-    index = {t: i for i, t in enumerate(carrier)}
-    found = dict(_images(s, base, y.reference))
-    pairs = []
-    for g in carrier:
-        if g in found:
-            aut = _to_automorphism(s, found[g])
-            perm = _restriction(aut, carrier, index)
-            if perm is None:
-                raise RegularityFailure(("image leaves the Y-set", _escapee(aut, carrier, index)))
-            pairs.append((perm, aut))
-    return _build_restricted(s, tuple(sorted(set(base))), carrier, pairs)
 
 
 class YSystem:
@@ -198,18 +169,19 @@ class YSystem:
         """
         if (a, b) not in self._fgroups:
             y = self.y_set(a, b)
-            rg = restriction_group_by_reference(self.structure, y.base, y)
+            rg = _restricted(self.structure, y.base, y.members, False, y.reference)
             if not rg.is_regular():
                 raise RegularityFailure((a, b, rg.group.order, y.size))
             self._fgroups[(a, b)] = rg
         return self._fgroups[(a, b)]
 
     def g_subgroup(self, a: int, b: int) -> RestrictedAutGroup:
-        """Restrictions over the pair base: the standard binding copy inside F."""
+        """Restrictions over the pair base: the standard binding copy inside F.
+        The pair base leaves the Y-set invariant."""
         if (a, b) not in self._ggroups:
             y = self.y_set(a, b)
-            self._ggroups[(a, b)] = restriction_group_by_reference(
-                self.structure, pair_base(self.structure, a, b), y
+            self._ggroups[(a, b)] = _restricted(
+                self.structure, pair_base(self.structure, a, b), y.members, True, y.reference
             )
         return self._ggroups[(a, b)]
 

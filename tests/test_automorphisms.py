@@ -408,3 +408,29 @@ def test_refinement_runs_once_per_pinned_set(monkeypatch):
     for pinned in set(refined):
         colors(fresh, pinned)
     assert in_section3 == compressed[0]
+
+
+def test_restriction_builders_search_with_a_lead(monkeypatch):
+    # every restriction group, and the restriction epimorphism, comes from
+    # lead searches: none of them enumerates a base-fixing group
+    from groupoidlab import automorphisms
+    from groupoidlab.limits import raw_restriction_epimorphism
+
+    s = encode_double_cover(build_standard_groupoid(cyclic_group(2), 4))
+    solutions = automorphisms._solutions
+    leadless = []
+
+    def spy(structure, base, constraints=None, **kwargs):
+        if not kwargs.get("lead"):
+            leadless.append(tuple(base))
+        return solutions(structure, base, constraints, **kwargs)
+
+    monkeypatch.setattr(automorphisms, "_solutions", spy)
+    mor = tuple((Element("M", m),) for m in morphisms_between(s, 0, 1))
+    pb = pair_base(s, 0, 1)
+    restricted_group(s, pb, s.y_system.y_set(0, 1).members)
+    setwise_restricted_group(s, object_closure(s, 0), mor)
+    s.y_system.f_group(0, 1)
+    s.y_system.g_subgroup(0, 1)
+    raw_restriction_epimorphism(s, 0, 1)
+    assert leadless == []

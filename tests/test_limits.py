@@ -5,6 +5,7 @@ from groupoidlab import (
     Element,
     FunctorialityFailure,
     NotDirected,
+    NotWellDefined,
     TransitionNotEpi,
     build_standard_groupoid,
     check_pi2_gamma2,
@@ -162,6 +163,16 @@ def test_restriction_epimorphism_cover():
     assert hom.target.order == 2
     assert hom.is_surjective()
     assert len(hom.kernel()) == 2
+
+
+def test_restriction_epimorphism_needs_the_bigger_carrier_to_fix_the_smaller():
+    # on the cover the raw morphism does not fix its fiber points, so the
+    # restrictions to raw Y(0, 1) do not determine those to the full Y-set
+    s = encode_double_cover(build_standard_groupoid(cyclic_group(2), 3))
+    m = min(morphisms_between(s, 0, 1))
+    full, raw = morphism_tuple(s, m), (Element("M", m),)
+    with pytest.raises(NotWellDefined):
+        restriction_epimorphism(s, object_closure(s, 0), full, raw)
 
 
 def test_pi2_gamma2_instances():

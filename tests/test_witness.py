@@ -243,30 +243,108 @@ def test_associativity_on_z3_cover():
                 )
 
 
+def _enumerated_restriction(s, base, carrier, invariant):
+    """The oracle: restrict every member of the enumerated Aut(s/base) to
+    the carrier, keeping the least member per restriction as its rep.  None
+    when the carrier must be invariant and some member moves a tuple out."""
+    from groupoidlab import RestrictedAutGroup, automorphism_group
+    from groupoidlab.groups import _perm_group
+
+    carrier = tuple(sorted(set(carrier)))
+    index = {t: i for i, t in enumerate(carrier)}
+    least = {}
+    for aut in automorphism_group(s, base).members:  # in increasing order
+        perm = tuple(index.get(aut.apply_tuple(t), -1) for t in carrier)
+        if -1 not in perm:
+            least.setdefault(perm, aut)
+        elif invariant:
+            return None
+    perms = tuple(sorted(least))
+    return RestrictedAutGroup(
+        structure=s,
+        base=tuple(sorted(set(base))),
+        carrier=carrier,
+        group=_perm_group(perms),
+        perms=perms,
+        reps=tuple(least[p] for p in perms),
+    )
+
+
 def test_reference_generated_groups_match_full_enumeration(cover_z2_4):
     # the targeted construction must agree with restricting the fully
     # enumerated stabilizer, over the source closure (the F-group) and over
     # the pair base (the G-group, which must leave the Y-set invariant)
-    from groupoidlab import pair_base, restricted_group, setwise_restricted_group
-    from groupoidlab.witness import restriction_group_by_reference
+    from groupoidlab import pair_base
 
+    ys = cover_z2_4.y_system
     for (a, b) in ((0, 1), (2, 3)):
         y = compute_Y(cover_z2_4, a, b)
         pbase = pair_base(cover_z2_4, a, b)
         for fast, slow in (
             (
-                restriction_group_by_reference(cover_z2_4, y.base, y),
-                setwise_restricted_group(cover_z2_4, y.base, y.members),
+                ys.f_group(a, b),
+                _enumerated_restriction(cover_z2_4, y.base, y.members, False),
             ),
             (
-                restriction_group_by_reference(cover_z2_4, pbase, y),
-                restricted_group(cover_z2_4, pbase, y.members),
+                ys.g_subgroup(a, b),
+                _enumerated_restriction(cover_z2_4, pbase, y.members, True),
             ),
         ):
             assert fast.carrier == slow.carrier
             assert fast.perms == slow.perms
             assert fast.reps == slow.reps
             assert fast.group == slow.group
+
+
+@pytest.mark.parametrize("cover", [False, True], ids=["plain", "cover"])
+@pytest.mark.parametrize("group", ["cyclic:2", "symmetric:3", "dihedral:4", "quaternion8"])
+def test_restriction_groups_match_full_enumeration(group, cover):
+    # every restriction group built by a lead search against the oracle: the
+    # F- and G-groups of the Y-sets, setwise Mor(a, b) over the source
+    # closure, the centre coset over the pair base, and Mor(a, b) over the
+    # source closure, which an object swap moves (NotInvariant).  A rep is
+    # the first automorphism the search finds, not the least member, so it
+    # is checked by what it restricts to.
+    from groupoidlab import (
+        Element,
+        NotInvariant,
+        group_from_spec,
+        is_automorphism,
+        object_closure,
+        orbit_of,
+        pair_base,
+        restricted_group,
+        setwise_restricted_group,
+    )
+
+    gpd = build_standard_groupoid(group_from_spec(group), 3)
+    s = encode_double_cover(gpd) if cover else encode_groupoid(gpd)
+
+    def check(fast, slow):
+        assert fast.base == slow.base
+        assert fast.carrier == slow.carrier
+        assert fast.perms == slow.perms
+        assert fast.group == slow.group
+        index = {t: i for i, t in enumerate(fast.carrier)}
+        for perm, rep in zip(fast.perms, fast.reps):
+            assert tuple(index[rep.apply_tuple(t)] for t in fast.carrier) == perm
+            assert all(rep.apply(e) == e for e in fast.base)
+            assert is_automorphism(s, rep)
+
+    for a, b in ((0, 1), (1, 2), (2, 0)):
+        y = s.y_system.y_set(a, b)
+        source, pbase = object_closure(s, a), pair_base(s, a, b)
+        mor_ab = tuple((Element("M", m),) for m in morphisms_between(s, a, b))
+        coset = orbit_of(s, pbase, (Element("M", min(morphisms_between(s, a, b))),))
+        check(s.y_system.f_group(a, b), _enumerated_restriction(s, y.base, y.members, False))
+        check(s.y_system.g_subgroup(a, b), _enumerated_restriction(s, pbase, y.members, True))
+        check(setwise_restricted_group(s, source, mor_ab),
+              _enumerated_restriction(s, source, mor_ab, False))
+        check(restricted_group(s, pbase, coset),
+              _enumerated_restriction(s, pbase, coset, True))
+        assert _enumerated_restriction(s, source, mor_ab, True) is None
+        with pytest.raises(NotInvariant):
+            restricted_group(s, source, mor_ab)
 
 
 @pytest.mark.parametrize(

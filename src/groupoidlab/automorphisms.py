@@ -33,11 +33,15 @@ The lead fixes the restriction: by default it is the carrier's points; the
 Y-set groups lead with the Y-set's reference, with which every member is
 interdefinable over the base.  Each image of the lead gives one
 automorphism and so one restriction.
+
+An ``Automorphism`` is the search's image array, each sort's points after
+those of the sorts before it; ``_restriction`` reads a restriction off such
+an array, over a carrier indexed by point tuples.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -54,36 +58,30 @@ _Partition = tuple[list[int], tuple[tuple[int, ...], ...]]
 
 @dataclass(frozen=True)
 class Automorphism:
-    """Per-sort permutations, aligned with the structure's sort order."""
+    """The search's image array: ``images[p]`` is the image of point p, each
+    sort's points following those of the sorts before it
+    (``search_space.offsets``).  The structure stays out of eq, hash and repr."""
 
-    sort_names: tuple[str, ...]
-    maps: tuple[tuple[int, ...], ...]
+    images: tuple[int, ...]
+    structure: MultiSortedStructure = field(compare=False, repr=False)
 
     def apply(self, el: Element) -> Element:
-        return Element(el.sort, self.maps[self.sort_names.index(el.sort)][el.index])
+        off = self.structure.search_space.offsets[el.sort]
+        return Element(el.sort, self.images[off + el.index] - off)
 
     def apply_tuple(self, els: tuple[Element, ...]) -> tuple[Element, ...]:
         return tuple(self.apply(e) for e in els)
 
     def compose(self, other: "Automorphism") -> "Automorphism":
         """self after other."""
-        maps = tuple(
-            tuple(mine[o] for o in theirs)
-            for mine, theirs in zip(self.maps, other.maps)
-        )
-        return Automorphism(self.sort_names, maps)
+        mine = self.images
+        return Automorphism(tuple(mine[p] for p in other.images), self.structure)
 
     def inverse(self) -> "Automorphism":
-        maps = []
-        for m in self.maps:
-            inv = [0] * len(m)
-            for i, v in enumerate(m):
-                inv[v] = i
-            maps.append(tuple(inv))
-        return Automorphism(self.sort_names, tuple(maps))
-
-    def flat(self) -> tuple[int, ...]:
-        return tuple(v for m in self.maps for v in m)
+        inv = [0] * len(self.images)
+        for p, q in enumerate(self.images):
+            inv[q] = p
+        return Automorphism(tuple(inv), self.structure)
 
 
 @dataclass(frozen=True)
@@ -98,11 +96,7 @@ class AutomorphismGroup:
 
     @property
     def identity(self) -> Automorphism:
-        sizes = dict(self.structure.sorts)
-        return Automorphism(
-            self.structure.sort_names,
-            tuple(tuple(range(sizes[n])) for n in self.structure.sort_names),
-        )
+        return Automorphism(tuple(range(self.structure.carrier_size)), self.structure)
 
 
 class _Rel:
@@ -367,13 +361,9 @@ def _solutions(
     undo(seed)
 
 
-def _to_automorphism(s: MultiSortedStructure, flat: tuple[int, ...]) -> Automorphism:
-    maps = []
-    off = 0
-    for _, size in s.sorts:
-        maps.append(tuple(v - off for v in flat[off:off + size]))
-        off += size
-    return Automorphism(s.sort_names, tuple(maps))
+def _to_automorphism(s: MultiSortedStructure, images: tuple[int, ...]) -> Automorphism:
+    """Wrap a search's image array: the one place automorphisms are made."""
+    return Automorphism(images, s)
 
 
 def check_budget(s: MultiSortedStructure) -> None:
@@ -390,8 +380,8 @@ def automorphism_group(
     groups = s.search_space.groups
     if base_t not in groups:
         members = tuple(
-            _to_automorphism(s, flat)
-            for flat in sorted(_solutions(s, base_t))
+            _to_automorphism(s, images)
+            for images in sorted(_solutions(s, base_t))
         )
         groups[base_t] = AutomorphismGroup(structure=s, base=base_t, members=members)
     return groups[base_t]
@@ -405,8 +395,8 @@ def iter_automorphisms(
     """Lazily yield automorphisms fixing base and extending constraints."""
     check_budget(s)
     base_t = tuple(sorted(set(base)))
-    for flat in _solutions(s, base_t, constraints):
-        yield _to_automorphism(s, flat)
+    for images in _solutions(s, base_t, constraints):
+        yield _to_automorphism(s, images)
 
 
 def find_automorphism(
@@ -423,38 +413,26 @@ def find_automorphism(
 
 
 def is_automorphism(s: MultiSortedStructure, aut: Automorphism) -> bool:
-    """Validate the Automorphism invariant directly from the structure."""
-    sizes = dict(s.sorts)
-    if aut.sort_names != s.sort_names:
+    """Validate the Automorphism invariant directly from the structure: each
+    sort's slice of the array permutes that sort's points, and every function
+    graph, relation and constant (a one-tuple relation) maps into itself, so
+    onto itself, as the array is a bijection and the tuple sets are finite."""
+    images = aut.images
+    if len(images) != s.carrier_size:
         return False
-    pos = {n: i for i, n in enumerate(s.sort_names)}
-    for name, m in zip(aut.sort_names, aut.maps):
-        if len(m) != sizes[name] or sorted(m) != list(range(sizes[name])):
+    offsets, off = {}, 0
+    for name, size in s.sorts:
+        if sorted(images[off:off + size]) != list(range(off, off + size)):
             return False
-    for f in s.functions:
-        arg_pos = [pos[sn] for sn in f.arg_sorts]
-        res_pos = pos[f.result_sort]
-        lookup = {r[:-1]: r[-1] for r in f.rows}
-        for row in f.rows:
-            args, val = row[:-1], row[-1]
-            mapped = tuple(aut.maps[p][v] for p, v in zip(arg_pos, args))
-            if lookup[mapped] != aut.maps[res_pos][val]:
+        offsets[name], off = off, off + size
+    checks = [((*f.arg_sorts, f.result_sort), f.rows) for f in s.functions]
+    checks += [(r.arg_sorts, r.tuples) for r in s.relations]
+    checks += [((c.sort,), ((c.index,),)) for c in s.constants]
+    for sorts, tuples in checks:
+        tset = set(tuples)
+        for t in tuples:
+            if tuple(images[offsets[n] + v] - offsets[n] for n, v in zip(sorts, t)) not in tset:
                 return False
-    for r in s.relations:
-        arg_pos = [pos[sn] for sn in r.arg_sorts]
-        tset = set(r.tuples)
-        for t in r.tuples:
-            image = tuple(aut.maps[p][v] for p, v in zip(arg_pos, t))
-            if image not in tset:
-                return False
-        inv = aut.inverse()
-        for t in r.tuples:
-            preimage = tuple(inv.maps[p][v] for p, v in zip(arg_pos, t))
-            if preimage not in tset:
-                return False
-    for c in s.constants:
-        if aut.maps[pos[c.sort]][c.index] != c.index:
-            return False
     return True
 
 
@@ -467,11 +445,11 @@ def _images(
     (a global image array) found sending x there."""
     check_budget(s)
     offsets = s.search_space.offsets
-    for flat in _solutions(s, tuple(base), lead=x):
+    for images in _solutions(s, tuple(base), lead=x):
         image = tuple(
-            Element(e.sort, flat[offsets[e.sort] + e.index] - offsets[e.sort]) for e in x
+            Element(e.sort, images[offsets[e.sort] + e.index] - offsets[e.sort]) for e in x
         )
-        yield image, flat
+        yield image, images
 
 
 def orbit_of(
@@ -485,14 +463,14 @@ def orbit_of(
 
 def dcl_of(s: MultiSortedStructure, base: Iterable[Element]) -> tuple[Element, ...]:
     """Fixed points of Aut(s/base): the finite surrogate of definable closure."""
-    group = automorphism_group(s, base)
-    fixed = []
-    for name, size in s.sorts:
-        si = s.sort_names.index(name)
-        for i in range(size):
-            if all(aut.maps[si][i] == i for aut in group.members):
-                fixed.append(Element(name, i))
-    return tuple(fixed)
+    members = automorphism_group(s, base).members
+    offsets = s.search_space.offsets
+    return tuple(
+        Element(name, i)
+        for name, size in s.sorts
+        for i in range(size)
+        if all(aut.images[offsets[name] + i] == offsets[name] + i for aut in members)
+    )
 
 
 def _fixed(
@@ -546,21 +524,16 @@ class RestrictedAutGroup:
         return self.action().is_regular()
 
 
-def _restriction(
-    aut: Automorphism,
-    carrier: tuple[tuple[Element, ...], ...],
-    index: dict[tuple[Element, ...], int],
-) -> Optional[tuple[int, ...]]:
-    """The permutation of carrier (positions, via index) that aut induces;
-    None when aut sends a carrier tuple outside the carrier."""
-    perm = []
-    for t in carrier:
-        image = aut.apply_tuple(t)
-        k = index.get(image)
-        if k is None:
-            return None
-        perm.append(k)
-    return tuple(perm)
+def _carrier_index(s: MultiSortedStructure, carrier: tuple) -> dict[tuple[int, ...], int]:
+    """Each carrier tuple, as global points, to its position in carrier."""
+    point = s.search_space.point
+    return {tuple(map(point, t)): k for k, t in enumerate(carrier)}
+
+
+def _restriction(images: tuple[int, ...], index: dict[tuple[int, ...], int]) -> tuple[int, ...]:
+    """The permutation of a carrier (its ``_carrier_index``) that an image
+    array induces, with -1 where a tuple's image leaves the carrier."""
+    return tuple(index.get(tuple(images[p] for p in t), -1) for t in index)
 
 
 def _restricted(
@@ -582,18 +555,17 @@ def _restricted(
     """
     base_t = tuple(sorted(set(base)))
     carrier = tuple(sorted(set(tuples)))
-    point = s.search_space.point
-    index = {tuple(map(point, t)): k for k, t in enumerate(carrier)}
+    index = _carrier_index(s, carrier)
     if lead is None:
         lead = tuple(e for t in carrier for e in t)
     found: dict[tuple[int, ...], Automorphism] = {}
-    for _, flat in _images(s, base_t, lead):
-        perm = tuple(index.get(tuple(flat[p] for p in t), -1) for t in index)
+    for _, images in _images(s, base_t, lead):
+        perm = _restriction(images, index)
         if -1 in perm:
             if invariant:
-                raise NotInvariant(_to_automorphism(s, flat), carrier[perm.index(-1)])
+                raise NotInvariant(_to_automorphism(s, images), carrier[perm.index(-1)])
         elif perm not in found:
-            found[perm] = _to_automorphism(s, flat)
+            found[perm] = _to_automorphism(s, images)
     perms = tuple(sorted(found))
     return RestrictedAutGroup(
         structure=s,
@@ -631,8 +603,12 @@ def setwise_restricted_group(
 
 def automorphism_group_to_json(group: AutomorphismGroup) -> dict:
     """Export as permutation lists, one map per sort per member."""
+    sorts, offsets = group.structure.sorts, group.structure.search_space.offsets
     return {
         "base": [[e.sort, e.index] for e in group.base],
-        "sorts": list(group.structure.sort_names),
-        "members": [[list(m) for m in aut.maps] for aut in group.members],
+        "sorts": [name for name, _ in sorts],
+        "members": [
+            [[q - offsets[n] for q in aut.images[offsets[n]:offsets[n] + k]] for n, k in sorts]
+            for aut in group.members
+        ],
     }

@@ -421,6 +421,10 @@ def group_from_json(data: dict) -> FiniteGroup:
         identity = data["identity"]
     except (KeyError, TypeError) as exc:
         raise InvalidInput(f"group JSON missing field: {exc}") from exc
+    if not isinstance(identity, int) or not isinstance(table, (list, tuple)) or not all(
+        isinstance(row, (list, tuple)) and all(isinstance(v, int) for v in row) for row in table
+    ):
+        raise InvalidInput("group JSON table and identity must hold integers")
     labels = data.get("labels")
     g = validate_group(table, identity, labels)
     if "order" in data and data["order"] != g.order:

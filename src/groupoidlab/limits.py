@@ -14,6 +14,7 @@ from typing import Iterable, Sequence
 
 from .automorphisms import (
     RestrictedAutGroup,
+    _carrier_index,
     _fixed,
     _restricted,
     _restriction,
@@ -275,11 +276,11 @@ def _epimorphism(
     for t in small.carrier:
         if not _fixed(s, pinned, t):
             raise NotWellDefined(("moves over the bigger carrier", t))
-    small_index = {t: i for i, t in enumerate(small.carrier)}
+    small_index = _carrier_index(s, small.carrier)
     mapping = []
     for rep in big.reps:
-        perm = _restriction(rep, small.carrier, small_index)
-        if perm is None:
+        perm = _restriction(rep.images, small_index)
+        if -1 in perm:
             raise NotWellDefined(("leaves the smaller carrier", rep))
         mapping.append(small.perm_index(perm))
     hom = GroupHomomorphism(source=big, target=small, mapping=tuple(mapping))
@@ -357,11 +358,12 @@ def check_pi2_gamma2(
 
         # the interdefinability-preserving members: those whose global reps
         # stabilize every dcl-class carrier attached to the pair
-        pi_perms = set()
-        raw_set = set(y_raw.members)
-        for k, rep in enumerate(f_full.reps):
-            if all(rep.apply_tuple(t) in raw_set for t in y_raw.members):
-                pi_perms.add(f_full.perms[k])
+        raw_index = _carrier_index(s, y_raw.members)
+        pi_perms = {
+            f_full.perms[k]
+            for k, rep in enumerate(f_full.reps)
+            if -1 not in _restriction(rep.images, raw_index)
+        }
 
         def tower(
             name=name, f_full=f_full, g_sub=g_sub, pi_perms=pi_perms

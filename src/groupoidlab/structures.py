@@ -362,6 +362,13 @@ def structure_to_json(s: MultiSortedStructure) -> dict:
     }
 
 
+def _int_tuple(values: Iterable) -> tuple[int, ...]:
+    t = tuple(values)
+    if not all(isinstance(v, int) for v in t):
+        raise InvalidInput(f"structure JSON entry is not a list of integers: {values!r}")
+    return t
+
+
 def structure_from_json(data: dict) -> MultiSortedStructure:
     try:
         raw_sorts = data["sorts"]
@@ -372,7 +379,7 @@ def structure_from_json(data: dict) -> MultiSortedStructure:
                 name=str(f["name"]),
                 arg_sorts=tuple(f["args"]),
                 result_sort=str(f["result"]),
-                rows=tuple(sorted(tuple(r) for r in f["rows"])),
+                rows=tuple(sorted(_int_tuple(r) for r in f["rows"])),
             )
             for f in data.get("functions", ())
         )
@@ -380,7 +387,7 @@ def structure_from_json(data: dict) -> MultiSortedStructure:
             Relation(
                 name=str(r["name"]),
                 arg_sorts=tuple(r["args"]),
-                tuples=tuple(sorted(tuple(t) for t in r["tuples"])),
+                tuples=tuple(sorted(_int_tuple(t) for t in r["tuples"])),
             )
             for r in data.get("relations", ())
         )

@@ -244,24 +244,17 @@ def choice_family_map(
     """The structure map induced by one vertex morphism choice per object != a:
     identity on objects and on the vertex group at a, translation elsewhere."""
     gpd = decode_groupoid(s)
-    n_obj = s.sort_size("O")
-    n_mor = s.sort_size("M")
-    mmap = [0] * n_mor
-    for m in range(n_mor):
+    off = s.search_space.offsets["M"]
+    images = list(range(s.carrier_size))
+    for m in range(s.sort_size("M")):
         u, v = gpd.init[m], gpd.ter[m]
         img = m
         if u != a:
             img = gpd.compose(gpd.inverse[family[u]], img)
         if v != a:
             img = gpd.compose(img, family[v])
-        mmap[m] = img
-    maps = {"O": tuple(range(n_obj)), "M": tuple(mmap)}
-    if has_cover(s):
-        maps["I"] = tuple(range(s.sort_size("I")))
-    return Automorphism(
-        sort_names=s.sort_names,
-        maps=tuple(maps[n] for n in s.sort_names),
-    )
+        images[off + m] = off + img
+    return Automorphism(tuple(images), s)
 
 
 def verify_section2(s: MultiSortedStructure, g: FiniteGroup) -> Report:
@@ -418,17 +411,17 @@ def verify_section3(s: MultiSortedStructure) -> Report:
             e for u in objects_of(s) for e in object_closure(s, u)
         )
         group = automorphism_group(s, base)
-        mpos = s.sort_names.index("M")
+        off = s.search_space.offsets["M"]
         for sigma in vertex_morphisms(s, o0):
             want_g = {u: gpd.compose(sigma, gs[u]) for u in others}
             if not any(
-                all(aut.maps[mpos][gs[u]] == want_g[u] for u in others)
+                all(aut.images[off + gs[u]] == off + want_g[u] for u in others)
                 for aut in group.members
             ):
                 return {"sigma": sigma, "direction": "out"}
             want_h = {u: gpd.compose(hs[u], sigma) for u in others}
             if not any(
-                all(aut.maps[mpos][hs[u]] == want_h[u] for u in others)
+                all(aut.images[off + hs[u]] == off + want_h[u] for u in others)
                 for aut in group.members
             ):
                 return {"sigma": sigma, "direction": "in"}

@@ -15,10 +15,11 @@ from typing import TYPE_CHECKING, Optional
 from .automorphisms import (
     Automorphism,
     RestrictedAutGroup,
+    _carrier_index,
+    _fixed,
     _restricted,
     _restriction,
     find_automorphism,
-    interdefinable,
     orbit_of,
 )
 from .errors import (
@@ -102,9 +103,12 @@ def compute_Y(
         base = object_closure(s, a)
     if f is None:
         f = x_tuples(s, a, b)[0]
-    members = tuple(
-        g for g in orbit_of(s, base, f) if g == f or interdefinable(s, base, f, g)
-    )
+    # g = sigma(f) with sigma fixing the base, so the stabilisers of base+f
+    # and base+g are conjugate and have the same order: g in dcl(base+f)
+    # makes them equal, which gives f in dcl(base+g).  So one direction
+    # proves interdefinability, and every search pins the same set base+f.
+    base_f = tuple(base) + f
+    members = tuple(g for g in orbit_of(s, base, f) if g == f or _fixed(s, base_f, g))
     for t in orbit_of(s, pair_base(s, a, b), f):
         if t not in members:
             raise AxiomViolation("y-missing-standard-coset", t)
@@ -191,10 +195,11 @@ class YSystem:
         return self._binding
 
     def binding_preserving(self, aut: Automorphism) -> bool:
-        mpos = self.structure.sort_names.index("M")
-        mmap = aut.maps[mpos]
+        off = self.structure.search_space.offsets["M"]
+        images = aut.images
         return all(
-            {mmap[m] for m in cls} == set(cls) for cls in self.binding().classes
+            {images[off + m] - off for m in cls} == set(cls)
+            for cls in self.binding().classes
         )
 
     def transport(self, a: int, b: int) -> tuple[int, ...]:
@@ -232,12 +237,12 @@ class YSystem:
         f_ab: RestrictedAutGroup,
     ) -> tuple[int, ...]:
         psi_inv = psi.inverse()
-        carrier_index = {t: i for i, t in enumerate(f_ab.carrier)}
+        carrier_index = _carrier_index(self.structure, f_ab.carrier)
         index = {p: i for i, p in enumerate(f_ab.perms)}
         mapping = []
         for rep in f_ref.reps:
             conj = psi.compose(rep).compose(psi_inv)
-            idx = index.get(_restriction(conj, f_ab.carrier, carrier_index))
+            idx = index.get(_restriction(conj.images, carrier_index))
             if idx is None:
                 raise DecompositionFailure("transport image escapes target group")
             mapping.append(idx)

@@ -70,7 +70,10 @@ def test_member_order_deterministic():
     g1 = automorphism_group(s)
     s2 = plain(cyclic_group(2), 3)
     g2 = automorphism_group(s2)
-    assert [a.maps for a in g1.members] == [a.maps for a in g2.members]
+    points = all_elements(s)
+    assert [a.apply_tuple(points) for a in g1.members] == [
+        a.apply_tuple(points) for a in g2.members
+    ]
 
 
 def test_orbit_examples():
@@ -178,6 +181,12 @@ def test_budget_guard():
 
 
 def test_automorphism_group_json_export():
+    # one permutation list per sort per member; the whole document is pinned
+    # by the sha256 of its sorted-key JSON, recorded when each automorphism
+    # still held one map per sort
+    import hashlib
+    import json
+
     from groupoidlab.automorphisms import automorphism_group_to_json
 
     s = plain(cyclic_group(2), 2)
@@ -185,9 +194,46 @@ def test_automorphism_group_json_export():
     doc = automorphism_group_to_json(group)
     assert doc["sorts"] == ["O", "M"]
     assert len(doc["members"]) == group.order
-    for member in doc["members"]:
-        assert sorted(member[0]) == [0, 1]
-        assert sorted(member[1]) == list(range(8))
+    digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+    assert digest == "822a8b146964fcf2487f560b4d9f1ea14b900af84e08f398acc4119d220cf745"
+
+
+def _unary_relation_structure():
+    # four points, a nullary relation that holds under every bijection and
+    # a unary one, the subset {0, 1}, to preserve
+    from groupoidlab.structures import MultiSortedStructure, Relation, validate_structure
+
+    return validate_structure(
+        MultiSortedStructure(
+            sorts=(("P", 4),),
+            functions=(),
+            relations=(
+                Relation(name="flag", arg_sorts=(), tuples=((),)),
+                Relation(name="red", arg_sorts=("P",), tuples=((0,), (1,))),
+            ),
+            constants=(),
+        )
+    )
+
+
+def test_is_automorphism_rejects_malformed_arrays():
+    from groupoidlab import Automorphism
+
+    s = plain(cyclic_group(2), 2)  # O: points 0-1, M: points 2-9
+    identity = automorphism_group(s).identity
+    assert identity.images == tuple(range(10)) and is_automorphism(s, identity)
+    cases = {
+        "too short": identity.images[:-1],
+        "too long": identity.images + (10,),
+        "object into M": (2, 1, 0) + identity.images[3:],
+        "not bijective": (0, 1, 2, 2) + identity.images[4:],
+    }
+    for name, images in cases.items():
+        assert not is_automorphism(s, Automorphism(images, s)), name
+
+    p = _unary_relation_structure()
+    assert is_automorphism(p, Automorphism((1, 0, 3, 2), p))
+    assert not is_automorphism(p, Automorphism((2, 1, 0, 3), p))  # moves red
 
 
 def brute_force_automorphisms(s):
@@ -228,13 +274,14 @@ def brute_force_automorphisms(s):
                 maps = {"O": pi, "M": m_tuple}
                 if has_cover(s):
                     maps["I"] = tuple(imap[i] for i in range(s.sort_size("I")))
-                aut = Automorphism(
-                    sort_names=s.sort_names,
-                    maps=tuple(maps[name] for name in s.sort_names),
-                )
+                images, off = [], 0
+                for name, size in s.sorts:  # each sort after the ones before
+                    images.extend(off + v for v in maps[name])
+                    off += size
+                aut = Automorphism(tuple(images), s)
                 if is_automorphism(s, aut):
                     found.append(aut)
-    return sorted(found, key=lambda a: a.flat())
+    return sorted(found, key=lambda a: a.images)
 
 
 def test_engine_matches_brute_force_plain():
@@ -273,29 +320,15 @@ def test_engine_handles_binary_functions_and_constants():
     klein = direct_product(cyclic_group(2), cyclic_group(2))
     klein_aut = automorphism_group(as_structure(klein))
     assert klein_aut.order == 6  # Sym(3) permuting the involutions
-    for aut in klein_aut.members:
-        assert aut.maps[0][klein.identity] == klein.identity
+    e = Element("G", klein.identity)
+    assert all(aut.apply(e) == e for aut in klein_aut.members)
 
 
 def test_engine_handles_nullary_and_unary_relations():
-    # a nullary relation holds under every bijection; a unary one is a
-    # subset to preserve
-    from groupoidlab.structures import MultiSortedStructure, Relation, validate_structure
-
-    s = validate_structure(
-        MultiSortedStructure(
-            sorts=(("P", 4),),
-            functions=(),
-            relations=(
-                Relation(name="flag", arg_sorts=(), tuples=((),)),
-                Relation(name="red", arg_sorts=("P",), tuples=((0,), (1,))),
-            ),
-            constants=(),
-        )
-    )
-    group = automorphism_group(s)
+    group = automorphism_group(_unary_relation_structure())
     assert group.order == 4
-    assert all(set(aut.maps[0][:2]) == {0, 1} for aut in group.members)
+    red = (Element("P", 0), Element("P", 1))
+    assert all(set(aut.apply_tuple(red)) == set(red) for aut in group.members)
 
 
 def test_structure_is_freed_after_a_search():

@@ -172,6 +172,41 @@ def test_report_rejects_malformed_input(doc, tmp_path, capsys):
         merge_reports([doc])
 
 
+def _structure_with(name, position, value):
+    # a built cyclic:2, 2-object structure whose function or relation `name`
+    # holds `value` at `position` of its first row or tuple
+    from groupoidlab import build_standard_groupoid, cyclic_group, encode_groupoid
+    from groupoidlab.structures import structure_to_json
+
+    data = structure_to_json(encode_groupoid(build_standard_groupoid(cyclic_group(2), 2)))
+    for table in (*data["functions"], *data["relations"]):
+        if table["name"] == name:
+            table.get("rows", table.get("tuples"))[0][position] = value
+    return data
+
+
+@pytest.mark.parametrize(
+    "kind,doc",
+    [
+        ("group", {"identity": 0, "table": [["a"]]}),
+        ("group", {"identity": "x", "table": [[0]]}),
+        ("group", {"identity": 0, "table": 5}),
+        ("structure", _structure_with("init", 1, "a")),
+        ("structure", _structure_with("comp", 2, "z")),
+    ],
+    ids=["table-entry", "identity", "table-not-a-list", "init-row", "comp-tuple"],
+)
+def test_malformed_json_input_exits_two(kind, doc, tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    if kind == "group":
+        argv = ["build", "--group", f"file:{path}", "--objects", "2"]
+    else:
+        argv = ["verify", "--suite", "section3", "--group", "cyclic:2", "--structure", str(path)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_console_script_runs():
     out = run_cli("build", "--group", "cyclic:2", "--objects", "2")
     assert out.returncode == 0

@@ -387,6 +387,32 @@ def test_orbit_and_interdefinable_match_full_enumeration(group, cover):
                     assert interdefinable(s, base, f, g) == expected, (base, f, g)
 
 
+@pytest.mark.parametrize("cover", [False, True], ids=["plain", "cover"])
+@pytest.mark.parametrize(
+    "group", ["cyclic:2", "cyclic:3", "symmetric:3", "dihedral:4", "quaternion8"]
+)
+def test_y_membership_matches_two_way_interdefinability(group, cover):
+    # compute_Y keeps an orbit member g when g is fixed over base + f, one
+    # direction of interdefinability; the Y-set must be the one that checks
+    # both, for the default (full) and the raw reference of every pair
+    from groupoidlab import Element, group_from_spec, interdefinable, object_closure, orbit_of
+
+    gpd = build_standard_groupoid(group_from_spec(group), 3)
+    s = encode_double_cover(gpd) if cover else encode_groupoid(gpd)
+    for a in range(3):
+        for b in range(3):
+            if a == b:
+                continue
+            base = object_closure(s, a)
+            raw = (Element("M", min(morphisms_between(s, a, b))),)
+            for f in (x_tuples(s, a, b)[0], raw):
+                expected = tuple(
+                    g for g in orbit_of(s, base, f)
+                    if g == f or interdefinable(s, base, f, g)
+                )
+                assert compute_Y(s, a, b, f=f).members == expected, (a, b, f)
+
+
 def _relabelled(s, seed):
     """s with every sort's indices permuted at random, and the object map."""
     from groupoidlab import structure_from_json, structure_to_json

@@ -28,6 +28,17 @@ lead's points first and yields one automorphism per image of the lead, so
 ``orbit_of`` and ``interdefinable`` read a tuple's images off the first
 levels of the search tree without enumerating the group.
 
+Each question is searched once per structure.  Next to the partitions, the
+``_SearchSpace`` keeps two stores keyed by pinned set: the image arrays of
+every complete lead search (``_images``), per lead points, which
+``orbit_of`` and every restriction group read; and every point moved by an
+automorphism found over the pinned set.  Fixedness (``_fixed``, dcl
+membership) is decided by individualise-refine: an automorphism fixing the
+pinned set preserves its stable colouring, so a point alone in its cell is
+fixed.  A point of the tuple in the moved store is not fixed; a kept
+complete lead search of the tuple moved none of its points; otherwise one
+lead search runs until an image moves the tuple.
+
 Every restriction group comes from one such lead search (``_restricted``).
 The lead fixes the restriction: by default it is the carrier's points; the
 Y-set groups lead with the Y-set's reference, with which every member is
@@ -42,7 +53,8 @@ an array, over a carrier indexed by point tuples.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import itemgetter
+from itertools import compress, count
+from operator import itemgetter, ne
 from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import BudgetExceeded, NotInvariant
@@ -128,19 +140,26 @@ class _Rel:
 
 class _SearchSpace:
     """Flattened structure shared by every search over the same structure,
-    the stable partition of each pinned set searched so far, and the groups
-    enumerated on it, keyed by base.  One instance per structure, reached
-    through ``MultiSortedStructure.search_space``."""
+    and what the searches found on it: the stable partition of each pinned
+    set searched so far, the image arrays of each complete lead search,
+    keyed by pinned set and lead points, the points moved by any
+    automorphism found over each pinned set, and the groups enumerated,
+    keyed by base.  One instance per structure, reached through
+    ``MultiSortedStructure.search_space``."""
 
     def __init__(self, s: MultiSortedStructure):
         self.groups: dict[tuple[Element, ...], AutomorphismGroup] = {}
         self.partitions: dict[frozenset[int], _Partition] = {}
+        self.leads: dict[tuple[frozenset[int], tuple[int, ...]], list[tuple[int, ...]]] = {}
+        self.moved: dict[frozenset[int], set[int]] = {}
         self.offsets: dict[str, int] = {}
         self.sort_of_point: list[int] = []
+        self.elements: list[Element] = []
         off = 0
         for si, (name, size) in enumerate(s.sorts):
             self.offsets[name] = off
             self.sort_of_point.extend([si] * size)
+            self.elements.extend(Element(name, i) for i in range(size))
             off += size
         self.n_points = off
 
@@ -196,6 +215,20 @@ class _SearchSpace:
 
     def point(self, el: Element) -> int:
         return self.offsets[el.sort] + el.index
+
+    def pinned(self, base: Iterable[Element]) -> frozenset[int]:
+        """The points a search over base fixes: the base and the constants."""
+        return frozenset([self.point(e) for e in base] + list(self.const_points))
+
+    def lead_points(self, lead: tuple[Element, ...]) -> tuple[int, ...]:
+        """The lead's distinct points, in the order a lead search assigns them."""
+        return tuple(dict.fromkeys(map(self.point, lead)))
+
+    def note_moved(self, pinned: frozenset[int], arrays: Iterable[tuple[int, ...]]) -> None:
+        """Add the points each image array moves to the pinned set's store."""
+        moved = self.moved.setdefault(pinned, set())
+        for images in arrays:
+            moved.update(compress(count(), map(ne, images, count())))
 
     def partition(self, pinned: frozenset[int]) -> _Partition:
         """The stable partition of the pinned set, refined on first use."""
@@ -253,9 +286,7 @@ def _solutions(
     returns when constrained to send the lead to that image."""
     space = s.search_space
     n = space.n_points
-    pinned = frozenset(
-        [space.point(e) for e in base] + list(space.const_points)
-    )
+    pinned = space.pinned(base)
     color, cells = space.partition(pinned)
 
     img = [-1] * n
@@ -323,7 +354,7 @@ def _solutions(
                 undo(seed)
                 return
 
-    lead_points = list(dict.fromkeys(space.point(e) for e in lead))
+    lead_points = list(space.lead_points(lead))
     n_lead = len(lead_points)
     order = lead_points + sorted(
         (p for p in range(n) if img[p] == -1 and p not in lead_points),
@@ -440,16 +471,20 @@ def _images(
     s: MultiSortedStructure,
     base: Iterable[Element],
     x: tuple[Element, ...],
-) -> Iterator[tuple[tuple[Element, ...], tuple[int, ...]]]:
-    """Each image of x under Aut(s/base) once, with the first automorphism
-    (a global image array) found sending x there."""
+) -> list[tuple[int, ...]]:
+    """One automorphism (a global image array) per image of x under
+    Aut(s/base), the first the lead search finds sending x there, in search
+    order.  The search runs once per pinned set and lead points; its arrays
+    are kept on the search space and the points they move are noted."""
     check_budget(s)
-    offsets = s.search_space.offsets
-    for images in _solutions(s, tuple(base), lead=x):
-        image = tuple(
-            Element(e.sort, images[offsets[e.sort] + e.index] - offsets[e.sort]) for e in x
-        )
-        yield image, images
+    space = s.search_space
+    pinned = space.pinned(base)
+    key = (pinned, space.lead_points(x))
+    arrays = space.leads.get(key)
+    if arrays is None:
+        arrays = space.leads[key] = list(_solutions(s, tuple(base), lead=x))
+        space.note_moved(pinned, arrays)
+    return arrays
 
 
 def orbit_of(
@@ -458,7 +493,11 @@ def orbit_of(
     x: tuple[Element, ...],
 ) -> tuple[tuple[Element, ...], ...]:
     """The orbit of x under Aut(s/base), read off one lead search."""
-    return tuple(sorted(image for image, _ in _images(s, base, x)))
+    space = s.search_space
+    points, elements = [space.point(e) for e in x], space.elements
+    return tuple(sorted(
+        tuple(elements[images[p]] for p in points) for images in _images(s, base, x)
+    ))
 
 
 def dcl_of(s: MultiSortedStructure, base: Iterable[Element]) -> tuple[Element, ...]:
@@ -476,9 +515,38 @@ def dcl_of(s: MultiSortedStructure, base: Iterable[Element]) -> tuple[Element, .
 def _fixed(
     s: MultiSortedStructure, base: Iterable[Element], x: tuple[Element, ...]
 ) -> bool:
-    """x is fixed by Aut(s/base), componentwise: x in dcl(base).  The lead
-    search stops at the first image that moves x."""
-    return all(image == x for image, _ in _images(s, base, x))
+    """x is fixed by Aut(s/base), componentwise: x in dcl(base).
+
+    A point alone in its cell of the pinned set's stable partition is fixed;
+    x is moved if another of its points was moved by an automorphism found
+    over the pinned set; a complete lead search of x kept on the search
+    space moved none of them.  Otherwise one lead search of x runs until an
+    image moves x, and it is kept if it runs to the end."""
+    check_budget(s)
+    space = s.search_space
+    pinned = space.pinned(base)
+    color, cells = space.partition(pinned)
+    lead = space.lead_points(x)
+    open_points = [p for p in lead if len(cells[color[p]]) > 1]
+    if not open_points:
+        return True
+    moved = space.moved.get(pinned, ())
+    if any(p in moved for p in open_points):
+        return False
+    if (pinned, lead) in space.leads:
+        return True
+    arrays = []
+    search = _solutions(s, tuple(base), lead=x)
+    try:
+        for images in search:
+            arrays.append(images)
+            space.note_moved(pinned, (images,))
+            if any(images[p] != p for p in open_points):
+                return False
+    finally:
+        search.close()
+    space.leads[(pinned, lead)] = arrays
+    return True
 
 
 def interdefinable(
@@ -559,7 +627,7 @@ def _restricted(
     if lead is None:
         lead = tuple(e for t in carrier for e in t)
     found: dict[tuple[int, ...], Automorphism] = {}
-    for _, images in _images(s, base_t, lead):
+    for images in _images(s, base_t, lead):
         perm = _restriction(images, index)
         if -1 in perm:
             if invariant:

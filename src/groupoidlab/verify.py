@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Optional
 
 from .automorphisms import (
@@ -485,26 +486,31 @@ def verify_section3(s: MultiSortedStructure) -> Report:
             for c in objects_of(s) for a in objects_of(s) for b in objects_of(s)
             if len({c, a, b}) == 3
         ]
+        space = s.search_space
+        point, elements = space.point, space.elements
         for c, a, b in triples:
             ref = ys.y_set(a, b).reference
             base = pair_closure(s, c, a)
             group = automorphism_group(s, base)
-            cells: dict[YTuple, list[Automorphism]] = {}
+            # the members' image arrays by the image of the reference's points
+            ref_image = itemgetter(*map(point, ref))
+            cells: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
             for aut in group.members:
-                cells.setdefault(aut.apply_tuple(ref), []).append(aut)
+                cells.setdefault(ref_image(aut.images), []).append(aut.images)
             y_cb = set(ys.y_set(c, b).members)
             for g_raw in morphisms_between(s, c, a):
                 t0 = object_tuple(s, c) + object_tuple(s, b) + (
                     Element("M", gpd.compose(g_raw, raw_morphism(ref))),
                 )
+                t0_image = itemgetter(*map(point, t0))
                 for f in ys.y_set(a, b).members:
-                    movers = cells.get(f)
+                    movers = cells.get(tuple(map(point, f)))
                     if not movers:
                         return {"triple": (c, a, b), "f": f, "problem": "no mover"}
-                    images = {aut.apply_tuple(t0) for aut in movers}
+                    images = {t0_image(m) for m in movers}
                     if len(images) != 1:
                         return {"triple": (c, a, b), "f": f, "problem": "ambiguous composite"}
-                    h = images.pop()
+                    h = tuple(map(elements.__getitem__, images.pop()))
                     if h not in y_cb:
                         return {"triple": (c, a, b), "f": f, "problem": "composite leaves Y"}
         return None

@@ -1,3 +1,5 @@
+import functools
+
 import pytest
 
 from groupoidlab import (
@@ -404,15 +406,15 @@ def test_cached_partitions_match_fresh_refinement(case):
 
 
 def test_refinement_runs_once_per_pinned_set(monkeypatch):
-    # section3 runs many searches over few pinned sets: each set is refined
-    # once, so the refinement rounds are (distinct pinned sets) x (rounds
-    # per set), not (searches) x (rounds)
-    from groupoidlab import automorphisms, verify_section3
+    # section3 reads the partitions of few pinned sets many times: each set
+    # is refined once, so the refinement rounds are (distinct pinned sets) x
+    # (rounds per set), not (partition reads) x (rounds)
+    from groupoidlab import verify_section3
     from groupoidlab.automorphisms import _SearchSpace
 
-    refined, compressed, searches = [], [0], [0]
-    colors, compress, solutions = (
-        _SearchSpace.colors, _SearchSpace._compress, automorphisms._solutions
+    refined, compressed, reads = [], [0], [0]
+    colors, compress, partition = (
+        _SearchSpace.colors, _SearchSpace._compress, _SearchSpace.partition
     )
 
     def counted_colors(self, pinned):
@@ -423,19 +425,19 @@ def test_refinement_runs_once_per_pinned_set(monkeypatch):
         compressed[0] += 1
         return compress(keys)
 
-    def counted_solutions(*args, **kwargs):
-        searches[0] += 1
-        return solutions(*args, **kwargs)
+    def counted_partition(self, pinned):
+        reads[0] += 1
+        return partition(self, pinned)
 
     monkeypatch.setattr(_SearchSpace, "colors", counted_colors)
     monkeypatch.setattr(_SearchSpace, "_compress", staticmethod(counted_compress))
-    monkeypatch.setattr(automorphisms, "_solutions", counted_solutions)
+    monkeypatch.setattr(_SearchSpace, "partition", counted_partition)
     s = encode_double_cover(build_standard_groupoid(cyclic_group(2), 4))
     assert verify_section3(s).passed
     in_section3 = compressed[0]
 
     assert len(refined) == len(set(refined))
-    assert searches[0] > 4 * len(refined)
+    assert reads[0] > 4 * len(refined)
     compressed[0] = 0
     fresh = _SearchSpace(s)
     for pinned in set(refined):
@@ -467,3 +469,152 @@ def test_restriction_builders_search_with_a_lead(monkeypatch):
     s.y_system.g_subgroup(0, 1)
     raw_restriction_epimorphism(s, 0, 1)
     assert leadless == []
+
+
+DIFFERENTIAL_GROUPS = ["cyclic:2", "symmetric:3", "dihedral:4", "quaternion8"]
+
+
+def _standard(group, cover):
+    from groupoidlab import group_from_spec
+
+    gpd = build_standard_groupoid(group_from_spec(group), 3)
+    return encode_double_cover(gpd) if cover else encode_groupoid(gpd)
+
+
+@functools.cache
+def _warmed(group, cover):
+    # shared by the tests below, which only add to its kept searches
+    from groupoidlab import verify_section3
+
+    s = _standard(group, cover)
+    verify_section3(s)
+    return s
+
+
+@functools.cache
+def _oracle(group, cover):
+    # a structure on which only whole groups are enumerated
+    return _standard(group, cover)
+
+
+def _fixedness_bases(s):
+    # the object closures, the pair closures, and each source closure with
+    # the reference of a Y-set at it
+    from groupoidlab import pair_closure, x_tuples
+
+    pairs = [(a, b) for a in range(3) for b in range(3) if a != b]
+    bases = [object_closure(s, a) for a in range(3)]
+    bases += [pair_closure(s, a, b) for a, b in pairs if a < b]
+    bases += [object_closure(s, a) + x_tuples(s, a, b)[0] for a, b in pairs]
+    return bases
+
+
+@pytest.mark.parametrize("cover", [False, True], ids=["plain", "cover"])
+@pytest.mark.parametrize("group", DIFFERENTIAL_GROUPS)
+def test_fixed_matches_dcl(group, cover):
+    # _fixed, decided by singleton cells, by the moved points found so far,
+    # by kept lead searches or by an early-stopping one, against the fixed
+    # points of the enumerated group, for every standard morphism tuple and
+    # every single point, on a fresh structure and on a warmed one
+    from groupoidlab import x_tuples
+    from groupoidlab.automorphisms import _fixed
+
+    oracle = _oracle(group, cover)
+    queries = [t for a in range(3) for b in range(3) if a != b for t in x_tuples(oracle, a, b)]
+    queries += [(e,) for e in all_elements(oracle)]
+    bases = _fixedness_bases(oracle)
+    for s in (_standard(group, cover), _warmed(group, cover)):
+        answers = {(base, x): _fixed(s, base, x) for base in bases for x in queries}
+        for base in bases:
+            dcl = set(dcl_of(oracle, base))
+            for x in queries:
+                assert answers[(base, x)] == all(e in dcl for e in x), (base, x)
+
+
+@pytest.mark.parametrize("cover", [False, True], ids=["plain", "cover"])
+@pytest.mark.parametrize("group", DIFFERENTIAL_GROUPS)
+def test_singleton_cells_are_fixed_by_the_group(group, cover):
+    s = _oracle(group, cover)
+    space = s.search_space
+    for base in _fixedness_bases(s):
+        color, cells = space.partition(space.pinned(base))
+        singletons = [cell[0] for cell in cells if len(cell) == 1]
+        for aut in automorphism_group(s, base).members:
+            assert all(aut.images[p] == p for p in singletons), base
+
+
+def _lead_search_results(s):
+    # orbits, the F- and G-groups, restriction groups and a NotInvariant,
+    # each as image arrays
+    from groupoidlab import NotInvariant
+
+    def arrays(rg):
+        return rg.perms, tuple(rep.images for rep in rg.reps)
+
+    out, ys = [], s.y_system
+    for a, b in ((0, 1), (1, 2), (2, 0)):
+        y = ys.y_set(a, b)
+        source, pbase = object_closure(s, a), pair_base(s, a, b)
+        mor_ab = tuple((Element("M", m),) for m in morphisms_between(s, a, b))
+        out.append(orbit_of(s, source, y.reference))
+        out.append(orbit_of(s, pbase, y.reference))
+        out.append(arrays(ys.f_group(a, b)))
+        out.append(arrays(ys.g_subgroup(a, b)))
+        out.append(arrays(setwise_restricted_group(s, source, mor_ab)))
+        out.append(arrays(restricted_group(s, pbase, orbit_of(s, pbase, mor_ab[0]))))
+        with pytest.raises(NotInvariant) as raised:
+            restricted_group(s, source, mor_ab)
+        out.append((raised.value.automorphism.images, raised.value.element))
+    return out
+
+
+@pytest.mark.parametrize("cover", [False, True], ids=["plain", "cover"])
+@pytest.mark.parametrize("group", DIFFERENTIAL_GROUPS)
+def test_kept_lead_searches_match_fresh_searches(group, cover):
+    # the same orbits, groups and NotInvariant from a fresh structure and
+    # from one whose lead searches were kept by a section3 run; every kept
+    # search equals the same search run again on a new structure
+    from groupoidlab.automorphisms import _solutions
+
+    warm = _warmed(group, cover)
+    assert _lead_search_results(_standard(group, cover)) == _lead_search_results(warm)
+    space, again = warm.search_space, _standard(group, cover)
+    assert space.leads
+    for (pinned, lead), arrays in space.leads.items():
+        base = tuple(space.elements[p] for p in sorted(pinned))
+        lead_t = tuple(space.elements[p] for p in lead)
+        assert list(_solutions(again, base, lead=lead_t)) == arrays
+
+
+def test_no_lead_search_runs_to_the_end_twice(monkeypatch):
+    from groupoidlab import automorphisms, verify_section3
+
+    solutions = automorphisms._solutions
+    finished = []
+
+    def spy(structure, base, constraints=None, lead=()):
+        yield from solutions(structure, base, constraints, lead=lead)
+        if lead:
+            space = structure.search_space
+            finished.append((space.pinned(base), space.lead_points(lead)))
+
+    monkeypatch.setattr(automorphisms, "_solutions", spy)
+    s = encode_double_cover(build_standard_groupoid(cyclic_group(2), 4))
+    assert verify_section3(s).passed
+    assert finished
+    assert len(finished) == len(set(finished))
+
+
+def test_fixedness_keeps_the_budget():
+    # the budget is checked before the partition is read, even where a
+    # singleton cell would decide the answer
+    from groupoidlab.automorphisms import _fixed
+
+    s = encode_double_cover(build_standard_groupoid(cyclic_group(8), 6))
+    assert s.carrier_size > 300
+    base = object_closure(s, 0)
+    with pytest.raises(BudgetExceeded):
+        _fixed(s, base, base[:1])
+    with pytest.raises(BudgetExceeded):
+        interdefinable(s, base, base[:1], base[:1])
+    assert not s.search_space.partitions

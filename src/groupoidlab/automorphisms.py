@@ -35,9 +35,8 @@ every complete lead search (``_images``), per lead points, which
 automorphism found over the pinned set.  Fixedness (``_fixed``, dcl
 membership) is decided by individualise-refine: an automorphism fixing the
 pinned set preserves its stable colouring, so a point alone in its cell is
-fixed.  A point of the tuple in the moved store is not fixed; a kept
-complete lead search of the tuple moved none of its points; otherwise one
-lead search runs until an image moves the tuple.
+fixed.  A point of the tuple in the moved store is not fixed; otherwise
+the tuple's lead search, kept or run until an image moves the tuple, decides.
 
 Every restriction group comes from one such lead search (``_restricted``).
 The lead fixes the restriction: by default it is the carrier's points; the
@@ -145,12 +144,13 @@ class _SearchSpace:
     keyed by pinned set and lead points, the points moved by any
     automorphism found over each pinned set, and the groups enumerated,
     keyed by base.  One instance per structure, reached through
-    ``MultiSortedStructure.search_space``."""
+    ``MultiSortedStructure.search_space``; the stores grow with the number
+    of distinct questions asked and are freed with the structure."""
 
     def __init__(self, s: MultiSortedStructure):
         self.groups: dict[tuple[Element, ...], AutomorphismGroup] = {}
         self.partitions: dict[frozenset[int], _Partition] = {}
-        self.leads: dict[tuple[frozenset[int], tuple[int, ...]], list[tuple[int, ...]]] = {}
+        self.leads: dict[tuple[frozenset[int], tuple[int, ...]], tuple[tuple[int, ...], ...]] = {}
         self.moved: dict[frozenset[int], set[int]] = {}
         self.offsets: dict[str, int] = {}
         self.sort_of_point: list[int] = []
@@ -224,11 +224,11 @@ class _SearchSpace:
         """The lead's distinct points, in the order a lead search assigns them."""
         return tuple(dict.fromkeys(map(self.point, lead)))
 
-    def note_moved(self, pinned: frozenset[int], arrays: Iterable[tuple[int, ...]]) -> None:
-        """Add the points each image array moves to the pinned set's store."""
-        moved = self.moved.setdefault(pinned, set())
-        for images in arrays:
-            moved.update(compress(count(), map(ne, images, count())))
+    def note_moved(self, pinned: frozenset[int], images: tuple[int, ...]) -> None:
+        """Add the points an image array moves to the pinned set's store."""
+        self.moved.setdefault(pinned, set()).update(
+            compress(count(), map(ne, images, count()))
+        )
 
     def partition(self, pinned: frozenset[int]) -> _Partition:
         """The stable partition of the pinned set, refined on first use."""
@@ -471,20 +471,31 @@ def _images(
     s: MultiSortedStructure,
     base: Iterable[Element],
     x: tuple[Element, ...],
-) -> list[tuple[int, ...]]:
+) -> Iterator[tuple[int, ...]]:
     """One automorphism (a global image array) per image of x under
     Aut(s/base), the first the lead search finds sending x there, in search
-    order.  The search runs once per pinned set and lead points; its arrays
-    are kept on the search space and the points they move are noted."""
+    order.  The search runs once per pinned set and lead points: each array
+    it yields has its moved points noted, and the arrays are kept on the
+    search space once the search runs to the end.  A caller may stop early;
+    the search then stops with it and is not kept."""
     check_budget(s)
     space = s.search_space
     pinned = space.pinned(base)
     key = (pinned, space.lead_points(x))
-    arrays = space.leads.get(key)
-    if arrays is None:
-        arrays = space.leads[key] = list(_solutions(s, tuple(base), lead=x))
-        space.note_moved(pinned, arrays)
-    return arrays
+    kept = space.leads.get(key)
+    if kept is not None:
+        yield from kept
+        return
+    arrays = []
+    search = _solutions(s, tuple(base), lead=x)
+    try:
+        for images in search:
+            space.note_moved(pinned, images)
+            arrays.append(images)
+            yield images
+    finally:
+        search.close()
+    space.leads[key] = tuple(arrays)
 
 
 def orbit_of(
@@ -519,9 +530,8 @@ def _fixed(
 
     A point alone in its cell of the pinned set's stable partition is fixed;
     x is moved if another of its points was moved by an automorphism found
-    over the pinned set; a complete lead search of x kept on the search
-    space moved none of them.  Otherwise one lead search of x runs until an
-    image moves x, and it is kept if it runs to the end."""
+    over the pinned set.  Otherwise x is fixed when no image of the lead
+    search of x (``_images``, kept or run until an image moves x) moves it."""
     check_budget(s)
     space = s.search_space
     pinned = space.pinned(base)
@@ -533,20 +543,9 @@ def _fixed(
     moved = space.moved.get(pinned, ())
     if any(p in moved for p in open_points):
         return False
-    if (pinned, lead) in space.leads:
-        return True
-    arrays = []
-    search = _solutions(s, tuple(base), lead=x)
-    try:
-        for images in search:
-            arrays.append(images)
-            space.note_moved(pinned, (images,))
-            if any(images[p] != p for p in open_points):
-                return False
-    finally:
-        search.close()
-    space.leads[(pinned, lead)] = arrays
-    return True
+    return not any(
+        images[p] != p for images in _images(s, base, x) for p in open_points
+    )
 
 
 def interdefinable(

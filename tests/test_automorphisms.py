@@ -583,7 +583,24 @@ def test_kept_lead_searches_match_fresh_searches(group, cover):
     for (pinned, lead), arrays in space.leads.items():
         base = tuple(space.elements[p] for p in sorted(pinned))
         lead_t = tuple(space.elements[p] for p in lead)
-        assert list(_solutions(again, base, lead=lead_t)) == arrays
+        assert tuple(_solutions(again, base, lead=lead_t)) == arrays
+
+
+def test_not_invariant_stops_the_lead_search():
+    # restricted_group raises at the first image leaving the carrier, so the
+    # lead search stops there and is not kept; the setwise group over the
+    # same carrier then runs it to the end and keeps it
+    from groupoidlab import NotInvariant
+
+    s = _standard("cyclic:2", False)
+    space, source = s.search_space, object_closure(s, 0)
+    mor = tuple((Element("M", m),) for m in morphisms_between(s, 0, 1))
+    key = (space.pinned(source), space.lead_points(tuple(e for t in mor for e in t)))
+    with pytest.raises(NotInvariant):
+        restricted_group(s, source, mor)
+    assert key not in space.leads
+    setwise_restricted_group(s, source, mor)
+    assert len(space.leads[key]) > 1
 
 
 def test_no_lead_search_runs_to_the_end_twice(monkeypatch):

@@ -40,6 +40,12 @@ GOLDEN = [
         "fc53d88471e59e388cd9ea778d4a4b155dc950dfd5886982f6882aac7da580b9",
     ),
     (
+        # the fgroupoid configuration of the benchmark's targeted-cover workload
+        "verify --suite fgroupoid --group cyclic:2 --objects 5 --cover",
+        0,
+        "22488eafc7574d98b30591d63e889cb67c6b8c1e353b9a19fccfec5564243ecd",
+    ),
+    (
         "verify --suite section2 --group symmetric:3 --objects 3",
         0,
         "436d91112bb6c63eeebf38c54e3f15ab8b99cb01eef9e5629f7642e16279ab6d",

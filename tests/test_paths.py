@@ -1,3 +1,6 @@
+import hashlib
+import itertools
+
 import pytest
 
 from groupoidlab import (
@@ -229,3 +232,75 @@ def test_four_step_reduction_with_all_probes_at_six_objects():
     r = reduce_path(ys, q)
     assert r.n_steps == 2 and (r.start, r.end) == (0, 1)
     assert path_equivalent(ys, q, r)
+
+
+def _member(ys, a, b, step):
+    # a step is decoded to its member tuple, so the digest does not depend
+    # on how a path holds its steps
+    return step if isinstance(step, tuple) else ys.y_set(a, b).members[step]
+
+
+def _decoded_path(ys, q):
+    objs = q.objects
+    return objs, tuple(_member(ys, objs[i], objs[i + 1], g) for i, g in enumerate(q.steps))
+
+
+def _decoded_key(ys, key):
+    kind, c, d, idx = key
+    a = c if kind == "edge" else min(o for o in range(ys.structure.sort_size("O")) if o != c)
+    return kind, c, d, ys.y_set(a, d).members[idx]
+
+
+def _composition_digest(ys):
+    """sha256 over the composition tables, class keys, reductions, quotient
+    groupoid and standard injection of one instance, every member decoded."""
+    n = ys.structure.sort_size("O")
+    out = []
+    for a in range(n):
+        for c in range(n):
+            if a == c:
+                continue
+            paths = iter(all_paths(ys, a, c, 2))
+            for b in range(n):
+                if b in (a, c):
+                    continue
+                for g, h in itertools.product(ys.y_set(a, b).members, ys.y_set(b, c).members):
+                    q = next(paths)
+                    assert q.objects == (a, b, c)
+                    out.append((a, b, c, g, h, _decoded_key(ys, class_key(ys, q))))
+            assert next(paths, None) is None
+    for n_steps in (2, 3):
+        for q in all_paths(ys, 0, 1, n_steps):
+            key = class_key(ys, q)
+            out.append(
+                (
+                    _decoded_path(ys, q),
+                    _decoded_key(ys, key),
+                    _decoded_path(ys, reduce_path(ys, q)),
+                )
+            )
+    ext = build_extended_groupoid(ys)
+    gpd = ext.groupoid
+    out.append(tuple(_decoded_key(ys, k) for k in ext.keys))
+    out.append((gpd.init, gpd.ter, gpd.inverse, gpd.identities, gpd.composition))
+    out.append(tuple(ext.inject_standard(m) for m in range(ys.gpd.n_morphisms)))
+    return hashlib.sha256(repr(out).encode()).hexdigest()
+
+
+COMPOSITION_GOLDEN = [
+    (2, 4, True, "62b8024f68b22ce54077a333ffc37696c79504dd254ee4f346d299b8890f14b4"),
+    (3, 4, True, "7beffa36c06487785aee67d5984693b0a183767695f9924b6381d60bc8716b9e"),
+    (2, 5, False, "d64b00071ff03fae2ae3643376e163fd01511dab2bfe97368d91e85880abde6d"),
+    (4, 4, False, "5a96665dd9a62bd49700e9755d51699de83434691063b8f9221cd84318f94508"),
+]
+
+
+@pytest.mark.parametrize(
+    "order,n,cover,digest",
+    COMPOSITION_GOLDEN,
+    ids=[f"cyclic:{o}-n{n}-{'cover' if c else 'plain'}" for o, n, c, _ in COMPOSITION_GOLDEN],
+)
+def test_composition_and_path_classes_golden(order, n, cover, digest):
+    encode = encode_double_cover if cover else encode_groupoid
+    ys = YSystem(encode(build_standard_groupoid(cyclic_group(order), n)))
+    assert _composition_digest(ys) == digest

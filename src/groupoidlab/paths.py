@@ -6,6 +6,10 @@ object with a Y-element into the start) yields the same terminal; the
 relation does not depend on the probe, which the suites verify by iterating
 every valid probe.  Two-step classes form the morphisms of the extended
 groupoid; composition is concatenation followed by reduction.
+
+Every Y-element here, in path steps, probes, fold terminals and class keys,
+is its member index in the Y-set of its endpoints; only reports decode
+members back to tuples.
 """
 
 from __future__ import annotations
@@ -16,16 +20,16 @@ from typing import Iterator, Optional
 
 from .errors import AxiomViolation, ClaimFailure, InvalidInput, NoProbeAvailable
 from .groupoids import FiniteGroupoid, validate_groupoid
-from .structures import MultiSortedStructure, morphisms_between, objects_of
-from .witness import YSystem, YTuple, raw_morphism, tuple_endpoints, x_tuples
+from .structures import MultiSortedStructure, morphism_tuple, morphisms_between, objects_of
+from .witness import YSystem
 
-Probe = tuple[int, YTuple]
+Probe = tuple[int, int]  # (object c*, member index in Y(c*, path start))
 
 
 @dataclass(frozen=True)
 class DirectedPath:
     objects: tuple[int, ...]
-    steps: tuple[YTuple, ...]
+    steps: tuple[int, ...]  # step i is a member index in Y(objects[i], objects[i+1])
 
     @property
     def start(self) -> int:
@@ -40,17 +44,15 @@ class DirectedPath:
         return len(self.steps)
 
 
-def make_path(ys: YSystem, objects: tuple[int, ...], steps: tuple[YTuple, ...]) -> DirectedPath:
+def make_path(ys: YSystem, objects: tuple[int, ...], steps: tuple[int, ...]) -> DirectedPath:
     if len(objects) != len(steps) + 1 or not steps:
         raise InvalidInput("path needs k+1 objects for k >= 1 steps")
-    s = ys.structure
     for i, g in enumerate(steps):
         a, b = objects[i], objects[i + 1]
         if a == b:
             raise InvalidInput(f"consecutive path objects coincide at {i}")
-        if tuple_endpoints(s, g) != (a, b):
-            raise InvalidInput(f"step {i} does not go {a} -> {b}")
-        ys.y_set(a, b).index_of(g)
+        if not 0 <= g < ys.y_set(a, b).size:
+            raise InvalidInput(f"step {i} is not a member of Y({a}, {b})")
     return DirectedPath(objects=tuple(objects), steps=tuple(steps))
 
 
@@ -60,20 +62,22 @@ def probe_candidates(ys: YSystem, *paths: DirectedPath) -> Iterator[Probe]:
     for c_star in objects_of(ys.structure):
         if c_star in used:
             continue
-        for g_star in ys.y_set(c_star, start).members:
+        for g_star in range(ys.y_set(c_star, start).size):
             yield (c_star, g_star)
 
 
-def fold(ys: YSystem, path: DirectedPath, probe: Probe) -> YTuple:
-    """Push the probe element along the path; the terminal names the class."""
+def fold(ys: YSystem, path: DirectedPath, probe: Probe) -> int:
+    """Push the probe element along the path; the terminal, a member of
+    Y(c*, path end), names the class."""
     c_star, g_star = probe
     if c_star in path.objects:
         raise InvalidInput("probe object meets the path")
-    if tuple_endpoints(ys.structure, g_star) != (c_star, path.start):
-        raise InvalidInput("probe element does not reach the path start")
+    if not 0 <= g_star < ys.y_set(c_star, path.start).size:
+        raise InvalidInput("probe element is not a member of Y(c*, path start)")
     acc = g_star
-    for g in path.steps:
-        acc = ys.compose(g, acc)
+    objs = path.objects
+    for b, c, g in zip(objs, objs[1:], path.steps):
+        acc = ys.compose(c_star, b, c, acc, g)
     return acc
 
 
@@ -104,9 +108,10 @@ def path_equivalent(
 
 def contract_path(ys: YSystem, path: DirectedPath, i: int) -> DirectedPath:
     """Replace steps i, i+1 by their composite (the three objects are distinct)."""
-    if len({path.objects[i], path.objects[i + 1], path.objects[i + 2]}) != 3:
+    a, b, c = path.objects[i: i + 3]
+    if len({a, b, c}) != 3:
         raise InvalidInput(f"objects around step {i} are not pairwise distinct")
-    composite = ys.compose(path.steps[i + 1], path.steps[i])
+    composite = ys.compose(a, b, c, path.steps[i], path.steps[i + 1])
     return DirectedPath(
         objects=path.objects[: i + 1] + path.objects[i + 2:],
         steps=path.steps[:i] + (composite,) + path.steps[i + 2:],
@@ -132,13 +137,11 @@ def contract_to_two_steps(ys: YSystem, path: DirectedPath) -> DirectedPath:
             continue
         c, d = q.start, q.end
         c1 = _fresh(ys, set(q.objects))
-        g1 = ys.y_set(c1, c).members[0]
-        t1 = fold(ys, q, (c1, g1))
+        t1 = fold(ys, q, (c1, 0))
         e = _fresh(ys, {c, d, c1})
-        h1 = ys.y_set(c, e).members[0]
-        u = ys.compose(h1, g1)
-        h2 = ys.divisor(t1, u)
-        q = DirectedPath(objects=(c, e, d), steps=(h1, h2))
+        u = ys.compose(c1, c, e, 0, 0)
+        h2 = ys.divisor(c1, e, d, t1, u)
+        q = DirectedPath(objects=(c, e, d), steps=(0, h2))
     return q
 
 
@@ -149,69 +152,60 @@ def _fresh(ys: YSystem, banned: set[int]) -> int:
     raise NoProbeAvailable(f"all objects meet {sorted(banned)}")
 
 
-def _expand_edge(ys: YSystem, c: int, d: int, y: YTuple) -> DirectedPath:
+def _expand_edge(ys: YSystem, c: int, d: int, y: int) -> DirectedPath:
     """Canonical 2-step representative of the class of the 1-step (c, y, d)."""
     c_star = _fresh(ys, {c, d})
     e = _fresh(ys, {c, d, c_star})
-    g_star = ys.y_set(c_star, c).members[0]
-    h1 = ys.y_set(c, e).members[0]
-    u = ys.compose(h1, g_star)
-    t = ys.compose(y, g_star)
-    h2 = ys.divisor(t, u)
-    return DirectedPath(objects=(c, e, d), steps=(h1, h2))
+    u = ys.compose(c_star, c, e, 0, 0)
+    t = ys.compose(c_star, c, d, 0, y)
+    h2 = ys.divisor(c_star, e, d, t, u)
+    return DirectedPath(objects=(c, e, d), steps=(0, h2))
 
 
-def _vertex_terminal(ys: YSystem, path: DirectedPath) -> YTuple:
+def _vertex_terminal(ys: YSystem, path: DirectedPath) -> int:
     """Fold a vertex path against the canonical probe, translating first when
     the path runs through the canonical probe object."""
     c = path.start
     c0v = _fresh(ys, {c})
-    gv = ys.y_set(c0v, c).members[0]
     if c0v not in path.objects:
-        return fold(ys, path, (c0v, gv))
+        return fold(ys, path, (c0v, 0))
     e_can = _fresh(ys, {c, c0v})
     p = _fresh(ys, set(path.objects) | {e_can})
-    gp = ys.y_set(p, c).members[0]
-    t_p = fold(ys, path, (p, gp))
-    h1 = ys.y_set(c, e_can).members[0]
-    u = ys.compose(h1, gp)
-    h2 = ys.divisor(t_p, u)
-    detour = DirectedPath(objects=(c, e_can, c), steps=(h1, h2))
-    return fold(ys, detour, (c0v, gv))
+    t_p = fold(ys, path, (p, 0))
+    u = ys.compose(p, c, e_can, 0, 0)
+    h2 = ys.divisor(p, e_can, c, t_p, u)
+    detour = DirectedPath(objects=(c, e_can, c), steps=(0, h2))
+    return fold(ys, detour, (c0v, 0))
 
 
-def _vertex_rep(ys: YSystem, c: int, terminal: YTuple) -> DirectedPath:
+def _vertex_rep(ys: YSystem, c: int, terminal: int) -> DirectedPath:
     c0v = _fresh(ys, {c})
-    gv = ys.y_set(c0v, c).members[0]
     e_can = _fresh(ys, {c, c0v})
-    h1 = ys.y_set(c, e_can).members[0]
-    u = ys.compose(h1, gv)
-    h2 = ys.divisor(terminal, u)
-    return DirectedPath(objects=(c, e_can, c), steps=(h1, h2))
+    u = ys.compose(c0v, c, e_can, 0, 0)
+    h2 = ys.divisor(c0v, e_can, c, terminal, u)
+    return DirectedPath(objects=(c, e_can, c), steps=(0, h2))
 
 
 def class_key(ys: YSystem, path: DirectedPath) -> tuple:
     """Canonical identifier of the equivalence class of a path.
 
-    Edge classes (distinct endpoints) are named by their composite Y-element;
-    vertex classes by the fold terminal at the canonical probe.
+    Edge classes (distinct endpoints) are named by their composite Y-element
+    in Y(c, d); vertex classes by the fold terminal at the canonical probe,
+    in Y(c0v, c).
     """
     q = contract_to_two_steps(ys, path) if path.n_steps > 2 else path
     c, d = q.start, q.end
     if c != d:
-        y = q.steps[0] if q.n_steps == 1 else ys.compose(q.steps[1], q.steps[0])
-        return ("edge", c, d, ys.y_set(c, d).index_of(y))
-    terminal = _vertex_terminal(ys, q)
-    c0v = _fresh(ys, {c})
-    return ("vertex", c, d, ys.y_set(c0v, c).index_of(terminal))
+        y = q.steps[0] if q.n_steps == 1 else ys.compose(c, q.objects[1], d, *q.steps)
+        return ("edge", c, d, y)
+    return ("vertex", c, d, _vertex_terminal(ys, q))
 
 
 def canonical_rep(ys: YSystem, key: tuple) -> DirectedPath:
     kind, c, d, idx = key
     if kind == "edge":
-        return _expand_edge(ys, c, d, ys.y_set(c, d).members[idx])
-    c0v = _fresh(ys, {c})
-    return _vertex_rep(ys, c, ys.y_set(c0v, c).members[idx])
+        return _expand_edge(ys, c, d, idx)
+    return _vertex_rep(ys, c, idx)
 
 
 def reduce_path(ys: YSystem, q: DirectedPath) -> DirectedPath:
@@ -267,6 +261,8 @@ def verify_reduction(ys: YSystem, q: DirectedPath, r: DirectedPath) -> bool:
 
 def all_paths(ys: YSystem, c: int, d: int, n_steps: int) -> Iterator[DirectedPath]:
     """Every n-step directed path from c to d (consecutive objects distinct)."""
+    if n_steps < 1:
+        raise InvalidInput("paths have at least one step")
     objs = list(objects_of(ys.structure))
 
     def chains(prefix: list[int]) -> Iterator[list[int]]:
@@ -280,7 +276,7 @@ def all_paths(ys: YSystem, c: int, d: int, n_steps: int) -> Iterator[DirectedPat
 
     for chain in chains([c]):
         member_lists = [
-            ys.y_set(chain[i], chain[i + 1]).members for i in range(n_steps)
+            range(ys.y_set(chain[i], chain[i + 1]).size) for i in range(n_steps)
         ]
         for steps in itertools.product(*member_lists):
             yield DirectedPath(objects=tuple(chain), steps=steps)
@@ -301,27 +297,23 @@ class ExtendedGroupoid:
     def class_of_path(self, path: DirectedPath) -> int:
         return self.morphism_of_key(class_key(self.ys, path))
 
-    def y_to_morphism(self, a: int, b: int, y: YTuple) -> int:
+    def y_to_morphism(self, a: int, b: int, y: int) -> int:
         """The canonical correspondence Y(a,b) -> Mor(a,b) for distinct a, b."""
-        return self.morphism_of_key(("edge", a, b, self.ys.y_set(a, b).index_of(y)))
+        return self.morphism_of_key(("edge", a, b, y))
 
     def inject_standard(self, m: int) -> int:
         """The canonical injection of a standard morphism into the quotient."""
-        s = self.ys.structure
-        gpd = self.ys.gpd
+        ys = self.ys
+        s, gpd = ys.structure, ys.gpd
         c, d = gpd.init[m], gpd.ter[m]
         if c != d:
-            head = x_tuples(s, c, d)
-            t = next(t for t in head if raw_morphism(t) == m)
-            return self.y_to_morphism(c, d, t)
-        e = _fresh(self.ys, {c})
+            return self.y_to_morphism(c, d, ys.y_set(c, d).index_of(morphism_tuple(s, m)))
+        e = _fresh(ys, {c})
         k = min(morphisms_between(s, c, e))
         k2 = gpd.compose(gpd.inverse[k], m)
-        t1 = next(t for t in x_tuples(s, c, e) if raw_morphism(t) == k)
-        t2 = next(t for t in x_tuples(s, e, c) if raw_morphism(t) == k2)
-        return self.class_of_path(
-            DirectedPath(objects=(c, e, c), steps=(t1, t2))
-        )
+        t1 = ys.y_set(c, e).index_of(morphism_tuple(s, k))
+        t2 = ys.y_set(e, c).index_of(morphism_tuple(s, k2))
+        return self.class_of_path(DirectedPath(objects=(c, e, c), steps=(t1, t2)))
 
 
 def build_extended_groupoid(

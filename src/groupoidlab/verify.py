@@ -584,15 +584,17 @@ def verify_fgroupoid(s: MultiSortedStructure) -> Report:
 
     def wdef() -> Optional[object]:
         a, b, c = 0, 1, 2
-        for g in ys.y_set(a, b).members:
-            for h in ys.y_set(b, c).members:
-                outs = {
-                    ys.compose(h, g, decomposition=(g0, h0))
-                    for g0 in x_tuples(s, a, b)
-                    for h0 in x_tuples(s, b, c)
-                }
+        y_ab, y_bc = ys.y_set(a, b), ys.y_set(b, c)
+        decompositions = list(itertools.product(ys.standard(a, b), ys.standard(b, c)))
+        for g in range(y_ab.size):
+            for h in range(y_bc.size):
+                outs = {ys.compose(a, b, c, g, h, decomposition=d) for d in decompositions}
                 if len(outs) != 1:
-                    return {"g": g, "h": h, "distinct_results": len(outs)}
+                    return {
+                        "g": y_ab.members[g],
+                        "h": y_bc.members[h],
+                        "distinct_results": len(outs),
+                    }
         return None
 
     report.add(
@@ -603,13 +605,12 @@ def verify_fgroupoid(s: MultiSortedStructure) -> Report:
 
     def divisors() -> Optional[object]:
         a, b, c = 0, 1, 2
-        for f in ys.y_set(a, c).members:
-            for g in ys.y_set(a, b).members:
-                hits = [
-                    h for h in ys.y_set(b, c).members if ys.compose(h, g) == f
-                ]
+        y_ac, y_ab, y_bc = ys.y_set(a, c), ys.y_set(a, b), ys.y_set(b, c)
+        for f in range(y_ac.size):
+            for g in range(y_ab.size):
+                hits = [h for h in range(y_bc.size) if ys.compose(a, b, c, g, h) == f]
                 if len(hits) != 1:
-                    return {"f": f, "g": g, "divisors": len(hits)}
+                    return {"f": y_ac.members[f], "g": y_ab.members[g], "divisors": len(hits)}
         return None
 
     report.add("unique-divisor", "each composite has a unique divisor", divisors)
@@ -694,7 +695,9 @@ def verify_fgroupoid(s: MultiSortedStructure) -> Report:
         for q in all_paths(ys, 0, 1, 3):
             r = reduce_path(ys, q)
             if r.n_steps != 2 or not verify_reduction(ys, q, r):
-                return {"path": q}
+                objs = q.objects
+                steps = [ys.y_set(*objs[i: i + 2]).members[g] for i, g in enumerate(q.steps)]
+                return {"objects": objs, "steps": steps}
         return None
 
     report.add(

@@ -5,6 +5,10 @@ morphism tuples equivalent to and interdefinable with a reference over the
 source closure; their restriction groups act regularly; composition of
 Y-elements is defined through decompositions into translated standard
 morphisms, transported along a shared abstract group.
+
+A Y-element is its member index in its Y-set: ``YSystem.compose`` and
+``YSystem.divisor`` take and return member indices and read one composition
+table per object triple.  Member tuples are decoded only for reports.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from .structures import (
     Element,
     MultiSortedStructure,
     decode_groupoid,
+    morphism_tuple,
     morphisms_between,
     object_closure,
     object_tuple,
@@ -146,16 +151,17 @@ class YSystem:
         self._fgroups: dict[tuple[int, int], RestrictedAutGroup] = {}
         self._ggroups: dict[tuple[int, int], RestrictedAutGroup] = {}
         self._transports: dict[tuple[int, int], tuple[int, ...]] = {}
-        self._tables: dict[tuple[int, int, int], dict[tuple[int, int], int]] = {}
-        self._compose_cache: dict[tuple[YTuple, YTuple], YTuple] = {}
+        self._tables: dict[tuple[int, int, int], tuple[tuple[int, ...], ...]] = {}
+        self._mover_cache: dict[tuple[int, int, int], tuple[int, ...]] = {}
         self._binding: Optional[BindingGroup] = None
 
     # -- cached building blocks ------------------------------------------
 
     def y_set(self, a: int, b: int) -> YSet:
-        if (a, b) not in self._ysets:
-            self._ysets[(a, b)] = compute_Y(self.structure, a, b)
-        return self._ysets[(a, b)]
+        y = self._ysets.get((a, b))
+        if y is None:
+            y = self._ysets[(a, b)] = compute_Y(self.structure, a, b)
+        return y
 
     def raw_y_set(self, a: int, b: int) -> YSet:
         """The Y-set over the source closure whose reference is the raw
@@ -264,108 +270,77 @@ class YSystem:
 
     # -- composition ------------------------------------------------------
 
-    def x_composite(self, g0: YTuple, h0: YTuple) -> YTuple:
-        """Raw standard composition of two standard tuples, as a tuple."""
-        s = self.structure
-        a, b = tuple_endpoints(s, g0)
-        b2, c = tuple_endpoints(s, h0)
-        if b != b2:
-            raise DecompositionFailure("endpoints do not chain", (g0, h0))
-        m = self.gpd.compose(raw_morphism(g0), raw_morphism(h0))
-        return object_tuple(s, a) + object_tuple(s, c) + (Element("M", m),)
-
-    def decompose(self, t: YTuple) -> list[tuple[YTuple, int]]:
-        """All (standard tuple, F-element) pairs whose action yields t."""
-        s = self.structure
-        a, b = tuple_endpoints(s, t)
-        fg = self.f_group(a, b)
+    def standard(self, a: int, b: int) -> tuple[int, ...]:
+        """Member indices of the standard morphisms a -> b in Y(a, b)."""
         y = self.y_set(a, b)
-        ti = y.index_of(t)
-        out = []
-        for x in x_tuples(s, a, b):
-            xi = y.index_of(x)
-            hits = [k for k in range(fg.order) if fg.perms[k][xi] == ti]
-            if len(hits) != 1:
-                raise RegularityFailure((a, b, x, t))
-            out.append((x, hits[0]))
-        return out
+        return tuple(y.index_of(t) for t in x_tuples(self.structure, a, b))
+
+    def _movers(self, a: int, b: int, x: int) -> tuple[int, ...]:
+        """Per member t of Y(a, b), the F(a, b) element moving member x to t."""
+        key = (a, b, x)
+        if key not in self._mover_cache:
+            movers = [0] * self.y_set(a, b).size
+            for k, perm in enumerate(self.f_group(a, b).perms):
+                movers[perm[x]] = k
+            self._mover_cache[key] = tuple(movers)
+        return self._mover_cache[key]
+
+    def _table(self, a: int, b: int, c: int) -> tuple[tuple[int, ...], ...]:
+        """Composition on Y(a,b) x Y(b,c), built once through the first
+        standard members."""
+        key = (a, b, c)
+        if key not in self._tables:
+            g0, h0 = self.standard(a, b)[0], self.standard(b, c)[0]
+            self._tables[key] = tuple(
+                tuple(
+                    self._composite(a, b, c, g, h, g0, h0)
+                    for h in range(self.y_set(b, c).size)
+                )
+                for g in range(self.y_set(a, b).size)
+            )
+        return self._tables[key]
+
+    def _composite(self, a: int, b: int, c: int, g: int, h: int, g0: int, h0: int) -> int:
+        """h.g through the standard members g0 of Y(a,b) and h0 of Y(b,c)."""
+        tau = self._movers(a, b, g0)[g]
+        sigma = self._movers(b, c, h0)[h]
+        f_ref = self.f_group(*self.ref_pair)
+        tau_ref = self.transport(a, b).index(tau)
+        sigma_ref = self.transport(b, c).index(sigma)
+        z_ref = f_ref.group.mul(sigma_ref, tau_ref)  # sigma after tau
+        z_ac = self.transport(a, c)[z_ref]
+        y_ac = self.y_set(a, c)
+        m = self.gpd.compose(
+            raw_morphism(self.y_set(a, b).members[g0]), raw_morphism(self.y_set(b, c).members[h0])
+        )
+        t0 = y_ac.index_of(morphism_tuple(self.structure, m))
+        return self.f_group(a, c).perms[z_ac][t0]
 
     def compose(
         self,
-        h: YTuple,
-        g: YTuple,
-        decomposition: Optional[tuple[YTuple, YTuple]] = None,
-    ) -> YTuple:
-        """The composite h.g for g in Y(a,b), h in Y(b,c), an element of Y(a,c).
+        a: int,
+        b: int,
+        c: int,
+        g: int,
+        h: int,
+        decomposition: Optional[tuple[int, int]] = None,
+    ) -> int:
+        """The composite h.g in Y(a,c) of members g of Y(a,b) and h of Y(b,c),
+        all given by their member indices.
 
-        A decomposition picks standard tuples g0, h0 with g, h in their
+        A decomposition picks standard members g0, h0 with g, h in their
         F-orbits; the result is independent of the choice, which the
-        verification suites check exhaustively.
+        verification suites check exhaustively.  Without one, the triple's
+        table answers.
         """
         if decomposition is None:
-            hit = self._compose_cache.get((h, g))
-            if hit is not None:
-                return hit
-        s = self.structure
-        a, b = tuple_endpoints(s, g)
-        b2, c = tuple_endpoints(s, h)
-        if b != b2:
-            raise DecompositionFailure("endpoints do not chain", (g, h))
-        if a == c:
-            raise DecompositionFailure("composite endpoints coincide", (g, h))
-        if decomposition is None:
-            g0, tau = self.decompose(g)[0]
-            h0, sigma = self.decompose(h)[0]
-        else:
-            g0, h0 = decomposition
-            tau = self._element_moving(a, b, g0, g)
-            sigma = self._element_moving(b, c, h0, h)
-        rho_ab = self.transport(a, b)
-        rho_bc = self.transport(b, c)
-        rho_ac = self.transport(a, c)
-        f_ref = self.f_group(*self.ref_pair)
-        tau_ref = rho_ab.index(tau)
-        sigma_ref = rho_bc.index(sigma)
-        z_ref = f_ref.group.mul(sigma_ref, tau_ref)  # sigma after tau
-        z_ac = rho_ac[z_ref]
-        f_ac = self.f_group(a, c)
-        y_ac = self.y_set(a, c)
-        t0 = self.x_composite(g0, h0)
-        out = y_ac.members[f_ac.perms[z_ac][y_ac.index_of(t0)]]
-        if decomposition is None:
-            self._compose_cache[(h, g)] = out
-        return out
+            table = self._tables.get((a, b, c)) or self._table(a, b, c)
+            return table[g][h]
+        return self._composite(a, b, c, g, h, *decomposition)
 
-    def _element_moving(self, a: int, b: int, src: YTuple, dst: YTuple) -> int:
-        fg = self.f_group(a, b)
-        y = self.y_set(a, b)
-        si, di = y.index_of(src), y.index_of(dst)
-        hits = [k for k in range(fg.order) if fg.perms[k][si] == di]
+    def divisor(self, a: int, b: int, c: int, f: int, g: int) -> int:
+        """The unique h in Y(b,c) with f = h.g (f in Y(a,c), g in Y(a,b))."""
+        hits = [h for h, out in enumerate(self._table(a, b, c)[g]) if out == f]
         if len(hits) != 1:
-            raise DecompositionFailure("no unique group element for decomposition", (src, dst))
-        return hits[0]
-
-    def compose_index(self, a: int, b: int, c: int, gi: int, hi: int) -> int:
-        """Composition on Y-set member indices, with a cached table per triple."""
-        key = (a, b, c)
-        table = self._tables.get(key)
-        if table is None:
-            table = {}
-            ya, yb, yc = self.y_set(a, b), self.y_set(b, c), self.y_set(a, c)
-            for i, g in enumerate(ya.members):
-                for j, h in enumerate(yb.members):
-                    table[(i, j)] = yc.index_of(self.compose(h, g))
-            self._tables[key] = table
-        return table[(gi, hi)]
-
-    def divisor(self, f: YTuple, g: YTuple) -> YTuple:
-        """The unique h with f = h.g (f in Y(a,c), g in Y(a,b))."""
-        s = self.structure
-        a, b = tuple_endpoints(s, g)
-        a2, c = tuple_endpoints(s, f)
-        if a != a2:
-            raise DecompositionFailure("divisor endpoints mismatch", (f, g))
-        hits = [h for h in self.y_set(b, c).members if self.compose(h, g) == f]
-        if len(hits) != 1:
-            raise DecompositionFailure("unique divisor failed", (f, g, len(hits)))
+            raise DecompositionFailure("unique divisor failed", (a, b, c, f, g, len(hits)))
         return hits[0]

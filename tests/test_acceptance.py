@@ -41,7 +41,6 @@ from groupoidlab import (
     verify_section2,
     verify_section3,
     vertex_group,
-    x_tuples,
 )
 from groupoidlab.paths import all_paths
 from groupoidlab.report import dumps_canonical
@@ -158,22 +157,20 @@ def test_criterion_06_composition_well_defined():
             for c in range(4):
                 if len({a, b, c}) != 3:
                     continue
-                for g in ys.y_set(a, b).members:
-                    for h in ys.y_set(b, c).members:
+                members_ab = range(ys.y_set(a, b).size)
+                members_bc = range(ys.y_set(b, c).size)
+                for g in members_ab:
+                    for h in members_bc:
                         outs = {
-                            ys.compose(h, g, decomposition=(g0, h0))
-                            for g0 in x_tuples(s, a, b)
-                            for h0 in x_tuples(s, b, c)
+                            ys.compose(a, b, c, g, h, decomposition=(g0, h0))
+                            for g0 in ys.standard(a, b)
+                            for h0 in ys.standard(b, c)
                         }
-                        if len(outs) != 1 or outs.pop() != ys.compose(h, g):
+                        if len(outs) != 1 or outs.pop() != ys.compose(a, b, c, g, h):
                             bad.append((a, b, c, g, h))
-                for f in ys.y_set(a, c).members:
-                    for g in ys.y_set(a, b).members:
-                        hits = [
-                            h
-                            for h in ys.y_set(b, c).members
-                            if ys.compose(h, g) == f
-                        ]
+                for f in range(ys.y_set(a, c).size):
+                    for g in members_ab:
+                        hits = [h for h in members_bc if ys.compose(a, b, c, g, h) == f]
                         if len(hits) != 1:
                             bad.append((a, b, c, f, "divisors", len(hits)))
     conclude(6, not bad, f"24 triples exhaustively, {time.perf_counter()-t0:.1f}s; bad={bad[:3]}")

@@ -41,25 +41,21 @@ def ys_plain4():
 
 
 def two_step(ys, a, e, b, i=0, j=0):
-    return make_path(
-        ys, (a, e, b), (ys.y_set(a, e).members[i], ys.y_set(e, b).members[j])
-    )
+    return make_path(ys, (a, e, b), (i, j))
 
 
 def test_make_path_validation(ys_cover4):
-    g = ys_cover4.y_set(0, 1).members[0]
     with pytest.raises(InvalidInput):
-        make_path(ys_cover4, (0, 0), (g,))
-    with pytest.raises(InvalidInput):
-        make_path(ys_cover4, (1, 2), (g,))  # wrong endpoints
+        make_path(ys_cover4, (0, 0), (0,))
+    for g in (-1, ys_cover4.y_set(1, 2).size):
+        with pytest.raises(InvalidInput):
+            make_path(ys_cover4, (1, 2), (g,))  # not a member of Y(1, 2)
 
 
 def test_fold_of_single_step_is_composition(ys_cover4):
     ys = ys_cover4
-    g = ys.y_set(0, 1).members[1]
-    q = make_path(ys, (0, 1), (g,))
-    probe = (2, ys.y_set(2, 0).members[0])
-    assert fold(ys, q, probe) == ys.compose(g, probe[1])
+    q = make_path(ys, (0, 1), (1,))
+    assert fold(ys, q, (2, 0)) == ys.compose(2, 0, 1, 0, 1)
 
 
 def test_path_equivalence_reflexive(ys_cover4):
@@ -74,21 +70,12 @@ def test_twisting_by_binding_element(ys_cover4):
     g_sub_21 = ys.g_subgroup(2, 1)
     twist_02 = next(p for p in g_sub_02.perms if p != tuple(range(len(p))))
     twist_21 = next(p for p in g_sub_21.perms if p != tuple(range(len(p))))
-    y02 = ys.y_set(0, 2)
-    y21 = ys.y_set(2, 1)
     # twisting one step by the binding element and the next by its inverse
     # stays in the class; twisting only one step leaves it
     both = DirectedPath(
-        objects=q.objects,
-        steps=(
-            y02.members[twist_02[y02.index_of(q.steps[0])]],
-            y21.members[twist_21[y21.index_of(q.steps[1])]],
-        ),
+        objects=q.objects, steps=(twist_02[q.steps[0]], twist_21[q.steps[1]])
     )
-    one = DirectedPath(
-        objects=q.objects,
-        steps=(y02.members[twist_02[y02.index_of(q.steps[0])]], q.steps[1]),
-    )
+    one = DirectedPath(objects=q.objects, steps=(twist_02[q.steps[0]], q.steps[1]))
     assert path_equivalent(ys, q, both)
     assert not path_equivalent(ys, q, one)
 
@@ -110,8 +97,7 @@ def test_reduce_is_canonical_and_idempotent(ys_cover4):
 
 def test_one_step_reduces_to_equivalent_two_step(ys_cover4):
     ys = ys_cover4
-    g = ys.y_set(0, 1).members[2]
-    q = make_path(ys, (0, 1), (g,))
+    q = make_path(ys, (0, 1), (2,))
     r = reduce_path(ys, q)
     assert r.n_steps == 2
     assert path_equivalent(ys, q, r)
@@ -136,12 +122,7 @@ def test_vertex_paths_reduce(ys_cover4):
 
 def test_alternating_path_reduces(ys_cover4):
     ys = ys_cover4
-    steps = (
-        ys.y_set(0, 1).members[1],
-        ys.y_set(1, 0).members[2],
-        ys.y_set(0, 1).members[3],
-    )
-    q = make_path(ys, (0, 1, 0, 1), steps)
+    q = make_path(ys, (0, 1, 0, 1), (1, 2, 3))
     r = reduce_path(ys, q)
     assert r.n_steps == 2
     assert verify_reduction(ys, q, r)
@@ -149,21 +130,17 @@ def test_alternating_path_reduces(ys_cover4):
 
 def test_composition_associativity(ys_cover4):
     ys = ys_cover4
-    for g in ys.y_set(0, 1).members:
-        for h in ys.y_set(1, 2).members:
-            for k in ys.y_set(2, 3).members:
-                left = ys.compose(k, ys.compose(h, g))
-                right = ys.compose(ys.compose(k, h), g)
+    for g in range(ys.y_set(0, 1).size):
+        for h in range(ys.y_set(1, 2).size):
+            for k in range(ys.y_set(2, 3).size):
+                left = ys.compose(0, 2, 3, ys.compose(0, 1, 2, g, h), k)
+                right = ys.compose(0, 1, 3, g, ys.compose(1, 2, 3, h, k))
                 assert left == right
 
 
 def test_contract_requires_distinct_triple(ys_cover4):
     ys = ys_cover4
-    q = make_path(
-        ys,
-        (0, 1, 0),
-        (ys.y_set(0, 1).members[0], ys.y_set(1, 0).members[0]),
-    )
+    q = make_path(ys, (0, 1, 0), (0, 0))
     with pytest.raises(InvalidInput):
         contract_path(ys, q, 0)
 
@@ -173,6 +150,12 @@ def test_probe_candidates_iterate_all(ys_cover4):
     probes = list(probe_candidates(ys_cover4, q))
     assert {c for c, _ in probes} == {3}
     assert len(probes) == ys_cover4.y_set(3, 0).size
+
+
+@pytest.mark.parametrize("n_steps", [0, -1])
+def test_all_paths_rejects_fewer_than_one_step(ys_cover4, n_steps):
+    with pytest.raises(InvalidInput):
+        next(all_paths(ys_cover4, 0, 1, n_steps))
 
 
 def test_extended_groupoid_requires_four_objects():
@@ -222,12 +205,7 @@ def test_four_step_reduction_with_all_probes_at_six_objects():
     q = make_path(
         ys,
         (0, 2, 3, 4, 1),
-        (
-            ys.y_set(0, 2).members[1],
-            ys.y_set(2, 3).members[3],
-            ys.y_set(3, 4).members[2],
-            ys.y_set(4, 1).members[0],
-        ),
+        (1, 3, 2, 0),
     )
     r = reduce_path(ys, q)
     assert r.n_steps == 2 and (r.start, r.end) == (0, 1)

@@ -58,6 +58,14 @@ def test_fold_of_single_step_is_composition(ys_cover4):
     assert fold(ys, q, (2, 0)) == ys.compose(2, 0, 1, 0, 1)
 
 
+def test_fold_rejects_invalid_probes(ys_cover4):
+    ys = ys_cover4
+    q = make_path(ys, (0, 1), (1,))
+    for probe in ((1, 0), (2, -1), (2, ys.y_set(2, 0).size)):
+        with pytest.raises(InvalidInput):
+            fold(ys, q, probe)
+
+
 def test_path_equivalence_reflexive(ys_cover4):
     q = two_step(ys_cover4, 0, 2, 1)
     assert path_equivalent(ys_cover4, q, q)

@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator
 
 from .errors import AxiomViolation, ClaimFailure, InvalidInput, NoProbeAvailable
 from .groupoids import FiniteGroupoid, validate_groupoid
-from .structures import MultiSortedStructure, morphism_tuple, morphisms_between, objects_of
+from .structures import morphism_tuple, morphisms_between, objects_of
 from .witness import YSystem
 
 Probe = tuple[int, int]  # (object c*, member index in Y(c*, path start))
@@ -81,21 +81,12 @@ def fold(ys: YSystem, path: DirectedPath, probe: Probe) -> int:
     return acc
 
 
-def path_equivalent(
-    ys: YSystem,
-    q: DirectedPath,
-    r: DirectedPath,
-    probe: Optional[Probe] = None,
-) -> bool:
-    """Terminal comparison after folding both paths against a common probe.
-
-    Without an explicit probe, every valid probe is folded and unanimity is
-    demanded; disagreement would mean the instance is mismodelled.
-    """
+def path_equivalent(ys: YSystem, q: DirectedPath, r: DirectedPath) -> bool:
+    """Terminal comparison after folding both paths against every valid
+    probe; unanimity is demanded, and disagreement would mean the instance
+    is mismodelled."""
     if (q.start, q.end) != (r.start, r.end):
         return False
-    if probe is not None:
-        return fold(ys, q, probe) == fold(ys, r, probe)
     answers = {
         fold(ys, q, p) == fold(ys, r, p) for p in probe_candidates(ys, q, r)
     }
@@ -108,6 +99,8 @@ def path_equivalent(
 
 def contract_path(ys: YSystem, path: DirectedPath, i: int) -> DirectedPath:
     """Replace steps i, i+1 by their composite (the three objects are distinct)."""
+    if not 0 <= i < path.n_steps - 1:
+        raise InvalidInput(f"no steps {i}, {i + 1} to contract in a {path.n_steps}-step path")
     a, b, c = path.objects[i: i + 3]
     if len({a, b, c}) != 3:
         raise InvalidInput(f"objects around step {i} are not pairwise distinct")
@@ -136,12 +129,9 @@ def contract_to_two_steps(ys: YSystem, path: DirectedPath) -> DirectedPath:
             q = contract_path(ys, q, positions[0])
             continue
         c, d = q.start, q.end
-        c1 = _fresh(ys, set(q.objects))
-        t1 = fold(ys, q, (c1, 0))
-        e = _fresh(ys, {c, d, c1})
-        u = ys.compose(c1, c, e, 0, 0)
-        h2 = ys.divisor(c1, e, d, t1, u)
-        q = DirectedPath(objects=(c, e, d), steps=(0, h2))
+        p = _fresh(ys, set(q.objects))
+        e = _fresh(ys, {c, d, p})
+        q = _two_step(ys, p, c, e, d, fold(ys, q, (p, 0)))
     return q
 
 
@@ -152,14 +142,11 @@ def _fresh(ys: YSystem, banned: set[int]) -> int:
     raise NoProbeAvailable(f"all objects meet {sorted(banned)}")
 
 
-def _expand_edge(ys: YSystem, c: int, d: int, y: int) -> DirectedPath:
-    """Canonical 2-step representative of the class of the 1-step (c, y, d)."""
-    c_star = _fresh(ys, {c, d})
-    e = _fresh(ys, {c, d, c_star})
-    u = ys.compose(c_star, c, e, 0, 0)
-    t = ys.compose(c_star, c, d, 0, y)
-    h2 = ys.divisor(c_star, e, d, t, u)
-    return DirectedPath(objects=(c, e, d), steps=(0, h2))
+def _two_step(ys: YSystem, p: int, c: int, e: int, d: int, t: int) -> DirectedPath:
+    """The path c -> e -> d whose first step is member 0 and whose fold at
+    the probe (p, 0) is t."""
+    u = ys.compose(p, c, e, 0, 0)
+    return DirectedPath(objects=(c, e, d), steps=(0, ys.divisor(p, e, d, t, u)))
 
 
 def _vertex_terminal(ys: YSystem, path: DirectedPath) -> int:
@@ -171,19 +158,8 @@ def _vertex_terminal(ys: YSystem, path: DirectedPath) -> int:
         return fold(ys, path, (c0v, 0))
     e_can = _fresh(ys, {c, c0v})
     p = _fresh(ys, set(path.objects) | {e_can})
-    t_p = fold(ys, path, (p, 0))
-    u = ys.compose(p, c, e_can, 0, 0)
-    h2 = ys.divisor(p, e_can, c, t_p, u)
-    detour = DirectedPath(objects=(c, e_can, c), steps=(0, h2))
+    detour = _two_step(ys, p, c, e_can, c, fold(ys, path, (p, 0)))
     return fold(ys, detour, (c0v, 0))
-
-
-def _vertex_rep(ys: YSystem, c: int, terminal: int) -> DirectedPath:
-    c0v = _fresh(ys, {c})
-    e_can = _fresh(ys, {c, c0v})
-    u = ys.compose(c0v, c, e_can, 0, 0)
-    h2 = ys.divisor(c0v, e_can, c, terminal, u)
-    return DirectedPath(objects=(c, e_can, c), steps=(0, h2))
 
 
 def class_key(ys: YSystem, path: DirectedPath) -> tuple:
@@ -202,36 +178,19 @@ def class_key(ys: YSystem, path: DirectedPath) -> tuple:
 
 
 def canonical_rep(ys: YSystem, key: tuple) -> DirectedPath:
+    """The class's 2-step representative c -> e -> d: its first step is
+    member 0, and its fold at the canonical probe (p, 0) is the fold of the
+    1-step path (c, idx, d) for an edge class, idx itself for a vertex class."""
     kind, c, d, idx = key
-    if kind == "edge":
-        return _expand_edge(ys, c, d, idx)
-    return _vertex_rep(ys, c, idx)
+    p = _fresh(ys, {c, d})
+    e = _fresh(ys, {c, d, p})
+    t = ys.compose(p, c, d, 0, idx) if kind == "edge" else idx
+    return _two_step(ys, p, c, e, d, t)
 
 
 def reduce_path(ys: YSystem, q: DirectedPath) -> DirectedPath:
     """The canonical 2-step path equivalent to q."""
     return canonical_rep(ys, class_key(ys, q))
-
-
-@dataclass(frozen=True)
-class PathClass:
-    """An equivalence class of directed paths, carried by its canonical
-    two-step representative."""
-
-    start: int
-    end: int
-    key: tuple
-    representative: DirectedPath
-
-    def contains(self, ys: YSystem, q: DirectedPath) -> bool:
-        return (q.start, q.end) == (self.start, self.end) and class_key(ys, q) == self.key
-
-
-def path_class(ys: YSystem, q: DirectedPath) -> PathClass:
-    key = class_key(ys, q)
-    return PathClass(
-        start=q.start, end=q.end, key=key, representative=canonical_rep(ys, key)
-    )
 
 
 def verify_reduction(ys: YSystem, q: DirectedPath, r: DirectedPath) -> bool:
@@ -291,38 +250,28 @@ class ExtendedGroupoid:
     groupoid: FiniteGroupoid
     keys: tuple[tuple, ...]  # morphism id -> class key
 
-    def morphism_of_key(self, key: tuple) -> int:
-        return self.keys.index(key)
-
-    def class_of_path(self, path: DirectedPath) -> int:
-        return self.morphism_of_key(class_key(self.ys, path))
-
-    def y_to_morphism(self, a: int, b: int, y: int) -> int:
-        """The canonical correspondence Y(a,b) -> Mor(a,b) for distinct a, b."""
-        return self.morphism_of_key(("edge", a, b, y))
-
     def inject_standard(self, m: int) -> int:
         """The canonical injection of a standard morphism into the quotient."""
         ys = self.ys
         s, gpd = ys.structure, ys.gpd
         c, d = gpd.init[m], gpd.ter[m]
         if c != d:
-            return self.y_to_morphism(c, d, ys.y_set(c, d).index_of(morphism_tuple(s, m)))
-        e = _fresh(ys, {c})
-        k = min(morphisms_between(s, c, e))
-        k2 = gpd.compose(gpd.inverse[k], m)
-        t1 = ys.y_set(c, e).index_of(morphism_tuple(s, k))
-        t2 = ys.y_set(e, c).index_of(morphism_tuple(s, k2))
-        return self.class_of_path(DirectedPath(objects=(c, e, c), steps=(t1, t2)))
+            # the canonical correspondence Y(c, d) -> Mor(c, d)
+            key = ("edge", c, d, ys.y_set(c, d).index_of(morphism_tuple(s, m)))
+        else:
+            e = _fresh(ys, {c})
+            k = min(morphisms_between(s, c, e))
+            k2 = gpd.compose(gpd.inverse[k], m)
+            t1 = ys.y_set(c, e).index_of(morphism_tuple(s, k))
+            t2 = ys.y_set(e, c).index_of(morphism_tuple(s, k2))
+            key = class_key(ys, DirectedPath(objects=(c, e, c), steps=(t1, t2)))
+        return self.keys.index(key)
 
 
-def build_extended_groupoid(
-    s_or_ys: MultiSortedStructure | YSystem,
-) -> ExtendedGroupoid:
+def build_extended_groupoid(ys: YSystem) -> ExtendedGroupoid:
     """Assemble the quotient groupoid: objects are the structure's objects,
     morphisms are 2-step path classes, composition is concatenation followed
     by reduction.  The result passes full groupoid validation."""
-    ys = s_or_ys if isinstance(s_or_ys, YSystem) else s_or_ys.y_system
     s = ys.structure
     n = s.sort_size("O")
     if n < 4:

@@ -102,6 +102,9 @@ def compute_Y(
 ) -> YSet:
     """Members of the reference's orbit over the source closure that are
     interdefinable with it; always contains the full standard coset."""
+    n = s.sort_size("O")
+    if not (0 <= a < n and 0 <= b < n):
+        raise InvalidInput(f"Y({a}, {b}) names an object outside 0 .. {n - 1}")
     if a == b:
         raise InvalidInput("Y-sets are defined for distinct endpoints")
     if base is None:

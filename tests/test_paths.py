@@ -19,7 +19,6 @@ from groupoidlab import (
     fold,
     isomorphism_search,
     make_path,
-    path_class,
     path_equivalent,
     probe_candidates,
     reduce_path,
@@ -50,6 +49,8 @@ def test_make_path_validation(ys_cover4):
     for g in (-1, ys_cover4.y_set(1, 2).size):
         with pytest.raises(InvalidInput):
             make_path(ys_cover4, (1, 2), (g,))  # not a member of Y(1, 2)
+    with pytest.raises(InvalidInput):
+        make_path(ys_cover4, (0, 9), (0,))  # no object 9
 
 
 def test_fold_of_single_step_is_composition(ys_cover4):
@@ -61,7 +62,7 @@ def test_fold_of_single_step_is_composition(ys_cover4):
 def test_fold_rejects_invalid_probes(ys_cover4):
     ys = ys_cover4
     q = make_path(ys, (0, 1), (1,))
-    for probe in ((1, 0), (2, -1), (2, ys.y_set(2, 0).size)):
+    for probe in ((1, 0), (2, -1), (2, ys.y_set(2, 0).size), (9, 0)):
         with pytest.raises(InvalidInput):
             fold(ys, q, probe)
 
@@ -151,6 +152,10 @@ def test_contract_requires_distinct_triple(ys_cover4):
     q = make_path(ys, (0, 1, 0), (0, 0))
     with pytest.raises(InvalidInput):
         contract_path(ys, q, 0)
+    q3 = make_path(ys, (0, 1, 2, 3), (0, 0, 0))
+    for i in (5, -1):
+        with pytest.raises(InvalidInput):
+            contract_path(ys, q3, i)  # no steps i, i + 1
 
 
 def test_probe_candidates_iterate_all(ys_cover4):
@@ -169,7 +174,7 @@ def test_all_paths_rejects_fewer_than_one_step(ys_cover4, n_steps):
 def test_extended_groupoid_requires_four_objects():
     s = encode_groupoid(build_standard_groupoid(cyclic_group(2), 3))
     with pytest.raises(NoProbeAvailable):
-        build_extended_groupoid(s)
+        build_extended_groupoid(s.y_system)
 
 
 def test_extended_groupoid_cover(ys_cover4):
@@ -197,12 +202,12 @@ def test_extended_groupoid_plain_is_the_standard_one(ys_plain4):
 def test_path_class_membership(ys_cover4):
     ys = ys_cover4
     q = two_step(ys, 0, 2, 1, i=1, j=1)
-    cls = path_class(ys, q)
-    assert cls.representative.n_steps == 2
-    assert cls.contains(ys, q)
-    assert cls.contains(ys, cls.representative)
+    key = class_key(ys, q)
+    r = reduce_path(ys, q)
+    assert r.n_steps == 2
+    assert class_key(ys, r) == key
     other = two_step(ys, 0, 2, 1, i=0, j=1)
-    assert not cls.contains(ys, other)
+    assert class_key(ys, other) != key
 
 
 def test_four_step_reduction_with_all_probes_at_six_objects():

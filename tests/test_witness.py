@@ -47,8 +47,10 @@ def test_y_contains_standard_tuples(cover_z2_3):
 
 
 def test_y_rejects_equal_endpoints(cover_z2_3):
-    with pytest.raises(InvalidInput):
-        compute_Y(cover_z2_3, 1, 1)
+    # also endpoints that are no object of the 3-object structure
+    for a, b in ((1, 1), (0, 3), (-1, 0)):
+        with pytest.raises(InvalidInput):
+            compute_Y(cover_z2_3, a, b)
 
 
 def test_f_group_orders(cover_z2_3):

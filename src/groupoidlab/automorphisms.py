@@ -44,6 +44,18 @@ Y-set groups lead with the Y-set's reference, with which every member is
 interdefinable over the base.  Each image of the lead gives one
 automorphism and so one restriction.
 
+Two translations spare whole-group searches (Seress, *Permutation Group
+Algorithms*, 2003).  The automorphisms fixing a base and sending points S
+to given targets are a coset psi0 . H, with psi0 the first solution of the
+constrained search and H = Aut(s/base + S): ``iter_automorphisms`` with
+constraints yields psi0 and then psi0 . h as H's search runs, so the
+constrained enumeration never prunes over the base's coarser colouring.
+The group over a translated base is a conjugate, psi Aut(s/B) psi^-1 =
+Aut(s/psi(B)): ``_translated_group`` reads Aut(s/B') off the enumerated
+Aut(s/B) when the first automorphism psi sending given points to their
+targets maps B onto B' as a set, and enumerates Aut(s/B') otherwise.
+Neither the coset nor the conjugates are cached.
+
 An ``Automorphism`` is the search's image array, each sort's points after
 those of the sorts before it; ``_restriction`` reads a restriction off such
 an array, over a carrier indexed by point tuples.
@@ -423,11 +435,31 @@ def iter_automorphisms(
     base: Iterable[Element] = (),
     constraints: Optional[dict[Element, Element]] = None,
 ) -> Iterator[Automorphism]:
-    """Lazily yield automorphisms fixing base and extending constraints."""
+    """Lazily yield the automorphisms fixing base and extending constraints.
+
+    Without constraints they are Aut(s/base), in search order.  With them
+    they are the coset psi0 . H: psi0 is the constrained search's first
+    solution and H = Aut(s/base + S), S the constrained points, since psi
+    fixes base and agrees with psi0 on S iff psi0^-1 psi fixes base + S.
+    The coset comes in coset order: psi0 first, then psi0 . h for every other
+    h in the order of H's search, which refines base + S once instead of
+    pruning the constrained search over base's coarser colouring."""
     check_budget(s)
     base_t = tuple(sorted(set(base)))
-    for images in _solutions(s, base_t, constraints):
-        yield _to_automorphism(s, images)
+    if not constraints:
+        for images in _solutions(s, base_t):
+            yield _to_automorphism(s, images)
+        return
+    search = _solutions(s, base_t, constraints)
+    head = next(search, None)
+    search.close()
+    if head is None:
+        return
+    yield _to_automorphism(s, head)
+    for h in _solutions(s, tuple(sorted(set(base_t).union(constraints)))):
+        images = tuple(head[p] for p in h)
+        if images != head:  # h is not the identity
+            yield _to_automorphism(s, images)
 
 
 def find_automorphism(
@@ -436,8 +468,11 @@ def find_automorphism(
     constraints: Optional[dict[Element, Element]] = None,
     predicate: Optional[Callable[[Automorphism], bool]] = None,
 ) -> Optional[Automorphism]:
-    """First automorphism (in enumeration order) satisfying the predicate."""
-    for aut in iter_automorphisms(s, base, constraints):
+    """The first automorphism fixing base and extending constraints that
+    satisfies the predicate, in the order of the constrained search."""
+    check_budget(s)
+    for images in _solutions(s, tuple(sorted(set(base))), constraints):
+        aut = _to_automorphism(s, images)
         if predicate is None or predicate(aut):
             return aut
     return None
@@ -451,20 +486,15 @@ def is_automorphism(s: MultiSortedStructure, aut: Automorphism) -> bool:
     images = aut.images
     if len(images) != s.carrier_size:
         return False
-    offsets, off = {}, 0
-    for name, size in s.sorts:
+    off = 0
+    for _, size in s.sorts:
         if sorted(images[off:off + size]) != list(range(off, off + size)):
             return False
-        offsets[name], off = off, off + size
-    checks = [((*f.arg_sorts, f.result_sort), f.rows) for f in s.functions]
-    checks += [(r.arg_sorts, r.tuples) for r in s.relations]
-    checks += [((c.sort,), ((c.index,),)) for c in s.constants]
-    for sorts, tuples in checks:
-        tset = set(tuples)
-        for t in tuples:
-            if tuple(images[offsets[n] + v] - offsets[n] for n, v in zip(sorts, t)) not in tset:
-                return False
-    return True
+        off += size
+    image_of = images.__getitem__
+    return all(
+        tuple(map(image_of, t)) in tset for tset in s.point_tuple_sets for t in tset
+    )
 
 
 def _images(
@@ -496,6 +526,32 @@ def _images(
     finally:
         search.close()
     space.leads[key] = tuple(arrays)
+
+
+def _translated_group(
+    s: MultiSortedStructure,
+    template: tuple[Element, ...],
+    base: tuple[Element, ...],
+    constraints: dict[Element, Element],
+) -> list[tuple[int, ...]]:
+    """The image arrays of Aut(s/base), in no particular order.
+
+    Let psi be the first automorphism extending constraints.  When psi maps
+    the pinned points of template onto those of base, the arrays are the
+    conjugates psi . h . psi^-1 of the members h of the enumerated
+    Aut(s/template), since psi Aut(s/B) psi^-1 = Aut(s/psi(B)); they are
+    not cached.  Otherwise, or when there is no psi, Aut(s/base) is
+    enumerated itself."""
+    space = s.search_space
+    psi = find_automorphism(s, constraints=constraints)
+    if psi is None or set(map(psi.images.__getitem__, space.pinned(template))) != space.pinned(base):
+        return [aut.images for aut in automorphism_group(s, base).members]
+    forward = psi.images
+    backward = psi.inverse().images
+    return [
+        tuple(forward[h.images[p]] for p in backward)
+        for h in automorphism_group(s, template).members
+    ]
 
 
 def orbit_of(

@@ -102,6 +102,22 @@ class MultiSortedStructure:
         return _SearchSpace(self)
 
     @cached_property
+    def point_tuple_sets(self) -> tuple[frozenset[tuple[int, ...]], ...]:
+        """Each function graph, relation and constant (a one-tuple relation)
+        as a set of point tuples, each sort's points numbered after those of
+        the sorts before it."""
+        offsets, off = {}, 0
+        for name, size in self.sorts:
+            offsets[name], off = off, off + size
+        checks = [((*f.arg_sorts, f.result_sort), f.rows) for f in self.functions]
+        checks += [(r.arg_sorts, r.tuples) for r in self.relations]
+        checks += [((c.sort,), ((c.index,),)) for c in self.constants]
+        return tuple(
+            frozenset(tuple(offsets[n] + v for n, v in zip(sorts, t)) for t in tuples)
+            for sorts, tuples in checks
+        )
+
+    @cached_property
     def groupoid_view(self) -> "GroupoidView":
         return GroupoidView(self)
 

@@ -18,7 +18,9 @@ from .automorphisms import (
     Automorphism,
     RestrictedAutGroup,
     _fixed,
+    _translated_group,
     automorphism_group,
+    find_automorphism,
     is_automorphism,
     iter_automorphisms,
     orbit_of,
@@ -488,31 +490,39 @@ def verify_section3(s: MultiSortedStructure) -> Report:
         ]
         space = s.search_space
         point, elements = space.point, space.elements
-        for c, a, b in triples:
-            ref = ys.y_set(a, b).reference
-            base = pair_closure(s, c, a)
-            group = automorphism_group(s, base)
-            # the members' image arrays by the image of the reference's points
-            ref_image = itemgetter(*map(point, ref))
-            cells: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-            for aut in group.members:
-                cells.setdefault(ref_image(aut.images), []).append(aut.images)
-            y_cb = set(ys.y_set(c, b).members)
-            for g_raw in morphisms_between(s, c, a):
-                t0 = object_tuple(s, c) + object_tuple(s, b) + (
-                    Element("M", gpd.compose(g_raw, raw_morphism(ref))),
-                )
-                t0_image = itemgetter(*map(point, t0))
-                for f in ys.y_set(a, b).members:
-                    movers = cells.get(tuple(map(point, f)))
-                    if not movers:
-                        return {"triple": (c, a, b), "f": f, "problem": "no mover"}
-                    images = {t0_image(m) for m in movers}
-                    if len(images) != 1:
-                        return {"triple": (c, a, b), "f": f, "problem": "ambiguous composite"}
-                    h = tuple(map(elements.__getitem__, images.pop()))
-                    if h not in y_cb:
-                        return {"triple": (c, a, b), "f": f, "problem": "composite leaves Y"}
+        # Aut(s/pair_closure(c, a)) as the conjugate of the group at (0, 1)
+        # by an automorphism sending 0 to c and 1 to a, one (c, a) at a time
+        template, sources = pair_closure(s, 0, 1), object_tuple(s, 0) + object_tuple(s, 1)
+        for (c, a), same_pair in itertools.groupby(triples, key=itemgetter(0, 1)):
+            members = _translated_group(
+                s,
+                template,
+                pair_closure(s, c, a),
+                dict(zip(sources, object_tuple(s, c) + object_tuple(s, a))),
+            )
+            for _, _, b in same_pair:
+                ref = ys.y_set(a, b).reference
+                # the members' image arrays by the image of the reference's points
+                ref_image = itemgetter(*map(point, ref))
+                cells: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+                for images in members:
+                    cells.setdefault(ref_image(images), []).append(images)
+                y_cb = set(ys.y_set(c, b).members)
+                for g_raw in morphisms_between(s, c, a):
+                    t0 = object_tuple(s, c) + object_tuple(s, b) + (
+                        Element("M", gpd.compose(g_raw, raw_morphism(ref))),
+                    )
+                    t0_image = itemgetter(*map(point, t0))
+                    for f in ys.y_set(a, b).members:
+                        movers = cells.get(tuple(map(point, f)))
+                        if not movers:
+                            return {"triple": (c, a, b), "f": f, "problem": "no mover"}
+                        images = {t0_image(m) for m in movers}
+                        if len(images) != 1:
+                            return {"triple": (c, a, b), "f": f, "problem": "ambiguous composite"}
+                        h = tuple(map(elements.__getitem__, images.pop()))
+                        if h not in y_cb:
+                            return {"triple": (c, a, b), "f": f, "problem": "composite leaves Y"}
         return None
 
     report.add(
@@ -530,23 +540,34 @@ def verify_section3(s: MultiSortedStructure) -> Report:
         if len(spare) >= 2:
             targets.append((spare[0], spare[1]))
         f_ref = ys.f_group(*ref)
-        for tgt in targets:
-            constraints: dict[Element, Element] = {}
-            for src_obj, dst_obj in zip(ref, tgt):
-                for e_src, e_dst in zip(object_tuple(s, src_obj), object_tuple(s, dst_obj)):
-                    constraints[e_src] = e_dst
-            f_tgt = ys.f_group(*tgt)
-            mappings = set()
-            count = 0
-            for psi in iter_automorphisms(s, constraints=constraints):
-                if not ys.binding_preserving(psi):
-                    continue
-                count += 1
-                mappings.add(ys._conjugate(psi, f_ref, f_tgt))
+        sources = object_tuple(s, o0) + object_tuple(s, o1)
+        # the automorphisms carrying ref to a target are the coset psi0 . H,
+        # psi0 the first of them and H = Aut(s/sources): one pass over H
+        # serves every target.  Where a target's object tuples differ in
+        # length from ref's, the zip pairs a fibre point with an object, so
+        # there is no psi0.
+        heads = [
+            find_automorphism(
+                s, constraints=dict(zip(sources, object_tuple(s, u) + object_tuple(s, v)))
+            )
+            for u, v in targets
+        ]
+        f_tgts = [ys.f_group(*tgt) for tgt in targets]
+        counts = [0] * len(targets)
+        mappings: list[set[tuple[int, ...]]] = [set() for _ in targets]
+        live = [k for k, head in enumerate(heads) if head is not None]
+        if live:
+            for h in iter_automorphisms(s, sources):
+                for k in live:
+                    psi = heads[k].compose(h)
+                    if ys.binding_preserving(psi):
+                        counts[k] += 1
+                        mappings[k].add(ys._conjugate(psi, f_ref, f_tgts[k]))
+        for tgt, count, found in zip(targets, counts, mappings):
             if count == 0:
                 return {"target": tgt, "problem": "no transport automorphism"}
-            if len(mappings) != 1:
-                return {"target": tgt, "distinct_transports": len(mappings)}
+            if len(found) != 1:
+                return {"target": tgt, "distinct_transports": len(found)}
         return None
 
     report.add(

@@ -474,10 +474,10 @@ def test_restriction_builders_search_with_a_lead(monkeypatch):
 DIFFERENTIAL_GROUPS = ["cyclic:2", "symmetric:3", "dihedral:4", "quaternion8"]
 
 
-def _standard(group, cover):
+def _standard(group, cover, n=3):
     from groupoidlab import group_from_spec
 
-    gpd = build_standard_groupoid(group_from_spec(group), 3)
+    gpd = build_standard_groupoid(group_from_spec(group), n)
     return encode_double_cover(gpd) if cover else encode_groupoid(gpd)
 
 
@@ -635,3 +635,141 @@ def test_fixedness_keeps_the_budget():
     with pytest.raises(BudgetExceeded):
         interdefinable(s, base, base[:1], base[:1])
     assert not s.search_space.partitions
+
+
+TRANSLATION_CASES = [
+    (group, 3, cover) for group in DIFFERENTIAL_GROUPS for cover in (False, True)
+] + [("cyclic:2", 4, True)]
+
+
+def _case_id(case):
+    group, n, cover = case
+    return f"{group}-n{n}-{'cover' if cover else 'plain'}"
+
+
+@functools.cache
+def _instance(group, n, cover):
+    # shared by the tests below, which only add to its searches
+    return _standard(group, cover, n)
+
+
+def _sending(s, pairs):
+    # constraints sending the object tuples of each (src, dst) pair
+    from groupoidlab import object_tuple
+
+    return {
+        e: f for src, dst in pairs for e, f in zip(object_tuple(s, src), object_tuple(s, dst))
+    }
+
+
+@pytest.mark.parametrize("case", TRANSLATION_CASES, ids=_case_id)
+def test_coset_matches_the_constrained_search(case):
+    # iter_automorphisms with constraints yields the coset psi0 . Aut(s/base + S):
+    # exactly the leaves of the constrained search, psi0 first, each once;
+    # for the transport constraints (0, 1) -> (1, 2) over the empty base and
+    # for constraints over the object closure of 0
+    from groupoidlab import iter_automorphisms
+    from groupoidlab.automorphisms import _solutions
+
+    s = _instance(*case)
+    for base, constraints in (
+        ((), _sending(s, [(0, 1), (1, 2)])),
+        (object_closure(s, 0), _sending(s, [(1, 2), (2, 1)])),
+    ):
+        leaves = list(_solutions(s, base, constraints))
+        coset = [aut.images for aut in iter_automorphisms(s, base, constraints)]
+        assert coset[:1] == leaves[:1]
+        assert len(coset) == len(set(coset))
+        assert set(coset) == set(leaves), base
+
+
+@pytest.mark.parametrize("case", TRANSLATION_CASES, ids=_case_id)
+def test_find_automorphism_is_first_in_constrained_search_order(case):
+    # with the transport constraints, and a predicate that the first leaf
+    # fails or the binding-class test of an abelian instance
+    from groupoidlab import Automorphism, find_automorphism, group_from_spec
+    from groupoidlab.automorphisms import _solutions
+
+    s = _instance(*case)
+    constraints = _sending(s, [(0, 1), (1, 2)])
+    first_leaf = next(_solutions(s, (), constraints))
+    predicates = [lambda aut: aut.images != first_leaf]
+    if group_from_spec(case[0]).is_abelian():
+        predicates.append(s.y_system.binding_preserving)
+    for predicate in predicates:
+        found = find_automorphism(s, constraints=constraints, predicate=predicate)
+        first = next(
+            images for images in _solutions(s, (), constraints)
+            if predicate(Automorphism(images, s))
+        )
+        assert found.images == first
+
+
+@pytest.mark.parametrize("case", TRANSLATION_CASES, ids=_case_id)
+def test_translated_groups_match_enumeration(case):
+    # Aut(s/pair_closure(c, a)) as conjugates of the group at (0, 1), for
+    # every ordered pair, against the group enumerated on a fresh structure;
+    # the conjugates are not cached
+    from groupoidlab import pair_closure
+    from groupoidlab.automorphisms import _translated_group
+
+    group, n, cover = case
+    s, oracle = _instance(*case), _standard(group, cover, n)
+    space = s.search_space
+    template = pair_closure(s, 0, 1)
+    for c in range(n):
+        for a in range(n):
+            if c == a:
+                continue
+            base = pair_closure(s, c, a)
+            arrays = _translated_group(s, template, base, _sending(s, [(0, c), (1, a)]))
+            expect = [aut.images for aut in automorphism_group(oracle, base).members]
+            assert sorted(arrays) == expect, (c, a)
+            if (c, a) != (0, 1):
+                assert tuple(sorted(set(base))) not in space.groups
+
+
+def test_translation_falls_back_when_the_base_is_not_an_image():
+    # psi sends pair_closure(0, 1) onto pair_closure(1, 2), not onto the
+    # smaller pair_base(1, 2); and no psi sends an object to a morphism.
+    # Both enumerate the asked base's own group.
+    from groupoidlab import pair_closure
+    from groupoidlab.automorphisms import _translated_group
+
+    s = _instance("cyclic:2", 3, True)
+    oracle = _standard("cyclic:2", True)
+    template = pair_closure(s, 0, 1)
+    for base, constraints in (
+        (pair_base(s, 1, 2), _sending(s, [(0, 1), (1, 2)])),
+        (pair_closure(s, 1, 2), {Element("O", 0): Element("M", 0)}),
+    ):
+        arrays = _translated_group(s, template, base, constraints)
+        expect = [aut.images for aut in automorphism_group(oracle, base).members]
+        assert sorted(arrays) == expect
+        assert tuple(sorted(set(base))) in s.search_space.groups
+
+
+def test_section3_enumerates_three_pinned_groups(monkeypatch):
+    # without a lead or constraints, section3 searches only the uniform-action
+    # base, pair_closure(0, 1) (translated to every other pair) and the
+    # transport sources (the coset's group), however many object pairs
+    from groupoidlab import automorphisms, object_tuple, pair_closure, verify_section3
+
+    s = encode_double_cover(build_standard_groupoid(cyclic_group(2), 4))
+    space = s.search_space
+    solutions = automorphisms._solutions
+    pinned = []
+
+    def spy(structure, base, constraints=None, lead=()):
+        if not lead and not constraints:
+            pinned.append(space.pinned(base))
+        return solutions(structure, base, constraints, lead=lead)
+
+    monkeypatch.setattr(automorphisms, "_solutions", spy)
+    assert verify_section3(s).passed
+    uniform = tuple(e for u in range(4) for e in object_closure(s, u))
+    assert set(pinned) == {
+        space.pinned(uniform),
+        space.pinned(pair_closure(s, 0, 1)),
+        space.pinned(object_tuple(s, 0) + object_tuple(s, 1)),
+    }

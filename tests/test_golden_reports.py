@@ -46,6 +46,18 @@ GOLDEN = [
         "22488eafc7574d98b30591d63e889cb67c6b8c1e353b9a19fccfec5564243ecd",
     ),
     (
+        # the section3 configuration of the benchmark's targeted-cover workload
+        "verify --suite section3 --group cyclic:2 --objects 5 --cover",
+        0,
+        "1b4019108974d14c96c72dc37c9e43ab5c98dd3f28e056e6d3ee7ee8e0950d58",
+    ),
+    (
+        # non-abelian F-groups at every pair of the cover (exit 1)
+        "verify --suite section3 --group dihedral:4 --objects 3 --cover",
+        1,
+        "98bd4ac3d2579c0b9db6689f72c40826ba6ebf00899921e49f64a3a14dd9eb60",
+    ),
+    (
         "verify --suite section2 --group symmetric:3 --objects 3",
         0,
         "436d91112bb6c63eeebf38c54e3f15ab8b99cb01eef9e5629f7642e16279ab6d",

@@ -44,17 +44,22 @@ Y-set groups lead with the Y-set's reference, with which every member is
 interdefinable over the base.  Each image of the lead gives one
 automorphism and so one restriction.
 
-Two translations spare whole-group searches (Seress, *Permutation Group
-Algorithms*, 2003).  The automorphisms fixing a base and sending points S
-to given targets are a coset psi0 . H, with psi0 the first solution of the
+Three translations spare searches (Seress, *Permutation Group Algorithms*,
+2003).  The automorphisms fixing a base and sending points S to given
+targets are a coset psi0 . H, with psi0 the first solution of the
 constrained search and H = Aut(s/base + S): ``iter_automorphisms`` with
 constraints yields psi0 and then psi0 . h as H's search runs, so the
 constrained enumeration never prunes over the base's coarser colouring.
 The group over a translated base is a conjugate, psi Aut(s/B) psi^-1 =
-Aut(s/psi(B)): ``_translated_group`` reads Aut(s/B') off the enumerated
-Aut(s/B) when the first automorphism psi sending given points to their
-targets maps B onto B' as a set, and enumerates Aut(s/B') otherwise.
-Neither the coset nor the conjugates are cached.
+Aut(s/psi(B)).  ``_translation`` finds that psi: the first automorphism
+sending given points to their targets, accepted only when
+``is_automorphism`` confirms it and it maps B onto B' as a set.
+``_translated_group`` reads Aut(s/B') off the enumerated Aut(s/B) through
+it, and enumerates Aut(s/B') when there is no accepted psi.  Neither the
+coset nor the conjugates are cached.  ``_translated_restriction``, the
+third, conjugates a restriction group: over B' on the images of its
+carrier, so the Y-set system builds its groups at one object pair and
+translates them to the others.
 
 An ``Automorphism`` is the search's image array, each sort's points after
 those of the sorts before it; ``_restriction`` reads a restriction off such
@@ -528,6 +533,25 @@ def _images(
     space.leads[key] = tuple(arrays)
 
 
+def _translation(
+    s: MultiSortedStructure,
+    constraints: dict[Element, Element],
+    *bases: tuple[tuple[Element, ...], tuple[Element, ...]],
+) -> Optional[Automorphism]:
+    """The first automorphism psi extending constraints, accepted only when
+    ``is_automorphism`` confirms it and it maps the pinned points of each
+    template onto those of its base, for every (template, base) given; then
+    psi Aut(s/template) psi^-1 = Aut(s/base).  None when there is no psi or
+    it is not accepted."""
+    psi = find_automorphism(s, constraints=constraints)
+    if psi is None or not is_automorphism(s, psi):
+        return None
+    pinned, image = s.search_space.pinned, psi.images.__getitem__
+    if all(set(map(image, pinned(template))) == pinned(base) for template, base in bases):
+        return psi
+    return None
+
+
 def _translated_group(
     s: MultiSortedStructure,
     template: tuple[Element, ...],
@@ -536,15 +560,12 @@ def _translated_group(
 ) -> list[tuple[int, ...]]:
     """The image arrays of Aut(s/base), in no particular order.
 
-    Let psi be the first automorphism extending constraints.  When psi maps
-    the pinned points of template onto those of base, the arrays are the
-    conjugates psi . h . psi^-1 of the members h of the enumerated
-    Aut(s/template), since psi Aut(s/B) psi^-1 = Aut(s/psi(B)); they are
-    not cached.  Otherwise, or when there is no psi, Aut(s/base) is
-    enumerated itself."""
-    space = s.search_space
-    psi = find_automorphism(s, constraints=constraints)
-    if psi is None or set(map(psi.images.__getitem__, space.pinned(template))) != space.pinned(base):
+    When ``_translation`` accepts the first automorphism psi extending
+    constraints for template onto base, the arrays are the conjugates
+    psi . h . psi^-1 of the members h of the enumerated Aut(s/template);
+    they are not cached.  Otherwise Aut(s/base) is enumerated itself."""
+    psi = _translation(s, constraints, (template, base))
+    if psi is None:
         return [aut.images for aut in automorphism_group(s, base).members]
     forward = psi.images
     backward = psi.inverse().images
@@ -693,6 +714,36 @@ def _restricted(
     return RestrictedAutGroup(
         structure=s,
         base=base_t,
+        carrier=carrier,
+        group=_perm_group(perms),
+        perms=perms,
+        reps=tuple(found[p] for p in perms),
+    )
+
+
+def _translated_restriction(
+    rg: RestrictedAutGroup, psi: Automorphism, base: tuple[Element, ...]
+) -> RestrictedAutGroup:
+    """The restriction group psi rg psi^-1 over base, on the carrier's images.
+
+    psi must map rg's base onto base as a set (``_translation``), so the
+    conjugates psi . rep . psi^-1 are the reps.  Member i of rg's carrier
+    becomes member sigma[i] of the image carrier, and a perm p becomes the
+    perm sending sigma[i] to sigma[p[i]]."""
+    carrier = tuple(sorted(map(psi.apply_tuple, rg.carrier)))
+    index = {t: k for k, t in enumerate(carrier)}
+    sigma = [index[psi.apply_tuple(t)] for t in rg.carrier]
+    psi_inv = psi.inverse()
+    found: dict[tuple[int, ...], Automorphism] = {}
+    for perm, rep in zip(rg.perms, rg.reps):
+        moved = [0] * len(perm)
+        for i, j in enumerate(perm):
+            moved[sigma[i]] = sigma[j]
+        found[tuple(moved)] = psi.compose(rep).compose(psi_inv)
+    perms = tuple(sorted(found))
+    return RestrictedAutGroup(
+        structure=rg.structure,
+        base=tuple(sorted(set(base))),
         carrier=carrier,
         group=_perm_group(perms),
         perms=perms,

@@ -71,10 +71,6 @@ class MultiSortedStructure:
         raise InvalidInput(f"unknown sort {name!r}")
 
     @property
-    def sort_names(self) -> tuple[str, ...]:
-        return tuple(n for n, _ in self.sorts)
-
-    @property
     def carrier_size(self) -> int:
         return sum(size for _, size in self.sorts)
 

@@ -6,6 +6,12 @@ source closure; their restriction groups act regularly; composition of
 Y-elements is defined through decompositions into translated standard
 morphisms, transported along a shared abstract group.
 
+The Y-set, its F-group and its G-subgroup are searched at the reference
+pair (0, 1) only; every other pair reads them off through one accepted
+automorphism psi_ab carrying (0, 1) to it (``automorphisms._translation``),
+the third translation next to the coset and the conjugate group.  A pair
+with no accepted psi is searched.
+
 A Y-element is its member index in its Y-set: ``YSystem.compose`` and
 ``YSystem.divisor`` take and return member indices and read one composition
 table per object triple.  Member tuples are decoded only for reports.
@@ -14,7 +20,7 @@ table per object triple.  Member tuples are decoded only for reports.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Callable, Optional, TypeVar
 
 from .automorphisms import (
     Automorphism,
@@ -23,6 +29,8 @@ from .automorphisms import (
     _fixed,
     _restricted,
     _restriction,
+    _translated_restriction,
+    _translation,
     find_automorphism,
     orbit_of,
 )
@@ -30,6 +38,7 @@ from .errors import (
     AxiomViolation,
     DecompositionFailure,
     InvalidInput,
+    NotInvariant,
     RegularityFailure,
 )
 from .groupoids import BindingGroup, binding_group
@@ -48,6 +57,7 @@ if TYPE_CHECKING:
     from .limits import GroupHomomorphism
 
 YTuple = tuple[Element, ...]
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -93,6 +103,14 @@ def x_tuples(s: MultiSortedStructure, a: int, b: int) -> tuple[YTuple, ...]:
     return tuple(head + (Element("M", m),) for m in morphisms_between(s, a, b))
 
 
+def _check_pair(s: MultiSortedStructure, a: int, b: int) -> None:
+    n = s.sort_size("O")
+    if not (0 <= a < n and 0 <= b < n):
+        raise InvalidInput(f"Y({a}, {b}) names an object outside 0 .. {n - 1}")
+    if a == b:
+        raise InvalidInput("Y-sets are defined for distinct endpoints")
+
+
 def compute_Y(
     s: MultiSortedStructure,
     a: int,
@@ -102,11 +120,7 @@ def compute_Y(
 ) -> YSet:
     """Members of the reference's orbit over the source closure that are
     interdefinable with it; always contains the full standard coset."""
-    n = s.sort_size("O")
-    if not (0 <= a < n and 0 <= b < n):
-        raise InvalidInput(f"Y({a}, {b}) names an object outside 0 .. {n - 1}")
-    if a == b:
-        raise InvalidInput("Y-sets are defined for distinct endpoints")
+    _check_pair(s, a, b)
     if base is None:
         base = object_closure(s, a)
     if f is None:
@@ -134,10 +148,19 @@ class YSystem:
     epimorphisms of the limits tower over one structure; the structure's own
     system is ``MultiSortedStructure.y_system``.
 
-    The group at the reference pair (0, 1) plays the role of the shared
-    abstract group; transports to other pairs conjugate along
-    object-tuple-matched automorphisms that fix every binding class setwise
-    (the stand-in for fixing the named closure of the empty set).
+    The Y-set, the F-group and the G-subgroup are searched at the reference
+    pair (0, 1) only.  Every other pair (a, b) reads them off the reference
+    pair's through psi_ab (``_psi``), the first automorphism sending the
+    reference's reference to the pair's own, accepted when it maps the
+    source closure and the pair base of (0, 1) onto those of (a, b): it then
+    conjugates every base-fixing group of the one onto the other.  A pair
+    with no accepted psi is searched, which an asymmetric ``--structure``
+    input may need.
+
+    The group at the reference pair plays the role of the shared abstract
+    group; transports to other pairs conjugate along object-tuple-matched
+    automorphisms that fix every binding class setwise (the stand-in for
+    fixing the named closure of the empty set).
     """
 
     ref_pair = (0, 1)
@@ -153,6 +176,7 @@ class YSystem:
         self.epimorphisms: dict[tuple[int, int], GroupHomomorphism] = {}
         self._fgroups: dict[tuple[int, int], RestrictedAutGroup] = {}
         self._ggroups: dict[tuple[int, int], RestrictedAutGroup] = {}
+        self._psis: dict[tuple[int, int], Optional[Automorphism]] = {}
         self._transports: dict[tuple[int, int], tuple[int, ...]] = {}
         self._tables: dict[tuple[int, int, int], tuple[tuple[int, ...], ...]] = {}
         self._mover_cache: dict[tuple[int, int, int], tuple[int, ...]] = {}
@@ -160,16 +184,74 @@ class YSystem:
 
     # -- cached building blocks ------------------------------------------
 
+    def _psi(self, a: int, b: int) -> Optional[Automorphism]:
+        """psi_ab: the first automorphism sending x_tuples(s, 0, 1)[0] to
+        x_tuples(s, a, b)[0], accepted by ``_translation`` when it maps
+        object_closure(0) onto object_closure(a) and pair_base(0, 1) onto
+        pair_base(a, b).  None at the reference pair, where either pair has
+        no morphism (the groupoid need not be connected) and where no psi is
+        accepted."""
+        if (a, b) not in self._psis:
+            s, ref = self.structure, self.ref_pair
+            f_ref, f_ab = x_tuples(s, *ref), x_tuples(s, a, b)
+            psi = None
+            if (a, b) != ref and f_ref and f_ab:
+                psi = _translation(
+                    s,
+                    dict(zip(f_ref[0], f_ab[0])),
+                    (object_closure(s, ref[0]), object_closure(s, a)),
+                    (pair_base(s, *ref), pair_base(s, a, b)),
+                )
+            self._psis[(a, b)] = psi
+        return self._psis[(a, b)]
+
+    def _translated(
+        self, a: int, b: int, build: Callable[[int, int], _T]
+    ) -> Optional[tuple[Automorphism, _T]]:
+        """psi_ab and the reference pair's object that build returns, or None
+        when the pair is to be searched: no psi is accepted, or the
+        reference pair's object raises, and the pair's own search then
+        raises the pair's own error."""
+        psi = self._psi(a, b)
+        if psi is None:
+            return None
+        try:
+            return psi, build(*self.ref_pair)
+        except (AxiomViolation, NotInvariant, RegularityFailure):
+            return None
+
     def y_set(self, a: int, b: int) -> YSet:
+        """Y(a, b) with the default reference x_tuples(s, a, b)[0]: psi_ab's
+        image of Y(0, 1), or ``compute_Y``'s search.
+
+        A translated Y-set passes ``compute_Y``'s y-missing-standard-coset
+        check because Y(0, 1) does: psi_ab maps pair_base(0, 1) onto
+        pair_base(a, b) and the reference onto the reference, so it maps
+        the standard coset of (0, 1) onto that of (a, b)."""
         y = self._ysets.get((a, b))
         if y is None:
-            y = self._ysets[(a, b)] = compute_Y(self.structure, a, b)
+            s = self.structure
+            _check_pair(s, a, b)
+            hit = self._translated(a, b, self.y_set)
+            if hit is None:
+                y = compute_Y(s, a, b)
+            else:
+                psi, y_ref = hit
+                y = YSet(
+                    source=object_tuple(s, a),
+                    target=object_tuple(s, b),
+                    base=object_closure(s, a),
+                    members=tuple(sorted(map(psi.apply_tuple, y_ref.members))),
+                    reference=psi.apply_tuple(y_ref.reference),
+                )
+            self._ysets[(a, b)] = y
         return y
 
     def raw_y_set(self, a: int, b: int) -> YSet:
         """The Y-set over the source closure whose reference is the raw
         least morphism a -> b rather than its full tuple."""
         if (a, b) not in self._raw_ysets:
+            _check_pair(self.structure, a, b)
             raw = (Element("M", min(morphisms_between(self.structure, a, b))),)
             self._raw_ysets[(a, b)] = compute_Y(self.structure, a, b, f=raw)
         return self._raw_ysets[(a, b)]
@@ -178,11 +260,12 @@ class YSystem:
         """The automorphism group of Y(a, b) over the source closure.
 
         Restrictions of base-fixing automorphisms that map the Y-set onto
-        itself; the action must be regular or the instance is mismodelled.
+        itself, searched or conjugated from F(0, 1) by psi_ab; the action must
+        be regular or the instance is mismodelled.
         """
         if (a, b) not in self._fgroups:
             y = self.y_set(a, b)
-            rg = _restricted(self.structure, y.base, y.members, False, y.reference)
+            rg = self._restriction_group(a, b, y.base, False, self.f_group)
             if not rg.is_regular():
                 raise RegularityFailure((a, b, rg.group.order, y.size))
             self._fgroups[(a, b)] = rg
@@ -190,13 +273,31 @@ class YSystem:
 
     def g_subgroup(self, a: int, b: int) -> RestrictedAutGroup:
         """Restrictions over the pair base: the standard binding copy inside F.
-        The pair base leaves the Y-set invariant."""
+        The pair base leaves the Y-set invariant.  Searched or conjugated
+        from G(0, 1) by psi_ab."""
         if (a, b) not in self._ggroups:
-            y = self.y_set(a, b)
-            self._ggroups[(a, b)] = _restricted(
-                self.structure, pair_base(self.structure, a, b), y.members, True, y.reference
+            self._ggroups[(a, b)] = self._restriction_group(
+                a, b, pair_base(self.structure, a, b), True, self.g_subgroup
             )
         return self._ggroups[(a, b)]
+
+    def _restriction_group(
+        self,
+        a: int,
+        b: int,
+        base: tuple[Element, ...],
+        invariant: bool,
+        build: Callable[[int, int], RestrictedAutGroup],
+    ) -> RestrictedAutGroup:
+        """The restrictions of Aut(s/base) to Y(a, b), led by its reference:
+        conjugated by psi_ab from the reference pair's group, which build
+        returns, or searched."""
+        y = self.y_set(a, b)
+        hit = self._translated(a, b, build)
+        if hit is None:
+            return _restricted(self.structure, base, y.members, invariant, y.reference)
+        psi, ref_group = hit
+        return _translated_restriction(ref_group, psi, base)
 
     def binding(self) -> BindingGroup:
         if self._binding is None:
@@ -273,6 +374,12 @@ class YSystem:
 
     # -- composition ------------------------------------------------------
 
+    def _check_members(self, a: int, b: int, *indices: int) -> None:
+        size = self.y_set(a, b).size
+        for x in indices:
+            if not 0 <= x < size:
+                raise InvalidInput(f"member {x} outside Y({a}, {b}), which has {size}")
+
     def standard(self, a: int, b: int) -> tuple[int, ...]:
         """Member indices of the standard morphisms a -> b in Y(a, b)."""
         y = self.y_set(a, b)
@@ -334,15 +441,23 @@ class YSystem:
         A decomposition picks standard members g0, h0 with g, h in their
         F-orbits; the result is independent of the choice, which the
         verification suites check exhaustively.  Without one, the triple's
-        table answers.
+        table answers.  A member index outside its Y-set raises InvalidInput.
         """
         if decomposition is None:
             table = self._tables.get((a, b, c)) or self._table(a, b, c)
-            return table[g][h]
-        return self._composite(a, b, c, g, h, *decomposition)
+            if 0 <= g < len(table) and 0 <= h < len(table[0]):
+                return table[g][h]
+            self._check_members(a, b, g)
+            self._check_members(b, c, h)  # one of the two raises
+        g0, h0 = decomposition
+        self._check_members(a, b, g, g0)
+        self._check_members(b, c, h, h0)
+        return self._composite(a, b, c, g, h, g0, h0)
 
     def divisor(self, a: int, b: int, c: int, f: int, g: int) -> int:
         """The unique h in Y(b,c) with f = h.g (f in Y(a,c), g in Y(a,b))."""
+        self._check_members(a, b, g)
+        self._check_members(a, c, f)
         hits = [h for h, out in enumerate(self._table(a, b, c)[g]) if out == f]
         if len(hits) != 1:
             raise DecompositionFailure("unique divisor failed", (a, b, c, f, g, len(hits)))

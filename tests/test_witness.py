@@ -47,10 +47,17 @@ def test_y_contains_standard_tuples(cover_z2_3):
 
 
 def test_y_rejects_equal_endpoints(cover_z2_3):
-    # also endpoints that are no object of the 3-object structure
-    for a, b in ((1, 1), (0, 3), (-1, 0)):
+    # also endpoints that are no object of the 3-object structure, for the
+    # search and for every builder of the Y-set system, before any
+    # translation is tried
+    ys = YSystem(cover_z2_3)
+    builders = (ys.y_set, ys.raw_y_set, ys.f_group, ys.g_subgroup)
+    for a, b in ((1, 1), (0, 3), (0, 9), (-1, 0)):
         with pytest.raises(InvalidInput):
             compute_Y(cover_z2_3, a, b)
+        for build in builders:
+            with pytest.raises(InvalidInput):
+                build(a, b)
 
 
 def test_f_group_orders(cover_z2_3):
@@ -98,6 +105,29 @@ def test_compose_rejects_bad_endpoints(cover_z2_4):
     ys = YSystem(cover_z2_4)
     with pytest.raises(InvalidInput):
         ys.compose(0, 1, 0, 0, 0)  # composite endpoints coincide
+
+
+def test_compose_and_divisor_reject_member_indices_out_of_range(cover_z2_4):
+    # a negative index must not wrap around the table, and an index past the
+    # end is an input error, not a bare IndexError
+    ys = YSystem(cover_z2_4)
+    size = ys.y_set(0, 1).size
+    assert size == ys.y_set(1, 2).size == ys.y_set(0, 2).size == 4
+    for g, h in ((-1, 0), (0, -1), (size, 0), (0, size), (99, 0)):
+        with pytest.raises(InvalidInput):
+            ys.compose(0, 1, 2, g, h)
+        with pytest.raises(InvalidInput):
+            ys.compose(0, 1, 2, g, h, decomposition=(0, 0))
+    g0, h0 = ys.standard(0, 1)[0], ys.standard(1, 2)[0]
+    for decomposition in ((-1, h0), (g0, -1), (size, h0), (g0, size)):
+        with pytest.raises(InvalidInput):
+            ys.compose(0, 1, 2, 0, 0, decomposition=decomposition)
+    for f, g in ((0, -1), (0, size), (-1, 0), (size, 0)):
+        with pytest.raises(InvalidInput):
+            ys.divisor(0, 1, 2, f, g)
+    assert ys.compose(0, 1, 2, size - 1, size - 1) == ys.compose(
+        0, 1, 2, size - 1, size - 1, decomposition=(g0, h0)
+    )
 
 
 def test_unique_divisor(cover_z2_4):
@@ -260,6 +290,23 @@ def _enumerated_restriction(s, base, carrier, invariant):
     )
 
 
+def _check_restriction(s, fast, slow):
+    """fast and slow agree on base, carrier, perms and group; fast's reps,
+    which need not be slow's, are checked by what they restrict to, by
+    fixing the base and by is_automorphism."""
+    from groupoidlab import is_automorphism
+
+    assert fast.base == slow.base
+    assert fast.carrier == slow.carrier
+    assert fast.perms == slow.perms
+    assert fast.group == slow.group
+    index = {t: i for i, t in enumerate(fast.carrier)}
+    for perm, rep in zip(fast.perms, fast.reps):
+        assert tuple(index[rep.apply_tuple(t)] for t in fast.carrier) == perm
+        assert all(rep.apply(e) == e for e in fast.base)
+        assert is_automorphism(s, rep)
+
+
 def test_reference_generated_groups_match_full_enumeration(cover_z2_4):
     # the targeted construction must agree with restricting the fully
     # enumerated stabilizer, over the source closure (the F-group) and over
@@ -299,7 +346,6 @@ def test_restriction_groups_match_full_enumeration(group, cover):
         Element,
         NotInvariant,
         group_from_spec,
-        is_automorphism,
         object_closure,
         orbit_of,
         pair_base,
@@ -311,15 +357,7 @@ def test_restriction_groups_match_full_enumeration(group, cover):
     s = encode_double_cover(gpd) if cover else encode_groupoid(gpd)
 
     def check(fast, slow):
-        assert fast.base == slow.base
-        assert fast.carrier == slow.carrier
-        assert fast.perms == slow.perms
-        assert fast.group == slow.group
-        index = {t: i for i, t in enumerate(fast.carrier)}
-        for perm, rep in zip(fast.perms, fast.reps):
-            assert tuple(index[rep.apply_tuple(t)] for t in fast.carrier) == perm
-            assert all(rep.apply(e) == e for e in fast.base)
-            assert is_automorphism(s, rep)
+        _check_restriction(s, fast, slow)
 
     for a, b in ((0, 1), (1, 2), (2, 0)):
         y = s.y_system.y_set(a, b)
@@ -444,3 +482,191 @@ def test_relabelling_keeps_y_sizes_and_f_orders(group, objects, cover):
                 pr = (obj[a], obj[b])
                 assert yr.y_set(*pr).size == ys.y_set(a, b).size, (a, b)
                 assert yr.f_group(*pr).order == ys.f_group(a, b).order, (a, b)
+
+
+def _searched_pair(s, a, b):
+    """Y(a, b), F(a, b) and G(a, b) as the search builds them at the pair."""
+    from groupoidlab import pair_base
+    from groupoidlab.automorphisms import _restricted
+
+    y = compute_Y(s, a, b)
+    f = _restricted(s, y.base, y.members, False, y.reference)
+    g = _restricted(s, pair_base(s, a, b), y.members, True, y.reference)
+    return y, f, g
+
+
+def _check_against_search(s, ys):
+    """Every ordered pair's Y-set, F-group and G-subgroup against the search
+    at that pair; the pairs whose psi was accepted."""
+    n = s.sort_size("O")
+    translated = set()
+    for a in range(n):
+        for b in range(n):
+            if a == b:
+                continue
+            y, f, g = _searched_pair(s, a, b)
+            assert ys.y_set(a, b) == y, (a, b)
+            _check_restriction(s, ys.f_group(a, b), f)
+            _check_restriction(s, ys.g_subgroup(a, b), g)
+            if ys._psi(a, b) is not None:
+                translated.add((a, b))
+    return translated
+
+
+def _all_pairs(n):
+    return {(a, b) for a in range(n) for b in range(n) if a != b}
+
+
+@pytest.mark.parametrize(
+    "group,objects,cover",
+    [(group, 3, cover) for group in ("cyclic:2", "symmetric:3", "dihedral:4", "quaternion8")
+     for cover in (False, True)] + [("cyclic:2", 4, True)],
+    ids=lambda v: str(v),
+)
+def test_translated_pairs_match_the_search(group, objects, cover):
+    # the Y-set system searches the reference pair only and translates every
+    # other pair through psi_ab: members, reference, base, carrier, perms and
+    # group must be the search's at that pair, each rep an automorphism that
+    # fixes the base and restricts to its perm
+    from groupoidlab import group_from_spec
+
+    gpd = build_standard_groupoid(group_from_spec(group), objects)
+    s = encode_double_cover(gpd) if cover else encode_groupoid(gpd)
+    ys = YSystem(s)
+    assert _check_against_search(s, ys) == _all_pairs(objects) - {ys.ref_pair}
+
+
+@pytest.mark.parametrize(
+    "group,objects", [("cyclic:2", 4), ("quaternion8", 3)], ids=["z2-cover-4", "q8-cover-3"]
+)
+def test_translated_pairs_match_the_search_after_relabelling(group, objects):
+    # the references come from the numbering, x_tuples(s, a, b)[0], so a
+    # relabelled structure translates through other automorphisms; on Q8
+    # some psi_ab sends the members of Y(0, 1) out of their sorted order,
+    # which the standard numbering never does
+    from groupoidlab import group_from_spec
+
+    s = encode_double_cover(build_standard_groupoid(group_from_spec(group), objects))
+    r, _ = _relabelled(s, seed=20150)
+    ys = YSystem(r)
+    assert _check_against_search(r, ys) == _all_pairs(objects) - {ys.ref_pair}
+
+
+def _spy_searches(monkeypatch):
+    """Record the pairs the Y-set system's compute_Y searches and the pinned
+    set of every _restricted search it runs; the oracle, which imports
+    them elsewhere, is not recorded."""
+    from groupoidlab import witness
+
+    searched, restricted = [], []
+    compute, restrict = witness.compute_Y, witness._restricted
+
+    def spy_compute(s, a, b, *args, **kwargs):
+        searched.append((a, b))
+        return compute(s, a, b, *args, **kwargs)
+
+    def spy_restrict(s, base, *args, **kwargs):
+        restricted.append(s.search_space.pinned(base))
+        return restrict(s, base, *args, **kwargs)
+
+    monkeypatch.setattr(witness, "compute_Y", spy_compute)
+    monkeypatch.setattr(witness, "_restricted", spy_restrict)
+    return searched, restricted
+
+
+def test_pairs_without_a_psi_are_searched(monkeypatch):
+    # a constant pins object 2, so no automorphism sends 0 or 1 to it: the
+    # pairs through 2 have no psi and each of the three builders searches
+    from dataclasses import replace
+
+    from groupoidlab import object_closure, pair_base
+    from groupoidlab.structures import Constant
+
+    plain = encode_double_cover(build_standard_groupoid(cyclic_group(2), 4))
+    s = replace(plain, constants=(Constant("mark", "O", 2),))
+    searched, restricted = _spy_searches(monkeypatch)
+    ys = YSystem(s)
+    translated = _check_against_search(s, ys)
+    through_2 = {p for p in _all_pairs(4) if 2 in p}
+    assert translated == _all_pairs(4) - through_2 - {ys.ref_pair}
+    assert sorted(searched) == sorted(through_2 | {ys.ref_pair})
+    pinned = s.search_space.pinned
+    for a, b in through_2:
+        assert pinned(object_closure(s, a)) in restricted
+        assert pinned(pair_base(s, a, b)) in restricted
+
+
+@pytest.mark.parametrize("broken", ["identity", "not-an-automorphism"])
+def test_rejected_psi_falls_back_to_the_search(broken, monkeypatch):
+    # a psi that fails the setwise base checks (the identity), or one that
+    # is no automorphism although it maps the bases onto each other (the
+    # real psi with the images of two morphisms 0 -> 1 swapped), is not
+    # accepted: every pair but the reference pair is searched
+    from groupoidlab import Automorphism, Element, automorphisms
+
+    s = encode_double_cover(build_standard_groupoid(cyclic_group(2), 4))
+    real = automorphisms.find_automorphism
+    m1, m2 = (s.search_space.point(Element("M", m)) for m in morphisms_between(s, 0, 1))
+
+    def bad_psi(structure, base=(), constraints=None, predicate=None):
+        psi = real(structure, base, constraints, predicate)
+        if broken == "identity":
+            return Automorphism(tuple(range(structure.carrier_size)), structure)
+        images = list(psi.images)
+        images[m1], images[m2] = images[m2], images[m1]
+        return Automorphism(tuple(images), structure)
+
+    monkeypatch.setattr(automorphisms, "find_automorphism", bad_psi)
+    searched, _ = _spy_searches(monkeypatch)
+    ys = YSystem(s)
+    assert _check_against_search(s, ys) == set()
+    assert sorted(searched) == sorted(_all_pairs(4))
+
+
+def test_pair_raises_its_own_error_when_the_reference_pair_raises(monkeypatch):
+    # G(0, 1) fails here, so no pair is read off it: the others are searched
+    # and raise, or not, for themselves
+    from groupoidlab import NotInvariant, pair_base, witness
+
+    s = encode_double_cover(build_standard_groupoid(cyclic_group(2), 4))
+    restrict, failing = witness._restricted, s.search_space.pinned(pair_base(s, 0, 1))
+
+    def failing_at_the_reference(structure, base, tuples, invariant, lead=None):
+        if structure.search_space.pinned(base) == failing:
+            raise NotInvariant(None, lead)
+        return restrict(structure, base, tuples, invariant, lead)
+
+    monkeypatch.setattr(witness, "_restricted", failing_at_the_reference)
+    ys = YSystem(s)
+    with pytest.raises(NotInvariant):
+        ys.g_subgroup(0, 1)
+    _, _, g = _searched_pair(s, 1, 2)
+    _check_restriction(s, ys.g_subgroup(1, 2), g)
+    assert ys._psi(1, 2) is not None
+
+
+def test_y_system_searches_only_the_reference_pair(monkeypatch):
+    # building every pair's Y-set, F-group and G-subgroup runs compute_Y once,
+    # at the reference pair, and no lead search over another pair's source
+    # closure or pair base
+    from groupoidlab import automorphisms, object_closure, pair_base
+
+    s = encode_double_cover(build_standard_groupoid(cyclic_group(2), 4))
+    space = s.search_space
+    searched, _ = _spy_searches(monkeypatch)
+    solutions, lead_pinned = automorphisms._solutions, []
+
+    def spy(structure, base, constraints=None, lead=()):
+        if lead:
+            lead_pinned.append(space.pinned(base))
+        return solutions(structure, base, constraints, lead=lead)
+
+    monkeypatch.setattr(automorphisms, "_solutions", spy)
+    ys = YSystem(s)
+    for a, b in sorted(_all_pairs(4)):
+        ys.y_set(a, b), ys.f_group(a, b), ys.g_subgroup(a, b)
+    assert searched == [ys.ref_pair]
+    reference = {space.pinned(object_closure(s, 0)), space.pinned(pair_base(s, 0, 1))}
+    others = {space.pinned(object_closure(s, a)) for a in range(4)}
+    others |= {space.pinned(pair_base(s, a, b)) for a, b in _all_pairs(4)}
+    assert lead_pinned and not (set(lead_pinned) & (others - reference))

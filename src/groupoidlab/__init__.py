@@ -49,8 +49,6 @@ from .groups import (
     group_to_json,
     isomorphism_search,
     quaternion_group,
-    regular_action,
-    subgroup_of,
     symmetric_group,
     validate_group,
 )
@@ -58,13 +56,8 @@ from .groupoids import (
     BindingGroup,
     FiniteGroupoid,
     VertexGroup,
-    bind_act,
     binding_group,
-    bracket,
     build_standard_groupoid,
-    groupoid_from_json,
-    groupoid_to_json,
-    standard_triple,
     validate_groupoid,
     vertex_group,
 )

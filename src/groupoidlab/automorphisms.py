@@ -44,22 +44,20 @@ Y-set groups lead with the Y-set's reference, with which every member is
 interdefinable over the base.  Each image of the lead gives one
 automorphism and so one restriction.
 
-Three translations spare searches (Seress, *Permutation Group Algorithms*,
-2003).  The automorphisms fixing a base and sending points S to given
-targets are a coset psi0 . H, with psi0 the first solution of the
-constrained search and H = Aut(s/base + S): ``iter_automorphisms`` with
-constraints yields psi0 and then psi0 . h as H's search runs, so the
-constrained enumeration never prunes over the base's coarser colouring.
-The group over a translated base is a conjugate, psi Aut(s/B) psi^-1 =
-Aut(s/psi(B)).  ``_translation`` finds that psi: the first automorphism
-sending given points to their targets, accepted only when
-``is_automorphism`` confirms it and it maps B onto B' as a set.
-``_translated_group`` reads Aut(s/B') off the enumerated Aut(s/B) through
-it, and enumerates Aut(s/B') when there is no accepted psi.  Neither the
-coset nor the conjugates are cached.  ``_translated_restriction``, the
-third, conjugates a restriction group: over B' on the images of its
-carrier, so the Y-set system builds its groups at one object pair and
-translates them to the others.
+Two translations spare searches (Seress, *Permutation Group Algorithms*,
+2003).  The group over a translated base is a conjugate, psi Aut(s/B)
+psi^-1 = Aut(s/psi(B)).  ``_translation`` finds that psi: the first
+automorphism sending given points to their targets (``find_automorphism``),
+accepted only when ``is_automorphism`` confirms it and it maps B onto B' as
+a set.  ``_translated_group`` reads Aut(s/B') off the enumerated Aut(s/B)
+through it, and enumerates Aut(s/B') when there is no accepted psi.  The
+conjugates are not cached.  ``_translated_restriction``, the second,
+conjugates a restriction group: over B' on the images of its carrier, so
+the Y-set system builds its groups at one object pair and translates them
+to the others.  The automorphisms sending points S to given targets are
+likewise a coset psi0 . Aut(s/S), psi0 the first of them; the section3
+claim ``transport-independence`` composes that coset itself, from one pass
+of ``iter_automorphisms`` over S that serves every target.
 
 An ``Automorphism`` is the search's image array, each sort's points after
 those of the sorts before it; ``_restriction`` reads a restriction off such
@@ -122,9 +120,6 @@ class AutomorphismGroup:
     def order(self) -> int:
         return len(self.members)
 
-    @property
-    def identity(self) -> Automorphism:
-        return Automorphism(tuple(range(self.structure.carrier_size)), self.structure)
 
 
 class _Rel:
@@ -299,8 +294,8 @@ def _solutions(
 
     With a lead tuple the lead's points are assigned first, and only the
     first completion of each distinct image of the lead is yielded: one
-    automorphism per member of the lead's orbit, the one ``find_automorphism``
-    returns when constrained to send the lead to that image."""
+    automorphism per member of the lead's orbit, the first that the search
+    constrained to send the lead to that image yields."""
     space = s.search_space
     n = space.n_points
     pinned = space.pinned(base)
@@ -436,47 +431,23 @@ def automorphism_group(
 
 
 def iter_automorphisms(
-    s: MultiSortedStructure,
-    base: Iterable[Element] = (),
-    constraints: Optional[dict[Element, Element]] = None,
+    s: MultiSortedStructure, base: Iterable[Element] = ()
 ) -> Iterator[Automorphism]:
-    """Lazily yield the automorphisms fixing base and extending constraints.
-
-    Without constraints they are Aut(s/base), in search order.  With them
-    they are the coset psi0 . H: psi0 is the constrained search's first
-    solution and H = Aut(s/base + S), S the constrained points, since psi
-    fixes base and agrees with psi0 on S iff psi0^-1 psi fixes base + S.
-    The coset comes in coset order: psi0 first, then psi0 . h for every other
-    h in the order of H's search, which refines base + S once instead of
-    pruning the constrained search over base's coarser colouring."""
+    """Lazily yield Aut(s/base), the automorphisms fixing base, in search order."""
     check_budget(s)
-    base_t = tuple(sorted(set(base)))
-    if not constraints:
-        for images in _solutions(s, base_t):
-            yield _to_automorphism(s, images)
-        return
-    search = _solutions(s, base_t, constraints)
-    head = next(search, None)
-    search.close()
-    if head is None:
-        return
-    yield _to_automorphism(s, head)
-    for h in _solutions(s, tuple(sorted(set(base_t).union(constraints)))):
-        images = tuple(head[p] for p in h)
-        if images != head:  # h is not the identity
-            yield _to_automorphism(s, images)
+    for images in _solutions(s, tuple(sorted(set(base)))):
+        yield _to_automorphism(s, images)
 
 
 def find_automorphism(
     s: MultiSortedStructure,
-    base: Iterable[Element] = (),
-    constraints: Optional[dict[Element, Element]] = None,
+    constraints: dict[Element, Element],
     predicate: Optional[Callable[[Automorphism], bool]] = None,
 ) -> Optional[Automorphism]:
-    """The first automorphism fixing base and extending constraints that
-    satisfies the predicate, in the order of the constrained search."""
+    """The first automorphism extending constraints that satisfies the
+    predicate, in the order of the constrained search."""
     check_budget(s)
-    for images in _solutions(s, tuple(sorted(set(base))), constraints):
+    for images in _solutions(s, (), constraints):
         aut = _to_automorphism(s, images)
         if predicate is None or predicate(aut):
             return aut
@@ -773,16 +744,3 @@ def setwise_restricted_group(
     carrier setwise: the finite stand-in for the group of elementary maps
     from the carrier onto itself over the base."""
     return _restricted(s, base, tuples, invariant=False)
-
-
-def automorphism_group_to_json(group: AutomorphismGroup) -> dict:
-    """Export as permutation lists, one map per sort per member."""
-    sorts, offsets = group.structure.sorts, group.structure.search_space.offsets
-    return {
-        "base": [[e.sort, e.index] for e in group.base],
-        "sorts": [name for name, _ in sorts],
-        "members": [
-            [[q - offsets[n] for q in aut.images[offsets[n]:offsets[n] + k]] for n, k in sorts]
-            for aut in group.members
-        ],
-    }

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import AxiomViolation, InvalidInput, NonAbelianVertex, TransportAmbiguity
-from .groups import FiniteGroup, group_from_json, group_from_spec, validate_group
+from .groups import FiniteGroup, validate_group
 
 
 @dataclass(frozen=True)
@@ -35,9 +35,6 @@ class FiniteGroupoid:
             return self._comp[(f, g)]
         except KeyError:
             raise AxiomViolation("composability", (f, g)) from None
-
-    def composable(self, f: int, g: int) -> bool:
-        return (f, g) in self._comp
 
     def morphisms_between(self, a: int, b: int) -> tuple[int, ...]:
         return tuple(
@@ -117,13 +114,6 @@ def build_standard_groupoid(group: FiniteGroup, n: int) -> FiniteGroupoid:
         identities=identities,
         composition=tuple(sorted(composition)),
     )
-
-
-def standard_triple(group: FiniteGroup, n: int, m: int) -> tuple[int, int, int]:
-    """Inverse of the standard morphism numbering: id -> (a, x, b)."""
-    pair, x = divmod(m, group.order)
-    a, b = divmod(pair, n)
-    return a, x, b
 
 
 def validate_groupoid(gpd: FiniteGroupoid) -> FiniteGroupoid:
@@ -244,63 +234,3 @@ def binding_group(gpd: FiniteGroupoid) -> BindingGroup:
         classes=tuple(classes),
         reps=tuple(reps),
     )
-
-
-def bind_act(b: BindingGroup, klass: int, f: int) -> int:
-    """The action of binding class ``klass`` on morphism f.
-
-    Composes f with the class representative at ter(f); the same morphism
-    must arise from the representative at init(f) acting first.
-    """
-    gpd = b.groupoid
-    left = gpd.compose(f, b.reps[klass][gpd.ter[f]])
-    right = gpd.compose(b.reps[klass][gpd.init[f]], f)
-    if left != right:
-        raise TransportAmbiguity(("left/right action mismatch", klass, f))
-    return left
-
-
-def bracket(b: BindingGroup, f: int, g: int) -> int:
-    """The unique binding class moving f to g inside one Mor(a, b)."""
-    gpd = b.groupoid
-    if gpd.init[f] != gpd.init[g] or gpd.ter[f] != gpd.ter[g]:
-        raise InvalidInput(f"morphisms {f}, {g} do not share endpoints")
-    hits = [k for k in range(b.group.order) if bind_act(b, k, f) == g]
-    if len(hits) != 1:
-        raise TransportAmbiguity(("bracket", f, g, hits))
-    return hits[0]
-
-
-def groupoid_to_json(gpd: FiniteGroupoid) -> dict:
-    return {
-        "objects": gpd.n_objects,
-        "morphisms": [
-            {"id": m, "init": gpd.init[m], "ter": gpd.ter[m], "inverse": gpd.inverse[m]}
-            for m in range(gpd.n_morphisms)
-        ],
-        "identities": list(gpd.identities),
-        "composition": [list(t) for t in gpd.composition],
-    }
-
-
-def groupoid_from_json(data: dict) -> FiniteGroupoid:
-    if "standard" in data:
-        inner = data["standard"]
-        if "group" not in inner or "objects" not in inner:
-            raise InvalidInput("standard shorthand needs 'group' and 'objects'")
-        spec = inner["group"]
-        group = group_from_spec(spec) if isinstance(spec, str) else group_from_json(spec)
-        return build_standard_groupoid(group, int(inner["objects"]))
-    try:
-        mors = data["morphisms"]
-        gpd = FiniteGroupoid(
-            n_objects=int(data["objects"]),
-            init=tuple(m["init"] for m in mors),
-            ter=tuple(m["ter"] for m in mors),
-            inverse=tuple(m["inverse"] for m in mors),
-            identities=tuple(data["identities"]),
-            composition=tuple(tuple(t) for t in data["composition"]),
-        )
-    except (KeyError, TypeError) as exc:
-        raise InvalidInput(f"groupoid JSON missing field: {exc}") from exc
-    return validate_groupoid(gpd)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import AxiomViolation, InvalidInput, OrderMismatch, UnsupportedSize
 
@@ -61,9 +61,6 @@ class FiniteGroup:
         t = self.table
         return all(t[a][b] == t[b][a] for a in range(self.order) for b in range(a))
 
-    def label(self, a: int) -> str:
-        return self.labels[a] if self.labels else str(a)
-
 
 @dataclass(frozen=True)
 class Subgroup:
@@ -75,15 +72,6 @@ class Subgroup:
     @property
     def order(self) -> int:
         return len(self.members)
-
-    def is_normal(self) -> bool:
-        g = self.parent
-        mem = set(self.members)
-        for x in g.elements:
-            xi = g.inv(x)
-            if any(g.mul(g.mul(x, m), xi) not in mem for m in self.members):
-                return False
-        return True
 
     def as_group(self) -> FiniteGroup:
         """The subgroup as a standalone group on re-indexed elements."""
@@ -103,9 +91,6 @@ class GroupAction:
     domain_size: int
     moves: tuple[tuple[int, ...], ...]
 
-    def act(self, g: int, x: int) -> int:
-        return self.moves[g][x]
-
     def orbit(self, x: int) -> tuple[int, ...]:
         return tuple(sorted({self.moves[g][x] for g in self.group.elements}))
 
@@ -119,20 +104,6 @@ class GroupAction:
             len(self.orbit(x)) == self.domain_size and len(self.stabilizer(x)) == 1
             for x in range(self.domain_size)
         )
-
-    def validate(self) -> "GroupAction":
-        """Check the action laws exhaustively."""
-        g = self.group
-        for x in range(self.domain_size):
-            if self.moves[g.identity][x] != x:
-                raise AxiomViolation("action-identity", x)
-        for a in g.elements:
-            for b in g.elements:
-                ab = g.mul(a, b)
-                for x in range(self.domain_size):
-                    if self.moves[ab][x] != self.moves[a][self.moves[b][x]]:
-                        raise AxiomViolation("action-compatibility", (a, b, x))
-        return self
 
 
 def validate_group(
@@ -187,21 +158,6 @@ def center(g: FiniteGroup) -> Subgroup:
         if all(g.mul(x, y) == g.mul(y, x) for y in g.elements)
     )
     return Subgroup(parent=g, members=members)
-
-
-def subgroup_of(g: FiniteGroup, members: Iterable[int]) -> Subgroup:
-    """Build a Subgroup after checking closure, identity and inverses."""
-    mem = tuple(sorted(set(members)))
-    mset = set(mem)
-    if g.identity not in mset:
-        raise AxiomViolation("subgroup-identity", mem)
-    for a in mem:
-        if g.inv(a) not in mset:
-            raise AxiomViolation("subgroup-inverse", a)
-        for b in mem:
-            if g.mul(a, b) not in mset:
-                raise AxiomViolation("subgroup-closure", (a, b))
-    return Subgroup(parent=g, members=mem)
 
 
 def isomorphism_search(g: FiniteGroup, h: FiniteGroup) -> Optional[tuple[int, ...]]:
@@ -266,11 +222,6 @@ def isomorphism_search(g: FiniteGroup, h: FiniteGroup) -> Optional[tuple[int, ..
     if not assign(g.identity, h.identity, seed):
         return None
     return tuple(img) if search() else None
-
-
-def regular_action(g: FiniteGroup) -> GroupAction:
-    """Left translation of the group on itself; transitive with trivial stabilizers."""
-    return GroupAction(group=g, domain_size=g.order, moves=g.table)
 
 
 def cyclic_group(n: int) -> FiniteGroup:

@@ -155,10 +155,6 @@ class FiniteStageLimit:
     elements: tuple[tuple[int, ...], ...]
     group: FiniteGroup
 
-    def projection_surjective(self, idx: Index) -> bool:
-        pos = self.stage.index(idx)
-        return len({e[pos] for e in self.elements}) == self.system.group(idx).order
-
 
 def finite_stage_limit(
     sys: DirectedSystemOfGroups, stage: Sequence[Index]
@@ -291,37 +287,6 @@ def _epimorphism(
             if lhs != rhs:
                 raise NotWellDefined(("not a homomorphism", i, j))
     return hom
-
-
-def system_to_json(sys: DirectedSystemOfGroups) -> dict:
-    from .groups import group_to_json
-
-    strict = [(lo, hi) for lo, hi in sys.order if lo != hi]
-    return {
-        "indices": list(sys.indices),
-        "order": [list(p) for p in strict],
-        "groups": {idx: group_to_json(g) for idx, g in sys.groups},
-        "transitions": [
-            {"low": lo, "high": hi, "map": list(mapping)}
-            for (lo, hi), mapping in sys.transitions
-        ],
-    }
-
-
-def system_from_json(data: dict) -> DirectedSystemOfGroups:
-    from .groups import group_from_json
-
-    try:
-        indices = [str(i) for i in data["indices"]]
-        order_pairs = [(str(a), str(b)) for a, b in data["order"]]
-        groups = {str(k): group_from_json(v) for k, v in data["groups"].items()}
-        transitions = {
-            (str(t["low"]), str(t["high"])): [int(v) for v in t["map"]]
-            for t in data["transitions"]
-        }
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidInput(f"system JSON malformed: {exc}") from exc
-    return validate_system(indices, order_pairs, groups, transitions)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import Any, Callable, Optional
 
-from .errors import BudgetExceeded, ClaimFailure, ReportMergeError
+from .errors import BudgetExceeded, ReportMergeError
 
 TOOL_VERSION = "0.1.0"
 
@@ -97,11 +97,6 @@ class Report:
 
     def failures(self) -> list[ClaimEntry]:
         return [e for e in self.entries if e.status == FAIL]
-
-    def raise_if_failed(self) -> None:
-        bad = self.failures()
-        if bad:
-            raise ClaimFailure(bad[0].claim_id, bad[0].witness)
 
     def to_json(self) -> dict:
         return {

@@ -385,7 +385,8 @@ def structure_from_json(data: dict) -> MultiSortedStructure:
     try:
         raw_sorts = data["sorts"]
         pairs = raw_sorts.items() if isinstance(raw_sorts, dict) else raw_sorts
-        sorts = tuple((str(k), int(v)) for k, v in pairs)
+        sorts = tuple((str(k), v) for k, v in pairs)
+        _int_tuple([size for _, size in sorts])
         functions = tuple(
             Function(
                 name=str(f["name"]),
@@ -404,9 +405,10 @@ def structure_from_json(data: dict) -> MultiSortedStructure:
             for r in data.get("relations", ())
         )
         constants = tuple(
-            Constant(name=str(c["name"]), sort=str(c["sort"]), index=int(c["index"]))
+            Constant(name=str(c["name"]), sort=str(c["sort"]), index=c["index"])
             for c in data.get("constants", ())
         )
+        _int_tuple([c.index for c in constants])
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInput(f"structure JSON malformed: {exc}") from exc
     return validate_structure(

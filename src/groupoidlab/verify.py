@@ -87,30 +87,6 @@ class WitnessInstance:
         return (self.b0[-1].index, self.b1[-1].index, self.b2[-1].index)
 
 
-def witness_to_json(w: WitnessInstance) -> dict:
-    def enc(t):
-        return [[e.sort, e.index] for e in t]
-
-    return {
-        "objects": [enc(w.b0), enc(w.b1), enc(w.b2)],
-        "morphisms": [enc(w.f01), enc(w.f12), enc(w.f02)],
-    }
-
-
-def witness_from_json(s: MultiSortedStructure, data: dict) -> WitnessInstance:
-    def dec(rows):
-        return tuple(Element(str(sort), int(idx)) for sort, idx in rows)
-
-    try:
-        b0, b1, b2 = (dec(t) for t in data["objects"])
-        f01, f12, f02 = (dec(t) for t in data["morphisms"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidInput(f"witness JSON malformed: {exc}") from exc
-    return WitnessInstance(
-        structure=s, b0=b0, b1=b1, b2=b2, f01=f01, f12=f12, f02=f02
-    )
-
-
 def standard_witness(
     s: MultiSortedStructure, objects: tuple[int, int, int] = (0, 1, 2)
 ) -> WitnessInstance:
@@ -828,9 +804,13 @@ def run_suites(
     Under "all", a suite that needs more objects than s has is recorded with
     an explicit skipped entry rather than silently dropped; asked for alone,
     it is an input error.  A suite that blows up on a broken instance is
-    recorded as a claim failure.
+    recorded as a claim failure.  Every suite presumes a connected groupoid,
+    so an empty Mor(a, b) is an input error before any suite runs.
     """
     n = s.sort_size("O")
+    for a, b in itertools.product(range(n), repeat=2):
+        if not morphisms_between(s, a, b):
+            raise InvalidInput(f"Mor({a}, {b}) is empty: the suites need a connected groupoid")
     combined = Report(instance=instance)
     for name in SUITES if suite == "all" else (suite,):
         runner, min_objects = SUITES[name]

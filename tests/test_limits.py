@@ -82,8 +82,8 @@ def test_incomparable_with_upper_bound():
     )
     stage = finite_stage_limit(sys_v, ("z2", "z3", "z6"))
     assert isomorphism_search(stage.group, z6) is not None
-    for idx in ("z2", "z3", "z6"):
-        assert stage.projection_surjective(idx)
+    for pos, idx in enumerate(stage.stage):  # every projection is onto
+        assert len({e[pos] for e in stage.elements}) == sys_v.group(idx).order
 
 
 def test_transition_must_be_epi():
@@ -185,13 +185,3 @@ def test_pi2_gamma2_instances():
     ]
     rep = check_pi2_gamma2(instances)
     assert rep.passed
-
-
-def test_system_json_round_trip():
-    import json
-
-    from groupoidlab.limits import system_from_json, system_to_json
-
-    sys_chain = chain_z8()
-    again = system_from_json(json.loads(json.dumps(system_to_json(sys_chain))))
-    assert again == sys_chain

@@ -5,9 +5,10 @@ import sys
 import pytest
 
 from conftest import subprocess_env
-from groupoidlab import ClaimFailure, Report, ReportMergeError, merge_reports, strip_volatile
+from groupoidlab import Report, ReportMergeError, merge_reports, strip_volatile
 from groupoidlab.cli import main
 from groupoidlab.report import dumps_canonical
+from groupoidlab.verify import SUITES
 
 
 def run_cli(*args):
@@ -26,8 +27,7 @@ def test_report_statuses_and_failures():
     rep.add("bad", "always broken", lambda: {"reason": 1})
     assert [e.status for e in rep.entries] == ["pass", "surrogate-pass", "fail"]
     assert not rep.passed
-    with pytest.raises(ClaimFailure):
-        rep.raise_if_failed()
+    assert [e.claim_id for e in rep.failures()] == ["bad"]
     text = rep.render_text()
     assert "FAIL" in text and "pass*" in text
 
@@ -172,13 +172,18 @@ def test_report_rejects_malformed_input(doc, tmp_path, capsys):
         merge_reports([doc])
 
 
-def _structure_with(name, position, value):
-    # a built cyclic:2, 2-object structure whose function or relation `name`
-    # holds `value` at `position` of its first row or tuple
+def _built_structure():
+    # the built cyclic:2, 2-object plain structure, as JSON
     from groupoidlab import build_standard_groupoid, cyclic_group, encode_groupoid
     from groupoidlab.structures import structure_to_json
 
-    data = structure_to_json(encode_groupoid(build_standard_groupoid(cyclic_group(2), 2)))
+    return structure_to_json(encode_groupoid(build_standard_groupoid(cyclic_group(2), 2)))
+
+
+def _structure_with(name, position, value):
+    # the built structure whose function or relation `name` holds `value`
+    # at `position` of its first row or tuple
+    data = _built_structure()
     for table in (*data["functions"], *data["relations"]):
         if table["name"] == name:
             table.get("rows", table.get("tuples"))[0][position] = value
@@ -205,6 +210,54 @@ def test_malformed_json_input_exits_two(kind, doc, tmp_path, capsys):
         argv = ["verify", "--suite", "section3", "--group", "cyclic:2", "--structure", str(path)]
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def _with_sort_size(size):
+    data = _built_structure()
+    data["sorts"][0][1] = size
+    return data
+
+
+def _with_constant_index(index):
+    data = _built_structure()
+    data["constants"] = [{"name": "c", "sort": "O", "index": index}]
+    return data
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [_with_sort_size(2.9), _with_sort_size("2"), _with_constant_index(1.5)],
+    ids=["float-sort-size", "string-sort-size", "float-constant-index"],
+)
+def test_verify_structure_with_non_integer_entries_exits_two(doc, tmp_path, capsys):
+    # sizes and constant indices are checked like rows, not truncated by int()
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
+    argv = ["verify", "--suite", "section2", "--group", "cyclic:2", "--structure", str(path)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "not a list of integers" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("suite", [*SUITES, "all"])
+def test_verify_disconnected_structure_exits_two(suite, tmp_path, capsys):
+    # four objects with only their identities: a valid groupoid in which
+    # Mor(0, 1) is empty, which every suite presumes it is not
+    from groupoidlab import FiniteGroupoid, encode_groupoid, validate_groupoid
+    from groupoidlab.structures import structure_to_json
+
+    ids = (0, 1, 2, 3)
+    gpd = validate_groupoid(FiniteGroupoid(
+        n_objects=4, init=ids, ter=ids, inverse=ids, identities=ids,
+        composition=tuple((m, m, m) for m in ids),
+    ))
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(structure_to_json(encode_groupoid(gpd))))
+    argv = ["verify", "--suite", suite, "--group", "cyclic:2", "--structure", str(path)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: Mor(0, 1) is empty: the suites need a connected groupoid\n"
+    assert captured.out == ""
 
 
 def test_console_script_runs():

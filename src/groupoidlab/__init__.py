@@ -65,9 +65,7 @@ from .limits import (
     DirectedSystemOfGroups,
     FiniteStageLimit,
     GroupHomomorphism,
-    check_pi2_gamma2,
     finite_stage_limit,
-    inverse_limit_stage,
     restriction_epimorphism,
     validate_system,
 )

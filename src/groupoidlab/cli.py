@@ -57,15 +57,15 @@ class RunConfig:
         return f"group={self.group_spec} objects={self.objects}{cover}"
 
 
-def _load_group(spec: str) -> tuple[FiniteGroup, str]:
+def _load_group(spec: str) -> FiniteGroup:
     if spec.startswith("file:"):
         path = Path(spec[len("file:"):])
         try:
             data = json.loads(path.read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise InvalidInput(f"cannot read group file {path}: {exc}") from exc
-        return group_from_json(data), spec
-    return group_from_spec(spec), spec
+        return group_from_json(data)
+    return group_from_spec(spec)
 
 
 def _build_structure(config: RunConfig) -> MultiSortedStructure:
@@ -78,9 +78,9 @@ def _build_structure(config: RunConfig) -> MultiSortedStructure:
 
 
 def cmd_build(args: argparse.Namespace) -> int:
-    group, spec = _load_group(args.group)
+    group = _load_group(args.group)
     config = RunConfig(
-        group=group, group_spec=spec, objects=args.objects, cover=args.cover
+        group=group, group_spec=args.group, objects=args.objects, cover=args.cover
     )
     s = _build_structure(config)
     text = dumps_canonical(structure_to_json(s))
@@ -93,7 +93,7 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     structure: Optional[MultiSortedStructure] = None
-    group, spec = _load_group(args.group)
+    group = _load_group(args.group)
     objects, cover = args.objects, args.cover
     if args.structure:
         try:
@@ -104,7 +104,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         objects, cover = structure.sort_size("O"), has_cover(structure)
     config = RunConfig(
         group=group,
-        group_spec=spec,
+        group_spec=args.group,
         objects=objects,
         cover=cover,
         suite=args.suite,

@@ -1,5 +1,5 @@
 """Directed systems of finite groups, finite-stage inverse limits, and the
-containment/normality checks for the restricted automorphism groups.
+restriction epimorphisms between restricted automorphism groups.
 
 Index sets are finite and user-supplied; transitions are epimorphisms checked
 exhaustively.  A stage limit is the group of transition-compatible tuples
@@ -27,8 +27,7 @@ from .errors import (
     NotWellDefined,
     TransitionNotEpi,
 )
-from .groups import FiniteGroup, compose_perms, validate_group
-from .report import Report
+from .groups import FiniteGroup, validate_group
 from .structures import (
     Element,
     MultiSortedStructure,
@@ -89,7 +88,7 @@ def validate_system(
     leq = {(i, i) for i in idx}
     leq.update((lo, hi) for lo, hi in order_pairs)
     for lo, hi in leq:
-        if lo not in groups or hi not in groups:
+        if lo not in idx or hi not in idx:
             raise InvalidInput(f"order pair ({lo!r}, {hi!r}) uses unknown index")
     changed = True
     while changed:
@@ -132,8 +131,6 @@ def validate_system(
     for lo, mid in strict:
         for hi in idx:
             if (mid, hi) in strict:
-                if (lo, hi) not in strict:
-                    raise AxiomViolation("order-transitivity", (lo, mid, hi))
                 via = tuple(maps[(lo, mid)][v] for v in maps[(mid, hi)])
                 if via != maps[(lo, hi)]:
                     raise FunctorialityFailure((lo, mid, hi))
@@ -198,12 +195,6 @@ def finite_stage_limit(
     )
 
 
-def inverse_limit_stage(
-    sys: DirectedSystemOfGroups, stage: Sequence[Index]
-) -> FiniteGroup:
-    return finite_stage_limit(sys, stage).group
-
-
 # ---------------------------------------------------------------------------
 # restriction epimorphisms between restricted automorphism groups
 
@@ -247,14 +238,10 @@ def raw_restriction_epimorphism(
 ) -> GroupHomomorphism:
     """``restriction_epimorphism`` over the closure of u from the full
     reference of Y(u, v), whose group is the F-group, to the raw least
-    morphism u -> v, built from the structure's Y-sets and kept in its Y-set
-    system; a failure keeps nothing, so it raises again on the next call."""
+    morphism u -> v, built from the structure's Y-sets."""
     ys = s.y_system
-    hom = ys.epimorphisms.get((u, v))
-    if hom is None:
-        big = ys.f_group(u, v)
-        hom = ys.epimorphisms[(u, v)] = _epimorphism(s, big.base, ys.raw_y_set(u, v), big)
-    return hom
+    big = ys.f_group(u, v)
+    return _epimorphism(s, big.base, ys.raw_y_set(u, v), big)
 
 
 def _epimorphism(
@@ -287,123 +274,3 @@ def _epimorphism(
             if lhs != rhs:
                 raise NotWellDefined(("not a homomorphism", i, j))
     return hom
-
-
-# ---------------------------------------------------------------------------
-# the containment / centrality / normality report
-
-
-def _perm_set(rg: RestrictedAutGroup) -> set[tuple[int, ...]]:
-    return set(rg.perms)
-
-
-def _is_normal_in(sub: set[tuple[int, ...]], big: RestrictedAutGroup) -> bool:
-    for k, g in enumerate(big.perms):
-        gi = big.perms[big.group.inv(k)]
-        for h in sub:
-            if compose_perms(g, compose_perms(h, gi)) not in sub:
-                return False
-    return True
-
-
-def check_pi2_gamma2(
-    instances: Sequence[tuple[str, MultiSortedStructure, tuple[int, int]]],
-) -> Report:
-    """Per instance: the pair-base group sits centrally in the
-    interdefinability-preserving group, which sits inside the full
-    restriction group; both are normal; abelian stages stay abelian;
-    and the two-stage raw/full system has the full group as its limit."""
-    report = Report(instance="restricted-group tower")
-    for name, s, (u, v) in instances:
-        slug = name.replace(" ", "-")
-        ys = s.y_system
-        f_full = ys.f_group(u, v)
-        g_sub = ys.g_subgroup(u, v)
-        y_raw = ys.raw_y_set(u, v)
-
-        # the interdefinability-preserving members: those whose global reps
-        # stabilize every dcl-class carrier attached to the pair
-        raw_index = _carrier_index(s, y_raw.members)
-        pi_perms = {
-            f_full.perms[k]
-            for k, rep in enumerate(f_full.reps)
-            if -1 not in _restriction(rep.images, raw_index)
-        }
-
-        def tower(
-            name=name, f_full=f_full, g_sub=g_sub, pi_perms=pi_perms
-        ):
-            f_set = _perm_set(f_full)
-            g_set = _perm_set(g_sub)
-            if not g_set <= pi_perms:
-                return {"instance": name, "problem": "G not inside Pi"}
-            if not pi_perms <= f_set:
-                return {"instance": name, "problem": "Pi not inside F"}
-            return None
-
-        report.add(
-            f"{slug}.tower-containment",
-            f"{name}: pair-base group <= interdefinability-preservers <= full group",
-            tower,
-            surrogates=("pi-as-interdefinability-preservers",),
-        )
-
-        def central(name=name, f_full=f_full, g_sub=g_sub, pi_perms=pi_perms):
-            for p in _perm_set(g_sub):
-                for q in pi_perms:
-                    if compose_perms(p, q) != compose_perms(q, p):
-                        return {"instance": name, "noncommuting": (p, q)}
-            return None
-
-        report.add(
-            f"{slug}.gamma-central-in-pi",
-            f"{name}: the pair-base group is central in the preservers",
-            central,
-        )
-
-        def normal(name=name, f_full=f_full, g_sub=g_sub, pi_perms=pi_perms):
-            if not _is_normal_in(_perm_set(g_sub), f_full):
-                return {"instance": name, "problem": "G not normal in F"}
-            if not _is_normal_in(pi_perms, f_full):
-                return {"instance": name, "problem": "Pi not normal in F"}
-            return None
-
-        report.add(
-            f"{slug}.normal-in-full-group",
-            f"{name}: both subgroups are normal in the full restriction group",
-            normal,
-        )
-
-        def abelian(name=name, g_sub=g_sub):
-            if not g_sub.group.is_abelian():
-                return {"instance": name, "order": g_sub.group.order}
-            return None
-
-        report.add(
-            f"{slug}.abelian-stage",
-            f"{name}: the pair-base stage is abelian",
-            abelian,
-        )
-
-        def two_stage(name=name, s=s, u=u, v=v):
-            hom = raw_restriction_epimorphism(s, u, v)
-            if not hom.is_surjective():
-                return {"instance": name, "problem": "restriction not surjective"}
-            sys = validate_system(
-                indices=("raw", "full"),
-                order_pairs=[("raw", "full")],
-                groups={"raw": hom.target.group, "full": hom.source.group},
-                transitions={("raw", "full"): hom.mapping},
-            )
-            lim = inverse_limit_stage(sys, ("raw", "full"))
-            if lim.order != hom.source.group.order:
-                return {"instance": name, "limit": lim.order}
-            return None
-
-        report.add(
-            f"{slug}.two-stage-limit",
-            f"{name}: the raw/full restriction system is a directed system "
-            "whose stage limit is the full group",
-            two_stage,
-        )
-    return report

@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import AxiomViolation, ClaimFailure, InvalidInput, NoProbeAvailable
+from .errors import ClaimFailure, InvalidInput, NoProbeAvailable
 from .groupoids import FiniteGroupoid, validate_groupoid
 from .structures import morphism_tuple, morphisms_between, objects_of
 from .witness import YSystem
@@ -308,32 +308,15 @@ def build_extended_groupoid(ys: YSystem) -> ExtendedGroupoid:
             )
             composition.append((m1, m2, index[class_key(ys, joined)]))
 
-    comp = {(f, g): h for f, g, h in composition}
-    identities = []
-    for c in objects_of(s):
-        own = [m for m, k in enumerate(keys) if k[1] == c and k[2] == c]
-        neutral = [
-            e
-            for e in own
-            if all(comp[(e, m)] == m for m, k in enumerate(keys) if k[1] == c)
-            and all(comp[(m, e)] == m for m, k in enumerate(keys) if k[2] == c)
-        ]
-        if len(neutral) != 1:
-            raise AxiomViolation("identity", ("quotient", c, neutral))
-        identities.append(neutral[0])
-
-    inverse = []
-    for m, k in enumerate(keys):
-        cands = [
-            m2
-            for m2, k2 in enumerate(keys)
-            if k2[1] == k[2] and k2[2] == k[1]
-            and comp[(m, m2)] == identities[k[1]]
-            and comp[(m2, m)] == identities[k2[1]]
-        ]
-        if len(cands) != 1:
-            raise AxiomViolation("inverse", ("quotient", m, cands))
-        inverse.append(cands[0])
+    # the identity at c is the vertex class whose fold at the canonical
+    # probe is the probe itself; the inverse of m is the m2 whose composite
+    # m.m2 is the identity at init(m).  validate_groupoid checks both, and
+    # rejects the -1 of an m without one.
+    identities = [index[("vertex", c, c, 0)] for c in objects_of(s)]
+    inverse = [-1] * len(keys)
+    for m1, m2, m in composition:
+        if m == identities[init[m1]]:
+            inverse[m1] = m2
 
     gpd = FiniteGroupoid(
         n_objects=n,

@@ -17,7 +17,9 @@ from typing import Callable, Optional
 from .automorphisms import (
     Automorphism,
     RestrictedAutGroup,
+    _carrier_index,
     _fixed,
+    _restriction,
     _translated_group,
     automorphism_group,
     find_automorphism,
@@ -31,8 +33,8 @@ from .errors import BudgetExceeded, GroupoidLabError, InvalidInput
 from .groups import FiniteGroup, center, compose_perms, cyclic_group, isomorphism_search
 from .groupoids import build_standard_groupoid, vertex_group
 from .limits import (
-    check_pi2_gamma2,
-    inverse_limit_stage,
+    GroupHomomorphism,
+    finite_stage_limit,
     raw_restriction_epimorphism,
     validate_system,
 )
@@ -87,22 +89,19 @@ class WitnessInstance:
         return (self.b0[-1].index, self.b1[-1].index, self.b2[-1].index)
 
 
-def standard_witness(
-    s: MultiSortedStructure, objects: tuple[int, int, int] = (0, 1, 2)
-) -> WitnessInstance:
-    """The canonical witness on three objects of an encoded groupoid."""
+def standard_witness(s: MultiSortedStructure) -> WitnessInstance:
+    """The canonical witness on objects 0, 1, 2 of an encoded groupoid."""
     if s.sort_size("O") < 3:
         raise InvalidInput("witness needs at least three objects")
     gpd = decode_groupoid(s)
-    o0, o1, o2 = objects
-    m01 = min(morphisms_between(s, o0, o1))
-    m12 = min(morphisms_between(s, o1, o2))
+    m01 = min(morphisms_between(s, 0, 1))
+    m12 = min(morphisms_between(s, 1, 2))
     m02 = gpd.compose(m01, m12)
     return WitnessInstance(
         structure=s,
-        b0=object_tuple(s, o0),
-        b1=object_tuple(s, o1),
-        b2=object_tuple(s, o2),
+        b0=object_tuple(s, 0),
+        b1=object_tuple(s, 1),
+        b2=object_tuple(s, 2),
         f01=morphism_tuple(s, m01),
         f12=morphism_tuple(s, m12),
         f02=morphism_tuple(s, m02),
@@ -707,7 +706,11 @@ def verify_fgroupoid(s: MultiSortedStructure) -> Report:
 
 def verify_limits(s: MultiSortedStructure) -> Report:
     """Two fixed directed systems, then the restriction epimorphism and the
-    restricted-group tower on the first object pair of s."""
+    restricted-group tower on the pair (0, 1) of s: the pair-base group sits
+    centrally in the interdefinability-preserving group, which sits inside
+    the full restriction group; both are normal; the pair-base stage is
+    abelian; and the two-stage raw/full system has the full group as its
+    limit."""
     report = Report(instance="directed systems")
 
     def chain() -> Optional[object]:
@@ -722,7 +725,7 @@ def verify_limits(s: MultiSortedStructure) -> Report:
                 ("z2", "z8"): [x % 2 for x in range(8)],
             },
         )
-        lim = inverse_limit_stage(sys_chain, ("z2", "z4", "z8"))
+        lim = finite_stage_limit(sys_chain, ("z2", "z4", "z8")).group
         if isomorphism_search(lim, z8) is None:
             return {"limit_order": lim.order}
         return None
@@ -741,7 +744,7 @@ def verify_limits(s: MultiSortedStructure) -> Report:
             groups={"lo": z2, "hi": z2},
             transitions={("lo", "hi"): [0, 1]},
         )
-        lim = inverse_limit_stage(sys_const, ("lo", "hi"))
+        lim = finite_stage_limit(sys_const, ("lo", "hi")).group
         if isomorphism_search(lim, z2) is None:
             return {"limit_order": lim.order}
         return None
@@ -752,8 +755,12 @@ def verify_limits(s: MultiSortedStructure) -> Report:
         constant,
     )
 
+    @functools.cache
+    def epimorphism() -> GroupHomomorphism:
+        return raw_restriction_epimorphism(s, 0, 1)
+
     def epi() -> Optional[object]:
-        hom = raw_restriction_epimorphism(s, 0, 1)
+        hom = epimorphism()
         if not hom.is_surjective():
             return {"problem": "not surjective"}
         expected_kernel = hom.source.order // hom.target.order
@@ -768,7 +775,95 @@ def verify_limits(s: MultiSortedStructure) -> Report:
         epi,
     )
 
-    report.extend(check_pi2_gamma2([("instance", s, (0, 1))]))
+    # the tower's groups are built outside its claims, so an instance they
+    # cannot be built on aborts the suite as limits.instance-error
+    ys = s.y_system
+    f_full = ys.f_group(0, 1)
+    g_sub = ys.g_subgroup(0, 1)
+    y_raw = ys.raw_y_set(0, 1)
+    # the interdefinability-preserving members: those whose global reps
+    # stabilize every dcl-class carrier attached to the pair
+    raw_index = _carrier_index(s, y_raw.members)
+    g_perms = set(g_sub.perms)
+    pi_perms = {
+        f_full.perms[k]
+        for k, rep in enumerate(f_full.reps)
+        if -1 not in _restriction(rep.images, raw_index)
+    }
+
+    def tower() -> Optional[object]:
+        if not g_perms <= pi_perms:
+            return {"instance": "instance", "problem": "G not inside Pi"}
+        if not pi_perms <= set(f_full.perms):
+            return {"instance": "instance", "problem": "Pi not inside F"}
+        return None
+
+    report.add(
+        "instance.tower-containment",
+        "instance: pair-base group <= interdefinability-preservers <= full group",
+        tower,
+        surrogates=("pi-as-interdefinability-preservers",),
+    )
+
+    def central() -> Optional[object]:
+        for p in g_perms:
+            for q in pi_perms:
+                if compose_perms(p, q) != compose_perms(q, p):
+                    return {"instance": "instance", "noncommuting": (p, q)}
+        return None
+
+    report.add(
+        "instance.gamma-central-in-pi",
+        "instance: the pair-base group is central in the preservers",
+        central,
+    )
+
+    def normal() -> Optional[object]:
+        for sub, name in ((g_perms, "G"), (pi_perms, "Pi")):
+            for k, g in enumerate(f_full.perms):
+                gi = f_full.perms[f_full.group.inv(k)]
+                if any(compose_perms(g, compose_perms(h, gi)) not in sub for h in sub):
+                    return {"instance": "instance", "problem": f"{name} not normal in F"}
+        return None
+
+    report.add(
+        "instance.normal-in-full-group",
+        "instance: both subgroups are normal in the full restriction group",
+        normal,
+    )
+
+    def abelian() -> Optional[object]:
+        if not g_sub.group.is_abelian():
+            return {"instance": "instance", "order": g_sub.group.order}
+        return None
+
+    report.add(
+        "instance.abelian-stage",
+        "instance: the pair-base stage is abelian",
+        abelian,
+    )
+
+    def two_stage() -> Optional[object]:
+        hom = epimorphism()
+        if not hom.is_surjective():
+            return {"instance": "instance", "problem": "restriction not surjective"}
+        sys = validate_system(
+            indices=("raw", "full"),
+            order_pairs=[("raw", "full")],
+            groups={"raw": hom.target.group, "full": hom.source.group},
+            transitions={("raw", "full"): hom.mapping},
+        )
+        lim = finite_stage_limit(sys, ("raw", "full")).group
+        if lim.order != hom.source.group.order:
+            return {"instance": "instance", "limit": lim.order}
+        return None
+
+    report.add(
+        "instance.two-stage-limit",
+        "instance: the raw/full restriction system is a directed system "
+        "whose stage limit is the full group",
+        two_stage,
+    )
     return report
 
 

@@ -20,7 +20,7 @@ table per object triple.  Member tuples are decoded only for reports.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional, TypeVar
+from typing import Callable, Optional, TypeVar
 
 from .automorphisms import (
     Automorphism,
@@ -52,9 +52,6 @@ from .structures import (
     object_tuple,
     pair_base,
 )
-
-if TYPE_CHECKING:
-    from .limits import GroupHomomorphism
 
 YTuple = tuple[Element, ...]
 _T = TypeVar("_T")
@@ -144,9 +141,8 @@ def compute_Y(
 
 
 class YSystem:
-    """Caches Y-sets, restriction groups, transports and the restriction
-    epimorphisms of the limits tower over one structure; the structure's own
-    system is ``MultiSortedStructure.y_system``.
+    """Caches Y-sets, restriction groups and transports over one structure;
+    the structure's own system is ``MultiSortedStructure.y_system``.
 
     The Y-set, the F-group and the G-subgroup are searched at the reference
     pair (0, 1) only.  Every other pair (a, b) reads them off the reference
@@ -172,8 +168,6 @@ class YSystem:
         self.gpd = decode_groupoid(s)
         self._ysets: dict[tuple[int, int], YSet] = {}
         self._raw_ysets: dict[tuple[int, int], YSet] = {}
-        # filled by limits.raw_restriction_epimorphism
-        self.epimorphisms: dict[tuple[int, int], GroupHomomorphism] = {}
         self._fgroups: dict[tuple[int, int], RestrictedAutGroup] = {}
         self._ggroups: dict[tuple[int, int], RestrictedAutGroup] = {}
         self._psis: dict[tuple[int, int], Optional[Automorphism]] = {}

@@ -18,14 +18,13 @@ from groupoidlab import (
     build_extended_groupoid,
     build_standard_groupoid,
     center,
-    check_pi2_gamma2,
     class_key,
     cyclic_group,
     dihedral_group,
     direct_product,
     encode_double_cover,
     encode_groupoid,
-    inverse_limit_stage,
+    finite_stage_limit,
     isomorphism_search,
     morphism_tuple,
     morphisms_between,
@@ -44,6 +43,7 @@ from groupoidlab import (
 )
 from groupoidlab.paths import all_paths
 from groupoidlab.report import dumps_canonical
+from groupoidlab.verify import verify_limits
 
 GROUPS = {
     "Z/2": cyclic_group(2),
@@ -274,7 +274,7 @@ def test_criterion_10_limits_and_towers():
             ("z2", "z8"): [x % 2 for x in range(8)],
         },
     )
-    if isomorphism_search(inverse_limit_stage(sys_chain, ("z2", "z4", "z8")), z8) is None:
+    if isomorphism_search(finite_stage_limit(sys_chain, ("z2", "z4", "z8")).group, z8) is None:
         bad.append("chain limit")
     sys_const = validate_system(
         indices=("lo", "hi"),
@@ -282,7 +282,7 @@ def test_criterion_10_limits_and_towers():
         groups={"lo": z2, "hi": z2},
         transitions={("lo", "hi"): [0, 1]},
     )
-    if isomorphism_search(inverse_limit_stage(sys_const, ("lo", "hi")), z2) is None:
+    if isomorphism_search(finite_stage_limit(sys_const, ("lo", "hi")).group, z2) is None:
         bad.append("constant limit")
 
     s_cov = encode_double_cover(build_standard_groupoid(z2, 4))
@@ -293,14 +293,15 @@ def test_criterion_10_limits_and_towers():
     if not (hom.is_surjective() and len(hom.kernel()) == 2):
         bad.append(("epi", hom.source.order, hom.target.order, len(hom.kernel())))
 
-    instances = []
     for name, group in SMALL.items():
         gpd = build_standard_groupoid(group, 4)
-        instances.append((f"plain {name}", encode_groupoid(gpd), (0, 1)))
-        instances.append((f"cover {name}", encode_double_cover(gpd), (0, 1)))
-    rep = check_pi2_gamma2(instances)
-    if not rep.passed:
-        bad.extend((e.claim_id, e.witness) for e in rep.failures())
+        for kind, s in (("plain", encode_groupoid(gpd)), ("cover", encode_double_cover(gpd))):
+            tower = [e for e in verify_limits(s).entries if e.claim_id.startswith("instance.")]
+            if len(tower) != 5:
+                bad.append((f"{kind} {name}", "tower claims", len(tower)))
+            bad.extend(
+                (f"{kind} {name}", e.claim_id, e.witness) for e in tower if e.status != "pass"
+            )
     conclude(10, not bad, f"{time.perf_counter()-t0:.1f}s; bad={bad[:3]}")
 
 

@@ -1,0 +1,73 @@
+"""The package's modules form layers, and no module imports one above it.
+
+Each module may import only modules on a lower layer; ``paths`` and
+``limits`` share a layer and import neither each other.  Imports at any
+depth count, ``TYPE_CHECKING`` blocks and function bodies included.
+``__init__.py`` re-exports every layer and is exempt.
+"""
+
+import ast
+from pathlib import Path
+
+from conftest import SRC
+
+PACKAGE = Path(SRC) / "groupoidlab"
+
+LAYERS = (
+    ("errors",),
+    ("groups",),
+    ("groupoids",),
+    ("structures",),
+    ("automorphisms",),
+    ("witness",),
+    ("paths", "limits"),
+    ("report",),
+    ("verify",),
+    ("cli",),
+)
+RANK = {module: rank for rank, layer in enumerate(LAYERS) for module in layer}
+
+# (importer, imported) pairs allowed against the order, with the reason
+EXEMPT = {
+    ("structures", "automorphisms"): "a structure builds its search space lazily",
+    ("structures", "witness"): "a structure builds its Y-set system lazily",
+}
+
+
+def _imported_modules(tree):
+    # (imported module, line) for every import of a package module
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.level == 0:
+            if not (node.module or "").startswith("groupoidlab."):
+                continue
+            yield node.module.split(".")[1], node.lineno
+        elif node.module is None:
+            for alias in node.names:
+                yield alias.name, node.lineno
+        else:
+            yield node.module.split(".")[0], node.lineno
+
+
+def _violations():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        importer = path.stem
+        for imported, line in _imported_modules(ast.parse(path.read_text())):
+            if (importer, imported) in EXEMPT:
+                continue
+            if RANK[imported] >= RANK[importer]:
+                found.append(f"{importer}.py:{line} imports {imported}")
+    return found
+
+
+def test_every_module_has_a_layer():
+    modules = {p.stem for p in PACKAGE.glob("*.py")} - {"__init__"}
+    assert modules == set(RANK)
+
+
+def test_no_module_imports_upward():
+    assert _violations() == []

@@ -4,17 +4,16 @@ from groupoidlab import (
     AxiomViolation,
     Element,
     FunctorialityFailure,
+    InvalidInput,
     NotDirected,
     NotWellDefined,
     TransitionNotEpi,
     build_standard_groupoid,
-    check_pi2_gamma2,
     cyclic_group,
     direct_product,
     encode_double_cover,
     encode_groupoid,
     finite_stage_limit,
-    inverse_limit_stage,
     isomorphism_search,
     morphism_tuple,
     morphisms_between,
@@ -22,6 +21,7 @@ from groupoidlab import (
     restriction_epimorphism,
     validate_system,
 )
+from groupoidlab.verify import verify_limits
 
 
 def chain_z8():
@@ -45,15 +45,15 @@ def test_single_group_system():
         groups={"only": cyclic_group(2)},
         transitions={},
     )
-    lim = inverse_limit_stage(sys1, ("only",))
+    lim = finite_stage_limit(sys1, ("only",)).group
     assert lim.order == 2
 
 
 def test_chain_validates_and_limits_to_top():
     sys_chain = chain_z8()
-    lim = inverse_limit_stage(sys_chain, ("z2", "z4", "z8"))
+    lim = finite_stage_limit(sys_chain, ("z2", "z4", "z8")).group
     assert isomorphism_search(lim, cyclic_group(8)) is not None
-    partial = inverse_limit_stage(sys_chain, ("z2", "z4"))
+    partial = finite_stage_limit(sys_chain, ("z2", "z4")).group
     assert isomorphism_search(partial, cyclic_group(4)) is not None
 
 
@@ -65,7 +65,7 @@ def test_constant_system_limit():
         groups={"lo": z2, "hi": z2},
         transitions={("lo", "hi"): [0, 1]},
     )
-    lim = inverse_limit_stage(sys_const, ("lo", "hi"))
+    lim = finite_stage_limit(sys_const, ("lo", "hi")).group
     assert isomorphism_search(lim, z2) is not None
 
 
@@ -137,6 +137,18 @@ def test_antisymmetry_violation():
         )
 
 
+def test_order_pair_must_name_indices():
+    # an index with a group but outside the index set is not part of the poset
+    z2 = cyclic_group(2)
+    with pytest.raises(InvalidInput, match="unknown index"):
+        validate_system(
+            indices=("a",),
+            order_pairs=[("a", "b")],
+            groups={"a": z2, "b": z2},
+            transitions={("a", "b"): [0, 1]},
+        )
+
+
 def test_stage_must_be_downward_closed():
     sys_chain = chain_z8()
     with pytest.raises(AxiomViolation):
@@ -179,9 +191,11 @@ def test_pi2_gamma2_instances():
     z2 = cyclic_group(2)
     triv = cyclic_group(1)
     instances = [
-        ("plain z2", encode_groupoid(build_standard_groupoid(z2, 4)), (0, 1)),
-        ("cover z2", encode_double_cover(build_standard_groupoid(z2, 4)), (0, 1)),
-        ("plain trivial", encode_groupoid(build_standard_groupoid(triv, 4)), (0, 1)),
+        encode_groupoid(build_standard_groupoid(z2, 4)),
+        encode_double_cover(build_standard_groupoid(z2, 4)),
+        encode_groupoid(build_standard_groupoid(triv, 4)),
     ]
-    rep = check_pi2_gamma2(instances)
-    assert rep.passed
+    for s in instances:
+        tower = [e for e in verify_limits(s).entries if e.claim_id.startswith("instance.")]
+        assert len(tower) == 5
+        assert all(e.status == "pass" for e in tower), [(e.claim_id, e.witness) for e in tower]

@@ -56,8 +56,11 @@ conjugates a restriction group: over B' on the images of its carrier, so
 the Y-set system builds its groups at one object pair and translates them
 to the others.  The automorphisms sending points S to given targets are
 likewise a coset psi0 . Aut(s/S), psi0 the first of them; the section3
-claim ``transport-independence`` composes that coset itself, from one pass
-of ``iter_automorphisms`` over S that serves every target.
+claim ``transport-independence`` reads only what the coset's members do to
+a lead, so it takes psi0 after one member of Aut(s/S) per image of that
+lead, from one lead search over S that serves every target.  Both it and
+``_translated_restriction`` move a restriction group along an automorphism
+by relabelling its carrier permutations (``_relabelled``).
 
 An ``Automorphism`` is the search's image array, each sort's points after
 those of the sorts before it; ``_restriction`` reads a restriction off such
@@ -67,6 +70,7 @@ an array, over a carrier indexed by point tuples.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import compress, count
 from operator import itemgetter, ne
 from typing import Callable, Iterable, Iterator, Optional
@@ -101,13 +105,14 @@ class Automorphism:
     def compose(self, other: "Automorphism") -> "Automorphism":
         """self after other."""
         mine = self.images
-        return Automorphism(tuple(mine[p] for p in other.images), self.structure)
+        return Automorphism(tuple(map(mine.__getitem__, other.images)), self.structure)
 
     def inverse(self) -> "Automorphism":
-        inv = [0] * len(self.images)
-        for p, q in enumerate(self.images):
-            inv[q] = p
-        return Automorphism(tuple(inv), self.structure)
+        # the points sorted by their images: the k-th is the preimage of k
+        images = self.images
+        return Automorphism(
+            tuple(sorted(range(len(images)), key=images.__getitem__)), self.structure
+        )
 
 
 @dataclass(frozen=True)
@@ -469,7 +474,8 @@ def is_automorphism(s: MultiSortedStructure, aut: Automorphism) -> bool:
         off += size
     image_of = images.__getitem__
     return all(
-        tuple(map(image_of, t)) in tset for tset in s.point_tuple_sets for t in tset
+        tset.issuperset(zip(*[map(image_of, column) for column in columns]))
+        for tset, columns in zip(s.point_tuple_sets, s.point_columns)
     )
 
 
@@ -538,10 +544,12 @@ def _translated_group(
     psi = _translation(s, constraints, (template, base))
     if psi is None:
         return [aut.images for aut in automorphism_group(s, base).members]
-    forward = psi.images
-    backward = psi.inverse().images
+    # template holds two objects, so there are two points and the getter
+    # returns a tuple
+    forward = psi.images.__getitem__
+    backward = itemgetter(*psi.inverse().images)
     return [
-        tuple(forward[h.images[p]] for p in backward)
+        tuple(map(forward, backward(h.images)))
         for h in automorphism_group(s, template).members
     ]
 
@@ -632,8 +640,15 @@ class RestrictedAutGroup:
             group=self.group, domain_size=len(self.carrier), moves=self.perms
         )
 
-    def perm_index(self, perm: tuple[int, ...]) -> int:
-        return self.perms.index(perm)
+    @cached_property
+    def perm_positions(self) -> dict[tuple[int, ...], int]:
+        """Each perm to its group element."""
+        return {perm: k for k, perm in enumerate(self.perms)}
+
+    @cached_property
+    def carrier_index(self) -> dict[tuple[int, ...], int]:
+        """Each carrier tuple, as global points, to its position in carrier."""
+        return _carrier_index(self.structure, self.carrier)
 
     def is_regular(self) -> bool:
         return self.action().is_regular()
@@ -648,7 +663,19 @@ def _carrier_index(s: MultiSortedStructure, carrier: tuple) -> dict[tuple[int, .
 def _restriction(images: tuple[int, ...], index: dict[tuple[int, ...], int]) -> tuple[int, ...]:
     """The permutation of a carrier (its ``_carrier_index``) that an image
     array induces, with -1 where a tuple's image leaves the carrier."""
-    return tuple(index.get(tuple(images[p] for p in t), -1) for t in index)
+    image_of = images.__getitem__
+    return tuple(index.get(tuple(map(image_of, t)), -1) for t in index)
+
+
+def _relabelled(
+    perms: Iterable[tuple[int, ...]], sigma: list[int]
+) -> list[tuple[int, ...]]:
+    """Perms of a carrier read on a relabelled copy of it: member i becomes
+    member sigma[i], so a perm p becomes the perm sending sigma[i] to
+    sigma[p[i]]."""
+    relabel = sigma.__getitem__
+    preimage = sorted(range(len(sigma)), key=relabel)
+    return [tuple(map(relabel, map(p.__getitem__, preimage))) for p in perms]
 
 
 def _restricted(
@@ -699,18 +726,16 @@ def _translated_restriction(
 
     psi must map rg's base onto base as a set (``_translation``), so the
     conjugates psi . rep . psi^-1 are the reps.  Member i of rg's carrier
-    becomes member sigma[i] of the image carrier, and a perm p becomes the
-    perm sending sigma[i] to sigma[p[i]]."""
+    becomes member sigma[i] of the image carrier, which relabels the perms
+    (``_relabelled``)."""
     carrier = tuple(sorted(map(psi.apply_tuple, rg.carrier)))
     index = {t: k for k, t in enumerate(carrier)}
     sigma = [index[psi.apply_tuple(t)] for t in rg.carrier]
     psi_inv = psi.inverse()
-    found: dict[tuple[int, ...], Automorphism] = {}
-    for perm, rep in zip(rg.perms, rg.reps):
-        moved = [0] * len(perm)
-        for i, j in enumerate(perm):
-            moved[sigma[i]] = sigma[j]
-        found[tuple(moved)] = psi.compose(rep).compose(psi_inv)
+    found = dict(zip(
+        _relabelled(rg.perms, sigma),
+        (psi.compose(rep).compose(psi_inv) for rep in rg.reps),
+    ))
     perms = tuple(sorted(found))
     return RestrictedAutGroup(
         structure=rg.structure,

@@ -14,7 +14,6 @@ from typing import Iterable, Sequence
 
 from .automorphisms import (
     RestrictedAutGroup,
-    _carrier_index,
     _fixed,
     _restricted,
     _restriction,
@@ -259,13 +258,12 @@ def _epimorphism(
     for t in small.carrier:
         if not _fixed(s, pinned, t):
             raise NotWellDefined(("moves over the bigger carrier", t))
-    small_index = _carrier_index(s, small.carrier)
     mapping = []
     for rep in big.reps:
-        perm = _restriction(rep.images, small_index)
+        perm = _restriction(rep.images, small.carrier_index)
         if -1 in perm:
             raise NotWellDefined(("leaves the smaller carrier", rep))
-        mapping.append(small.perm_index(perm))
+        mapping.append(small.perm_positions[perm])
     hom = GroupHomomorphism(source=big, target=small, mapping=tuple(mapping))
     for i in range(big.order):
         for j in range(big.order):

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator, Optional
 
 from .errors import ClaimFailure, InvalidInput, NoProbeAvailable
 from .groupoids import FiniteGroupoid, validate_groupoid
@@ -81,20 +81,33 @@ def fold(ys: YSystem, path: DirectedPath, probe: Probe) -> int:
     return acc
 
 
+def fold_vector(ys: YSystem, path: DirectedPath, probes: Iterable[Probe]) -> dict[Probe, int]:
+    """The path's fold terminal at each probe."""
+    return {p: fold(ys, path, p) for p in probes}
+
+
+def probe_verdict(
+    q: DirectedPath, r: DirectedPath, q_folds: dict[Probe, int], r_folds: dict[Probe, int]
+) -> Optional[bool]:
+    """Whether q and r fold to the same terminal at the probes of both fold
+    vectors; None when they share no probe.  Unanimity is demanded, and
+    disagreement would mean the instance is mismodelled."""
+    answers = {t == r_folds[p] for p, t in q_folds.items() if p in r_folds}
+    if len(answers) > 1:
+        raise ClaimFailure("probe-independence", (q, r))
+    return answers.pop() if answers else None
+
+
 def path_equivalent(ys: YSystem, q: DirectedPath, r: DirectedPath) -> bool:
     """Terminal comparison after folding both paths against every valid
-    probe; unanimity is demanded, and disagreement would mean the instance
-    is mismodelled."""
+    probe (``probe_verdict``)."""
     if (q.start, q.end) != (r.start, r.end):
         return False
-    answers = {
-        fold(ys, q, p) == fold(ys, r, p) for p in probe_candidates(ys, q, r)
-    }
-    if not answers:
+    probes = list(probe_candidates(ys, q, r))
+    verdict = probe_verdict(q, r, fold_vector(ys, q, probes), fold_vector(ys, r, probes))
+    if verdict is None:
         raise NoProbeAvailable(f"no probe disjoint from objects {set(q.objects) | set(r.objects)}")
-    if len(answers) != 1:
-        raise ClaimFailure("probe-independence", (q, r))
-    return answers.pop()
+    return verdict
 
 
 def contract_path(ys: YSystem, path: DirectedPath, i: int) -> DirectedPath:

@@ -114,6 +114,13 @@ class MultiSortedStructure:
         )
 
     @cached_property
+    def point_columns(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """Each of ``point_tuple_sets`` as its columns: the points at each
+        position of its tuples, in the set's iteration order.  A nullary or
+        empty relation has no columns."""
+        return tuple(tuple(zip(*tset)) for tset in self.point_tuple_sets)
+
+    @cached_property
     def groupoid_view(self) -> "GroupoidView":
         return GroupoidView(self)
 

@@ -12,19 +12,19 @@ import functools
 import itertools
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from .automorphisms import (
     Automorphism,
     RestrictedAutGroup,
     _carrier_index,
     _fixed,
+    _images,
     _restriction,
     _translated_group,
     automorphism_group,
     find_automorphism,
     is_automorphism,
-    iter_automorphisms,
     orbit_of,
     restricted_group,
     setwise_restricted_group,
@@ -42,8 +42,9 @@ from .paths import (
     all_paths,
     build_extended_groupoid,
     class_key,
-    path_equivalent,
+    fold_vector,
     probe_candidates,
+    probe_verdict,
     reduce_path,
     verify_reduction,
 )
@@ -369,6 +370,29 @@ def verify_section2(s: MultiSortedStructure, g: FiniteGroup) -> Report:
     return report
 
 
+def _transport_movers(
+    s: MultiSortedStructure,
+    sources: tuple[Element, ...],
+    head: Automorphism,
+    carrier: tuple[YTuple, ...],
+) -> Iterator[Automorphism]:
+    """head . h for one h in H = Aut(s/sources) per image under H of every
+    morphism and of the points of carrier, the reference F-group's.
+
+    Whether head . h preserves the binding classes reads only its images of
+    the morphisms, and its transport (``YSystem._conjugate``) only its images
+    of the reference carrier, so two members of H with the same image of
+    that lead give the same binding verdict and the same transport.  So does
+    the transport's hypothesis, that head . h maps the reference carrier onto
+    the target's: checked on every representative, it is checked on H.  One
+    lead search over the sources gives one member per image."""
+    lead = tuple(Element("M", m) for m in range(s.sort_size("M")))
+    lead += tuple(e for t in carrier for e in t)
+    compose = head.images.__getitem__
+    for images in _images(s, sources, lead):
+        yield Automorphism(tuple(map(compose, images)), s)
+
+
 def verify_section3(s: MultiSortedStructure) -> Report:
     """Claims about the extended groupoid machinery on one instance."""
     n = s.sort_size("O")
@@ -516,11 +540,10 @@ def verify_section3(s: MultiSortedStructure) -> Report:
             targets.append((spare[0], spare[1]))
         f_ref = ys.f_group(*ref)
         sources = object_tuple(s, o0) + object_tuple(s, o1)
-        # the automorphisms carrying ref to a target are the coset psi0 . H,
-        # psi0 the first of them and H = Aut(s/sources): one pass over H
-        # serves every target.  Where a target's object tuples differ in
-        # length from ref's, the zip pairs a fibre point with an object, so
-        # there is no psi0.
+        # the automorphisms carrying ref to a target are the coset head . H,
+        # head the first of them and H = Aut(s/sources).  Where a target's
+        # object tuples differ in length from ref's, the zip pairs a fibre
+        # point with an object, so there is no head.
         heads = [
             find_automorphism(
                 s, constraints=dict(zip(sources, object_tuple(s, u) + object_tuple(s, v)))
@@ -528,21 +551,19 @@ def verify_section3(s: MultiSortedStructure) -> Report:
             for u, v in targets
         ]
         f_tgts = [ys.f_group(*tgt) for tgt in targets]
-        counts = [0] * len(targets)
-        mappings: list[set[tuple[int, ...]]] = [set() for _ in targets]
-        live = [k for k, head in enumerate(heads) if head is not None]
-        if live:
-            for h in iter_automorphisms(s, sources):
-                for k in live:
-                    psi = heads[k].compose(h)
-                    if ys.binding_preserving(psi):
-                        counts[k] += 1
-                        mappings[k].add(ys._conjugate(psi, f_ref, f_tgts[k]))
-        for tgt, count, found in zip(targets, counts, mappings):
-            if count == 0:
+        found = [
+            set() if head is None else {
+                ys._conjugate(psi, f_ref, f_tgt)
+                for psi in _transport_movers(s, sources, head, f_ref.carrier)
+                if ys.binding_preserving(psi)
+            }
+            for head, f_tgt in zip(heads, f_tgts)
+        ]
+        for tgt, transports in zip(targets, found):
+            if not transports:
                 return {"target": tgt, "problem": "no transport automorphism"}
-            if len(found) != 1:
-                return {"target": tgt, "distinct_transports": len(found)}
+            if len(transports) != 1:
+                return {"target": tgt, "distinct_transports": len(transports)}
         return None
 
     report.add(
@@ -672,11 +693,13 @@ def verify_fgroupoid(s: MultiSortedStructure) -> Report:
     def equivalence() -> Optional[object]:
         d2 = list(all_paths(ys, 0, 1, 2))
         keys = [class_key(ys, q) for q in d2]
+        # each path folded once at each of its probes; a pair compares the
+        # probes it has in common, and one with none is skipped
+        folds = [fold_vector(ys, q, probe_candidates(ys, q)) for q in d2]
         for i, q in enumerate(d2):
             for j, r in enumerate(d2):
-                if not any(True for _ in probe_candidates(ys, q, r)):
-                    continue
-                if path_equivalent(ys, q, r) != (keys[i] == keys[j]):
+                verdict = probe_verdict(q, r, folds[i], folds[j])
+                if verdict is not None and verdict != (keys[i] == keys[j]):
                     return {"q": i, "r": j}
         return None
 

@@ -25,10 +25,9 @@ from typing import Callable, Optional, TypeVar
 from .automorphisms import (
     Automorphism,
     RestrictedAutGroup,
-    _carrier_index,
     _fixed,
+    _relabelled,
     _restricted,
-    _restriction,
     _translated_restriction,
     _translation,
     find_automorphism,
@@ -340,17 +339,20 @@ class YSystem:
         f_ref: RestrictedAutGroup,
         f_ab: RestrictedAutGroup,
     ) -> tuple[int, ...]:
-        psi_inv = psi.inverse()
-        carrier_index = _carrier_index(self.structure, f_ab.carrier)
-        index = {p: i for i, p in enumerate(f_ab.perms)}
-        mapping = []
-        for rep in f_ref.reps:
-            conj = psi.compose(rep).compose(psi_inv)
-            idx = index.get(_restriction(conj.images, carrier_index))
-            if idx is None:
-                raise DecompositionFailure("transport image escapes target group")
-            mapping.append(idx)
-        return tuple(mapping)
+        """The transport along psi: element k of f_ref goes to the element of
+        f_ab restricting psi . rep_k . psi^-1, that is f_ref's perm k
+        relabelled by psi (``_relabelled``).  Hypothesis: psi maps f_ref's
+        carrier onto f_ab's.  A psi that does not, or a relabelled perm
+        outside f_ab, is a transport image escaping the target group."""
+        image_of, index = psi.images.__getitem__, f_ab.carrier_index
+        sigma = [index.get(tuple(map(image_of, t))) for t in f_ref.carrier_index]
+        if len(sigma) != len(index) or None in sigma:
+            raise DecompositionFailure("transport image escapes target group")
+        positions = f_ab.perm_positions
+        mapping = tuple(map(positions.get, _relabelled(f_ref.perms, sigma)))
+        if None in mapping:
+            raise DecompositionFailure("transport image escapes target group")
+        return mapping
 
     @staticmethod
     def _check_transport_iso(

@@ -1,4 +1,6 @@
 import functools
+import random
+from operator import itemgetter
 
 import pytest
 
@@ -313,6 +315,122 @@ def test_engine_handles_nullary_and_unary_relations():
     assert group.order == 4
     red = (Element("P", 0), Element("P", 1))
     assert all(set(aut.apply_tuple(red)) == set(red) for aut in group.members)
+
+
+def _tuplewise_is_automorphism(s, images):
+    # the oracle: each sort's slice permutes its points, and the image of
+    # every tuple of every function graph, relation and constant is a tuple
+    # of the same one
+    if len(images) != s.carrier_size:
+        return False
+    off = 0
+    for _, size in s.sorts:
+        if sorted(images[off:off + size]) != list(range(off, off + size)):
+            return False
+        off += size
+    return all(
+        tuple(images[p] for p in t) in tset for tset in s.point_tuple_sets for t in tset
+    )
+
+
+def _constant_structure():
+    # P maps two-to-one onto Q, {0, 1} is red, point 2 a constant; a nullary
+    # relation that holds and an empty binary one.  Only swapping 0 and 1 is
+    # an automorphism; swapping 2 and 3 breaks only the constant, swapping
+    # the fibres breaks red and the constant.
+    from groupoidlab.structures import (
+        Constant,
+        Function,
+        MultiSortedStructure,
+        Relation,
+        validate_structure,
+    )
+
+    return validate_structure(
+        MultiSortedStructure(
+            sorts=(("P", 4), ("Q", 2)),
+            functions=(Function("f", ("P",), "Q", ((0, 0), (1, 0), (2, 1), (3, 1))),),
+            relations=(
+                Relation(name="flag", arg_sorts=(), tuples=((),)),
+                Relation(name="never", arg_sorts=("P", "P"), tuples=()),
+                Relation(name="red", arg_sorts=("P",), tuples=((0,), (1,))),
+            ),
+            constants=(Constant("c", "P", 2),),
+        )
+    )
+
+
+def _sortwise_shuffle(s, rng):
+    images, off = [], 0
+    for _, size in s.sorts:
+        block = list(range(off, off + size))
+        rng.shuffle(block)
+        images += block
+        off += size
+    return tuple(images)
+
+
+def test_is_automorphism_matches_the_tuplewise_check():
+    # seeded random arrays: shuffles within each sort (which mostly break a
+    # relation), the same with two random points swapped (which breaks the
+    # sorts when theirs differ) and then one point repeated (which always
+    # does), and the group's own members
+    from itertools import islice
+
+    from groupoidlab import Automorphism, iter_automorphisms
+
+    rng = random.Random(20)
+    constant = _constant_structure()
+    cases = [
+        (constant, (1, 0, 2, 3, 4, 5), True),
+        (constant, (0, 1, 3, 2, 4, 5), False),
+        (constant, (2, 3, 0, 1, 5, 4), False),
+    ]
+    for s in (constant, _unary_relation_structure(), _standard("dihedral:4", False),
+              _standard("cyclic:2", True)):
+        cases += [(s, aut.images, True) for aut in islice(iter_automorphisms(s), 20)]
+        for _ in range(60):
+            images = list(_sortwise_shuffle(s, rng))
+            cases.append((s, tuple(images), None))
+            p, q = rng.sample(range(len(images)), 2)
+            images[p], images[q] = images[q], images[p]
+            cases.append((s, tuple(images), None))
+            images[p] = images[q]
+            cases.append((s, tuple(images), False))
+    outcomes = set()
+    for s, images, expect in cases:
+        verdict = is_automorphism(s, Automorphism(images, s))
+        assert verdict == _tuplewise_is_automorphism(s, images), images
+        assert expect is None or verdict == expect, images
+        outcomes.add(verdict)
+    assert outcomes == {True, False}
+
+
+def test_array_kernels_match_their_loops():
+    # composition, inversion, restriction and relabelling read arrays through
+    # C-level maps; on seeded random permutations each equals its loop
+    from groupoidlab import Automorphism
+    from groupoidlab.automorphisms import _relabelled, _restriction
+
+    rng = random.Random(21)
+    s = _unary_relation_structure()
+    for n in (2, 5, 12):
+        p, q, sigma = (rng.sample(range(n), n) for _ in range(3))
+        mine, other = Automorphism(tuple(p), s), Automorphism(tuple(q), s)
+        assert mine.compose(other).images == tuple(p[x] for x in q)
+        inverse = [0] * n
+        for x, y in enumerate(p):
+            inverse[y] = x
+        assert mine.inverse().images == tuple(inverse)
+        pairs = [(x, y) for x in range(n) for y in range(n) if x != y]
+        index = {t: k for k, t in enumerate(rng.sample(pairs, n))}
+        assert _restriction(tuple(p), index) == tuple(
+            index.get((p[x], p[y]), -1) for x, y in index
+        )
+        moved = [0] * n
+        for i, j in enumerate(q):
+            moved[sigma[i]] = sigma[j]
+        assert _relabelled([tuple(q)], sigma) == [tuple(moved)]
 
 
 def test_structure_is_freed_after_a_search():
@@ -647,22 +765,116 @@ def _sending(s, pairs):
 @pytest.mark.parametrize("case", TRANSLATION_CASES, ids=_case_id)
 def test_coset_matches_the_constrained_search(case):
     # the automorphisms sending the object tuples of (0, 1) to those of
-    # (1, 2) are the coset psi0 . H, H = Aut(s/sources), as section3's
-    # transport-independence composes it: the find_automorphism head after
-    # each h of H gives exactly the leaves of the constrained search, each
-    # once, and the head is the first leaf
-    from groupoidlab import find_automorphism, iter_automorphisms, object_tuple
+    # (1, 2) are the coset psi0 . H, H = Aut(s/sources), from which section3's
+    # transport-independence draws its representatives: the find_automorphism
+    # head after each h of H gives exactly the leaves of the constrained
+    # search, each once, and the head is the first leaf
+    from groupoidlab import find_automorphism, object_tuple
     from groupoidlab.automorphisms import _solutions
 
     s = _instance(*case)
     constraints = _sending(s, [(0, 1), (1, 2)])
     sources = object_tuple(s, 0) + object_tuple(s, 1)
     head = find_automorphism(s, constraints=constraints)
-    coset = [head.compose(h).images for h in iter_automorphisms(s, sources)]
+    # H is enumerated once per instance, here and in the transport tests
+    coset = [head.compose(h).images for h in automorphism_group(s, sources).members]
     leaves = list(_solutions(s, (), constraints))
     assert leaves[:1] == [head.images] == coset[:1]
     assert len(coset) == len(set(coset))
     assert set(coset) == set(leaves)
+
+
+TRANSPORT_CASES = [
+    (group, n, cover)
+    for group in ("cyclic:2", "cyclic:3", "cyclic:4", "product:cyclic:2,cyclic:2")
+    for n in (3, 4)
+    for cover in (False, True)
+]
+
+
+def _transport_targets(s):
+    # the reference pair and the pair of the first two spare objects, with
+    # the first automorphism carrying the reference pair's object tuples there
+    from groupoidlab import find_automorphism, object_tuple
+
+    n = s.sort_size("O")
+    sources = object_tuple(s, 0) + object_tuple(s, 1)
+    for u, v in [(0, 1)] + ([(2, 3)] if n >= 4 else []):
+        constraints = dict(zip(sources, object_tuple(s, u) + object_tuple(s, v)))
+        yield (u, v), find_automorphism(s, constraints=constraints)
+
+
+@pytest.mark.parametrize("case", TRANSPORT_CASES, ids=_case_id)
+def test_transport_representatives_match_the_enumerated_coset(case):
+    # section3's transport-independence composes the head with one member of
+    # H = Aut(s/sources) per image of the morphisms and of F(0, 1)'s carrier,
+    # and relabels carrier perms.  The oracle composes every member of H,
+    # conjugates each rep as a whole image array and restricts it: the
+    # (binding-preserving, transport) pairs are the same set, and the
+    # binding-preserving transports are the claim's.
+    from groupoidlab import DecompositionFailure, object_tuple
+    from groupoidlab.automorphisms import _carrier_index, _restriction
+    from groupoidlab.verify import _transport_movers
+
+    s = _instance(*case)
+    ys = s.y_system
+    f_ref = ys.f_group(0, 1)
+    sources = object_tuple(s, 0) + object_tuple(s, 1)
+    members = automorphism_group(s, sources).members
+
+    for (u, v), head in _transport_targets(s):
+        f_tgt = ys.f_group(u, v)
+        index = _carrier_index(s, f_tgt.carrier)
+        positions = {perm: k for k, perm in enumerate(f_tgt.perms)}
+
+        def enumerated(psi):
+            psi_inv = psi.inverse()
+            mapping = tuple(
+                positions.get(_restriction(psi.compose(rep).compose(psi_inv).images, index))
+                for rep in f_ref.reps
+            )
+            return None if None in mapping else mapping
+
+        def relabelled(psi):
+            try:
+                return ys._conjugate(psi, f_ref, f_tgt)
+            except DecompositionFailure:
+                return None
+
+        oracle = {
+            (ys.binding_preserving(psi), enumerated(psi))
+            for psi in map(head.compose, members)
+        }
+        movers = list(_transport_movers(s, sources, head, f_ref.carrier))
+        assert {(ys.binding_preserving(psi), relabelled(psi)) for psi in movers} == oracle
+        claim = {ys._conjugate(psi, f_ref, f_tgt) for psi in movers if ys.binding_preserving(psi)}
+        assert claim == {mapping for kept, mapping in oracle if kept}
+        assert len(claim) == 1 and ys.transport(u, v) in claim
+
+
+@pytest.mark.parametrize(
+    "case",
+    [(group, 3, cover) for group in DIFFERENTIAL_GROUPS[1:] for cover in (False, True)],
+    ids=_case_id,
+)
+def test_transport_lead_images_match_enumeration(case):
+    # the lead of the transport representatives, every morphism and the
+    # points of the reference Y-set: its images under H = Aut(s/sources) from
+    # the lead search are those of the enumerated H, each once
+    from groupoidlab import Automorphism, object_tuple
+    from groupoidlab.verify import _transport_movers
+
+    s = _instance(*case)
+    space = s.search_space
+    carrier = s.y_system.y_set(0, 1).members
+    lead = [space.offsets["M"] + m for m in range(s.sort_size("M"))]
+    lead += [space.point(e) for t in carrier for e in t]
+    image = itemgetter(*lead)
+    sources = object_tuple(s, 0) + object_tuple(s, 1)
+    identity = Automorphism(tuple(range(s.carrier_size)), s)
+    found = [image(psi.images) for psi in _transport_movers(s, sources, identity, carrier)]
+    assert len(found) == len(set(found))
+    assert set(found) == {image(h.images) for h in automorphism_group(s, sources).members}
 
 
 @pytest.mark.parametrize("case", TRANSLATION_CASES, ids=_case_id)
@@ -731,11 +943,11 @@ def test_translation_falls_back_when_the_base_is_not_an_image():
         assert tuple(sorted(set(base))) in s.search_space.groups
 
 
-def test_section3_enumerates_three_pinned_groups(monkeypatch):
+def test_section3_enumerates_two_pinned_groups(monkeypatch):
     # without a lead or constraints, section3 searches only the uniform-action
-    # base, pair_closure(0, 1) (translated to every other pair) and the
-    # transport sources (the coset's group), however many object pairs
-    from groupoidlab import automorphisms, object_tuple, pair_closure, verify_section3
+    # base and pair_closure(0, 1) (translated to every other pair), however
+    # many object pairs; the transport sources get a lead search
+    from groupoidlab import automorphisms, pair_closure, verify_section3
 
     s = encode_double_cover(build_standard_groupoid(cyclic_group(2), 4))
     space = s.search_space
@@ -753,5 +965,4 @@ def test_section3_enumerates_three_pinned_groups(monkeypatch):
     assert set(pinned) == {
         space.pinned(uniform),
         space.pinned(pair_closure(s, 0, 1)),
-        space.pinned(object_tuple(s, 0) + object_tuple(s, 1)),
     }

@@ -58,6 +58,25 @@ GOLDEN = [
         "98bd4ac3d2579c0b9db6689f72c40826ba6ebf00899921e49f64a3a14dd9eb60",
     ),
     (
+        # abelian F-groups whose transport sources have many automorphisms
+        # per image of the morphisms and of the reference Y-set
+        "verify --suite section3 --group cyclic:4 --objects 4 --cover",
+        0,
+        "582d801bef2669151e1a5670c406fdab68e799834bb2d1ad5ee609c86cefc7a4",
+    ),
+    (
+        # a non-cyclic abelian vertex group
+        "verify --suite section3 --group product:cyclic:2,cyclic:2 --objects 3",
+        0,
+        "7b22d6511d095acc0bb45c2d4a1d2eeba3fb292bec3241b4900aace2766695f0",
+    ),
+    (
+        # non-abelian quaternion F-groups on the cover (exit 1)
+        "verify --suite section3 --group quaternion8 --objects 3 --cover",
+        1,
+        "1a55bfca8074409ee05c3ed66f647af4dbddb90a520a449c107abee12db3b94e",
+    ),
+    (
         "verify --suite section2 --group symmetric:3 --objects 3",
         0,
         "436d91112bb6c63eeebf38c54e3f15ab8b99cb01eef9e5629f7642e16279ab6d",

@@ -96,6 +96,31 @@ def test_no_probe_raises(ys_cover4):
         path_equivalent(ys_cover4, q, r)
 
 
+def test_probe_verdict_reads_fold_vectors(ys_cover4):
+    # each path folded once at each of its probes: a pair with a common
+    # probe gets path_equivalent's verdict, a pair without gets None, and
+    # fold vectors that agree at one probe and not another raise
+    from groupoidlab.errors import ClaimFailure
+    from groupoidlab.paths import fold_vector, probe_verdict
+
+    ys = ys_cover4
+    paths = list(all_paths(ys, 0, 1, 2))
+    folds = [fold_vector(ys, q, probe_candidates(ys, q)) for q in paths]
+    for q, q_folds in zip(paths, folds):
+        for r, r_folds in zip(paths, folds):
+            verdict = probe_verdict(q, r, q_folds, r_folds)
+            if q.objects == r.objects:
+                assert verdict == path_equivalent(ys, q, r)
+            else:
+                assert verdict is None
+    q, q_folds = paths[0], folds[0]
+    first = next(iter(q_folds))
+    split = {**q_folds, first: q_folds[first] + 1}
+    assert len(split) > 1
+    with pytest.raises(ClaimFailure):
+        probe_verdict(q, q, q_folds, split)
+
+
 def test_reduce_is_canonical_and_idempotent(ys_cover4):
     q = two_step(ys_cover4, 0, 2, 1, i=3, j=2)
     r = reduce_path(ys_cover4, q)

@@ -18,6 +18,7 @@ KEPT = {
     "group_to_json": "it writes the group format that --group file:PATH reads",
     "dcl_of": "the enumerating dcl oracle, timed by the benchmark's automorphisms layer",
     "interdefinable": "timed by the benchmark's automorphisms layer",
+    "iter_automorphisms": "the enumerating oracle of the lead searches, and an entry point of the benchmark's tracer",
 }
 
 

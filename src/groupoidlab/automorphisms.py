@@ -44,23 +44,21 @@ Y-set groups lead with the Y-set's reference, with which every member is
 interdefinable over the base.  Each image of the lead gives one
 automorphism and so one restriction.
 
-Two translations spare searches (Seress, *Permutation Group Algorithms*,
-2003).  The group over a translated base is a conjugate, psi Aut(s/B)
-psi^-1 = Aut(s/psi(B)).  ``_translation`` finds that psi: the first
-automorphism sending given points to their targets (``find_automorphism``),
-accepted only when ``is_automorphism`` confirms it and it maps B onto B' as
-a set.  ``_translated_group`` reads Aut(s/B') off the enumerated Aut(s/B)
-through it, and enumerates Aut(s/B') when there is no accepted psi.  The
-conjugates are not cached.  ``_translated_restriction``, the second,
-conjugates a restriction group: over B' on the images of its carrier, so
-the Y-set system builds its groups at one object pair and translates them
-to the others.  The automorphisms sending points S to given targets are
-likewise a coset psi0 . Aut(s/S), psi0 the first of them; the section3
-claim ``transport-independence`` reads only what the coset's members do to
-a lead, so it takes psi0 after one member of Aut(s/S) per image of that
-lead, from one lead search over S that serves every target.  Both it and
-``_translated_restriction`` move a restriction group along an automorphism
-by relabelling its carrier permutations (``_relabelled``).
+One translation primitive spares searches (Seress, *Permutation Group
+Algorithms*, 2003): the group over a translated base is a conjugate,
+psi Aut(s/B) psi^-1 = Aut(s/psi(B)).  ``_translated_restriction``
+conjugates a restriction group over B into one over B' = psi(B), on the
+images of its carrier, by relabelling its carrier permutations
+(``_relabelled``).  The Y-set system builds its groups at one object pair
+and translates them to the others through its psi (``YSystem.translation``),
+which section3's ``composite-membership`` also reads.  The automorphisms
+sending points S to given targets are likewise a coset psi0 . Aut(s/S),
+psi0 the first of them; the section3 claim ``transport-independence`` reads
+only what the coset's members do to a lead, so it takes psi0
+(``find_automorphism``, whose other caller is the Y-set system) after one
+member of Aut(s/S) per image of that lead, from one lead search over S that
+serves every target, and moves the reference F-group along each by
+``_relabelled`` too.
 
 An ``Automorphism`` is the search's image array, each sort's points after
 those of the sorts before it; ``_restriction`` reads a restriction off such
@@ -410,7 +408,10 @@ def _solutions(
 
 
 def _to_automorphism(s: MultiSortedStructure, images: tuple[int, ...]) -> Automorphism:
-    """Wrap a search's image array: the one place automorphisms are made."""
+    """Wrap a search's image array.  ``Automorphism.compose`` and
+    ``inverse``, ``verify.choice_family_map`` and ``verify._transport_movers``
+    build automorphisms directly, so the tracer's
+    ``automorphisms.materialised`` counts search arrays only."""
     return Automorphism(images, s)
 
 
@@ -508,50 +509,6 @@ def _images(
     finally:
         search.close()
     space.leads[key] = tuple(arrays)
-
-
-def _translation(
-    s: MultiSortedStructure,
-    constraints: dict[Element, Element],
-    *bases: tuple[tuple[Element, ...], tuple[Element, ...]],
-) -> Optional[Automorphism]:
-    """The first automorphism psi extending constraints, accepted only when
-    ``is_automorphism`` confirms it and it maps the pinned points of each
-    template onto those of its base, for every (template, base) given; then
-    psi Aut(s/template) psi^-1 = Aut(s/base).  None when there is no psi or
-    it is not accepted."""
-    psi = find_automorphism(s, constraints=constraints)
-    if psi is None or not is_automorphism(s, psi):
-        return None
-    pinned, image = s.search_space.pinned, psi.images.__getitem__
-    if all(set(map(image, pinned(template))) == pinned(base) for template, base in bases):
-        return psi
-    return None
-
-
-def _translated_group(
-    s: MultiSortedStructure,
-    template: tuple[Element, ...],
-    base: tuple[Element, ...],
-    constraints: dict[Element, Element],
-) -> list[tuple[int, ...]]:
-    """The image arrays of Aut(s/base), in no particular order.
-
-    When ``_translation`` accepts the first automorphism psi extending
-    constraints for template onto base, the arrays are the conjugates
-    psi . h . psi^-1 of the members h of the enumerated Aut(s/template);
-    they are not cached.  Otherwise Aut(s/base) is enumerated itself."""
-    psi = _translation(s, constraints, (template, base))
-    if psi is None:
-        return [aut.images for aut in automorphism_group(s, base).members]
-    # template holds two objects, so there are two points and the getter
-    # returns a tuple
-    forward = psi.images.__getitem__
-    backward = itemgetter(*psi.inverse().images)
-    return [
-        tuple(map(forward, backward(h.images)))
-        for h in automorphism_group(s, template).members
-    ]
 
 
 def orbit_of(
@@ -724,7 +681,7 @@ def _translated_restriction(
 ) -> RestrictedAutGroup:
     """The restriction group psi rg psi^-1 over base, on the carrier's images.
 
-    psi must map rg's base onto base as a set (``_translation``), so the
+    psi must map rg's base onto base as a set (``YSystem.translation``), so the
     conjugates psi . rep . psi^-1 are the reps.  Member i of rg's carrier
     becomes member sigma[i] of the image carrier, which relabels the perms
     (``_relabelled``)."""

@@ -372,12 +372,17 @@ def group_from_json(data: dict) -> FiniteGroup:
         identity = data["identity"]
     except (KeyError, TypeError) as exc:
         raise InvalidInput(f"group JSON missing field: {exc}") from exc
-    if not isinstance(identity, int) or not isinstance(table, (list, tuple)) or not all(
-        isinstance(row, (list, tuple)) and all(isinstance(v, int) for v in row) for row in table
+    # type(v) is int: JSON's true and false are ints to isinstance
+    if type(identity) is not int or not isinstance(table, (list, tuple)) or not all(
+        isinstance(row, (list, tuple)) and all(type(v) is int for v in row) for row in table
     ):
         raise InvalidInput("group JSON table and identity must hold integers")
     labels = data.get("labels")
+    if labels is not None and not (
+        isinstance(labels, list) and all(isinstance(x, str) for x in labels)
+    ):
+        raise InvalidInput("group JSON labels must be a list of strings")
     g = validate_group(table, identity, labels)
-    if "order" in data and data["order"] != g.order:
+    if "order" in data and (type(data["order"]) is not int or data["order"] != g.order):
         raise InvalidInput("group JSON order field disagrees with table size")
     return g

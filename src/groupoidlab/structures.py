@@ -383,7 +383,7 @@ def structure_to_json(s: MultiSortedStructure) -> dict:
 
 def _int_tuple(values: Iterable) -> tuple[int, ...]:
     t = tuple(values)
-    if not all(isinstance(v, int) for v in t):
+    if not all(type(v) is int for v in t):  # JSON's true and false are ints to isinstance
         raise InvalidInput(f"structure JSON entry is not a list of integers: {values!r}")
     return t
 

@@ -21,7 +21,6 @@ from .automorphisms import (
     _fixed,
     _images,
     _restriction,
-    _translated_group,
     automorphism_group,
     find_automorphism,
     is_automorphism,
@@ -489,16 +488,25 @@ def verify_section3(s: MultiSortedStructure) -> Report:
         ]
         space = s.search_space
         point, elements = space.point, space.elements
-        # Aut(s/pair_closure(c, a)) as the conjugate of the group at (0, 1)
-        # by an automorphism sending 0 to c and 1 to a, one (c, a) at a time
-        template, sources = pair_closure(s, 0, 1), object_tuple(s, 0) + object_tuple(s, 1)
+        # Aut(s/pair_closure(c, a)), one (c, a) at a time: the group at
+        # (0, 1), or its conjugates by the Y-set system's psi_ca, which sends
+        # 0 to c and 1 to a, where psi_ca carries pair_closure(0, 1) onto
+        # pair_closure(c, a) as a set (any such psi gives the same set);
+        # enumerated where there is no such psi
+        template = pair_closure(s, 0, 1)
+        group_01 = automorphism_group(s, template).members
         for (c, a), same_pair in itertools.groupby(triples, key=itemgetter(0, 1)):
-            members = _translated_group(
-                s,
-                template,
-                pair_closure(s, c, a),
-                dict(zip(sources, object_tuple(s, c) + object_tuple(s, a))),
-            )
+            base, psi = pair_closure(s, c, a), ys.translation(c, a)
+            if (c, a) == (0, 1):
+                members = [h.images for h in group_01]
+            elif psi is None or set(
+                map(psi.images.__getitem__, space.pinned(template))
+            ) != space.pinned(base):
+                members = [aut.images for aut in automorphism_group(s, base).members]
+            else:
+                forward = psi.images.__getitem__
+                backward = itemgetter(*psi.inverse().images)
+                members = [tuple(map(forward, backward(h.images))) for h in group_01]
             for _, _, b in same_pair:
                 ref = ys.y_set(a, b).reference
                 # the members' image arrays by the image of the reference's points

@@ -8,9 +8,9 @@ morphisms, transported along a shared abstract group.
 
 The Y-set, its F-group and its G-subgroup are searched at the reference
 pair (0, 1) only; every other pair reads them off through one accepted
-automorphism psi_ab carrying (0, 1) to it (``automorphisms._translation``),
-the third translation next to the coset and the conjugate group.  A pair
-with no accepted psi is searched.
+automorphism psi_ab carrying (0, 1) to it (``YSystem.translation``), the
+only such translation: section3's ``composite-membership`` reads its
+conjugate groups through it too.  A pair with no accepted psi is searched.
 
 A Y-element is its member index in its Y-set: ``YSystem.compose`` and
 ``YSystem.divisor`` take and return member indices and read one composition
@@ -29,8 +29,8 @@ from .automorphisms import (
     _relabelled,
     _restricted,
     _translated_restriction,
-    _translation,
     find_automorphism,
+    is_automorphism,
     orbit_of,
 )
 from .errors import (
@@ -145,8 +145,8 @@ class YSystem:
 
     The Y-set, the F-group and the G-subgroup are searched at the reference
     pair (0, 1) only.  Every other pair (a, b) reads them off the reference
-    pair's through psi_ab (``_psi``), the first automorphism sending the
-    reference's reference to the pair's own, accepted when it maps the
+    pair's through psi_ab (``translation``), the first automorphism sending
+    the reference's reference to the pair's own, accepted when it maps the
     source closure and the pair base of (0, 1) onto those of (a, b): it then
     conjugates every base-fixing group of the one onto the other.  A pair
     with no accepted psi is searched, which an asymmetric ``--structure``
@@ -177,24 +177,31 @@ class YSystem:
 
     # -- cached building blocks ------------------------------------------
 
-    def _psi(self, a: int, b: int) -> Optional[Automorphism]:
+    def translation(self, a: int, b: int) -> Optional[Automorphism]:
         """psi_ab: the first automorphism sending x_tuples(s, 0, 1)[0] to
-        x_tuples(s, a, b)[0], accepted by ``_translation`` when it maps
-        object_closure(0) onto object_closure(a) and pair_base(0, 1) onto
-        pair_base(a, b).  None at the reference pair, where either pair has
-        no morphism (the groupoid need not be connected) and where no psi is
-        accepted."""
+        x_tuples(s, a, b)[0] (``find_automorphism``), accepted when
+        ``is_automorphism`` confirms it and it maps the pinned points of
+        object_closure(0) onto those of object_closure(a) and of
+        pair_base(0, 1) onto those of pair_base(a, b); then psi Aut(s/B)
+        psi^-1 = Aut(s/psi(B)) for both bases B.  None at the reference
+        pair, where either pair has no morphism (the groupoid need not be
+        connected) and where no psi is accepted."""
         if (a, b) not in self._psis:
             s, ref = self.structure, self.ref_pair
             f_ref, f_ab = x_tuples(s, *ref), x_tuples(s, a, b)
             psi = None
             if (a, b) != ref and f_ref and f_ab:
-                psi = _translation(
-                    s,
-                    dict(zip(f_ref[0], f_ab[0])),
+                psi = find_automorphism(s, dict(zip(f_ref[0], f_ab[0])))
+            if psi is not None:
+                pinned, image = s.search_space.pinned, psi.images.__getitem__
+                bases = (
                     (object_closure(s, ref[0]), object_closure(s, a)),
                     (pair_base(s, *ref), pair_base(s, a, b)),
                 )
+                if not is_automorphism(s, psi) or any(
+                    set(map(image, pinned(src))) != pinned(dst) for src, dst in bases
+                ):
+                    psi = None
             self._psis[(a, b)] = psi
         return self._psis[(a, b)]
 
@@ -205,7 +212,7 @@ class YSystem:
         when the pair is to be searched: no psi is accepted, or the
         reference pair's object raises, and the pair's own search then
         raises the pair's own error."""
-        psi = self._psi(a, b)
+        psi = self.translation(a, b)
         if psi is None:
             return None
         try:

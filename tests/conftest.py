@@ -1,4 +1,5 @@
 import os
+import random
 import sys
 from pathlib import Path
 
@@ -13,3 +14,23 @@ def subprocess_env() -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     return env
+
+
+def _relabelled(s, seed):
+    """s with every sort's indices permuted at random, and the object map."""
+    from groupoidlab import structure_from_json, structure_to_json
+
+    rng = random.Random(seed)
+    perms = {}
+    for name, size in s.sorts:
+        perms[name] = list(range(size))
+        rng.shuffle(perms[name])
+    data = structure_to_json(s)
+    for f in data["functions"]:
+        sorts = (*f["args"], f["result"])
+        f["rows"] = [[perms[n][v] for n, v in zip(sorts, row)] for row in f["rows"]]
+    for r in data["relations"]:
+        r["tuples"] = [[perms[n][v] for n, v in zip(r["args"], t)] for t in r["tuples"]]
+    for c in data["constants"]:
+        c["index"] = perms[c["sort"]][c["index"]]
+    return structure_from_json(data), perms["O"]

@@ -901,46 +901,108 @@ def test_find_automorphism_is_first_in_constrained_search_order(case):
 
 @pytest.mark.parametrize("case", TRANSLATION_CASES, ids=_case_id)
 def test_translated_groups_match_enumeration(case):
-    # Aut(s/pair_closure(c, a)) as conjugates of the group at (0, 1), for
-    # every ordered pair, against the group enumerated on a fresh structure;
-    # the conjugates are not cached
+    # composite-membership reads Aut(s/pair_closure(c, a)) as the conjugates
+    # of the group at (0, 1) by the Y-set system's psi_ca: at every pair but
+    # the reference pair psi_ca is accepted and carries the pinned pair
+    # closures onto each other, and the conjugates are the group enumerated
+    # on a fresh structure
     from groupoidlab import pair_closure
-    from groupoidlab.automorphisms import _translated_group
 
     group, n, cover = case
     s, oracle = _instance(*case), _standard(group, cover, n)
-    space = s.search_space
+    ys, pinned = s.y_system, s.search_space.pinned
     template = pair_closure(s, 0, 1)
+    members = automorphism_group(s, template).members
     for c in range(n):
         for a in range(n):
-            if c == a:
+            if c == a or (c, a) == ys.ref_pair:
                 continue
-            base = pair_closure(s, c, a)
-            arrays = _translated_group(s, template, base, _sending(s, [(0, c), (1, a)]))
+            base, psi = pair_closure(s, c, a), ys.translation(c, a)
+            assert psi is not None and is_automorphism(s, psi), (c, a)
+            assert set(map(psi.images.__getitem__, pinned(template))) == pinned(base), (c, a)
+            psi_inv = psi.inverse()
+            conjugates = sorted(psi.compose(h).compose(psi_inv).images for h in members)
             expect = [aut.images for aut in automorphism_group(oracle, base).members]
-            assert sorted(arrays) == expect, (c, a)
-            if (c, a) != (0, 1):
-                assert tuple(sorted(set(base))) not in space.groups
+            assert conjugates == expect, (c, a)
 
 
-def test_translation_falls_back_when_the_base_is_not_an_image():
-    # psi sends pair_closure(0, 1) onto pair_closure(1, 2), not onto the
-    # smaller pair_base(1, 2); and no psi sends an object to a morphism.
-    # Both enumerate the asked base's own group.
-    from groupoidlab import pair_closure
-    from groupoidlab.automorphisms import _translated_group
+def _composite_enumerations(monkeypatch, s):
+    """verify_section3(s)'s composite-membership status and the pinned sets
+    of the groups it enumerates: every group verify enumerates but
+    uniform-action's."""
+    from groupoidlab import verify, verify_section3
 
-    s = _instance("cyclic:2", 3, True)
-    oracle = _standard("cyclic:2", True)
-    template = pair_closure(s, 0, 1)
-    for base, constraints in (
-        (pair_base(s, 1, 2), _sending(s, [(0, 1), (1, 2)])),
-        (pair_closure(s, 1, 2), {Element("O", 0): Element("M", 0)}),
-    ):
-        arrays = _translated_group(s, template, base, constraints)
-        expect = [aut.images for aut in automorphism_group(oracle, base).members]
-        assert sorted(arrays) == expect
-        assert tuple(sorted(set(base))) in s.search_space.groups
+    space = s.search_space
+    enumerate_, pinned = verify.automorphism_group, []
+
+    def spy(structure, base=()):
+        pinned.append(space.pinned(base))
+        return enumerate_(structure, base)
+
+    monkeypatch.setattr(verify, "automorphism_group", spy)
+    status = {e.claim_id: e.status for e in verify_section3(s).entries}
+    uniform = tuple(e for u in range(s.sort_size("O")) for e in object_closure(s, u))
+    return status["composite-membership"], set(pinned) - {space.pinned(uniform)}
+
+
+def test_translation_falls_back_when_the_base_is_not_an_image(monkeypatch):
+    # composite-membership enumerates the group at (0, 1) and, at any other
+    # pair, only where the Y-set system has no translation or its translation
+    # does not carry pair_closure(0, 1) onto the pair's own.  A constant
+    # pinning object 2 leaves the pairs through it without a translation;
+    # on the unpinned cover, the identity given as psi_12 maps
+    # pair_closure(0, 1) onto itself.
+    from dataclasses import replace
+
+    from groupoidlab import Automorphism, pair_closure
+    from groupoidlab.structures import Constant
+
+    s = replace(_standard("cyclic:2", True, 4), constants=(Constant("mark", "O", 2),))
+    pinned = s.search_space.pinned
+    through_2 = [(c, a) for c in range(4) for a in range(4) if c != a and 2 in (c, a)]
+    status, enumerated = _composite_enumerations(monkeypatch, s)
+    assert status == "pass"
+    assert enumerated == {pinned(pair_closure(s, c, a)) for c, a in [(0, 1), *through_2]}
+
+    s = _standard("cyclic:2", True, 4)
+    ys, pinned = s.y_system, s.search_space.pinned
+    for c in range(4):
+        for a in range(4):
+            if c != a:  # built through the real translations
+                ys.f_group(c, a), ys.g_subgroup(c, a)
+    real, identity = ys.translation, Automorphism(tuple(range(s.carrier_size)), s)
+    monkeypatch.setattr(
+        ys, "translation", lambda c, a: identity if (c, a) == (1, 2) else real(c, a)
+    )
+    status, enumerated = _composite_enumerations(monkeypatch, s)
+    assert status == "pass"
+    assert enumerated == {pinned(pair_closure(s, 0, 1)), pinned(pair_closure(s, 1, 2))}
+
+
+def test_section3_searches_one_translation_per_pair(monkeypatch):
+    # the constrained searches of section3 on the n=4 cover: the Y-set
+    # system's psi_ab at the 11 pairs other than (0, 1), each sending the
+    # reference morphism tuple and so a sort-M point, and the coset heads of
+    # transport-independence's two targets, sending object tuples only.
+    # composite-membership searches none of its own (the code before it read
+    # the Y-set system's translations made 25 such searches).
+    from groupoidlab import automorphisms, object_tuple, verify_section3
+
+    s = encode_double_cover(build_standard_groupoid(cyclic_group(2), 4))
+    solutions, constrained = automorphisms._solutions, []
+
+    def spy(structure, base, constraints=None, lead=()):
+        if constraints:
+            constrained.append(constraints)
+        return solutions(structure, base, constraints, lead=lead)
+
+    monkeypatch.setattr(automorphisms, "_solutions", spy)
+    assert verify_section3(s).passed
+    translations = [c for c in constrained if any(e.sort == "M" for e in c)]
+    heads = [c for c in constrained if all(e.sort != "M" for e in c)]
+    sources = set(object_tuple(s, 0) + object_tuple(s, 1))
+    assert (len(constrained), len(translations), len(heads)) == (13, 11, 2)
+    assert all(set(c) == sources for c in heads)
 
 
 def test_section3_enumerates_two_pinned_groups(monkeypatch):

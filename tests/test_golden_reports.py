@@ -94,6 +94,13 @@ GOLDEN = [
 # encoding of the configured group, every other suite runs on the file.
 STRUCTURE_DIGEST = "3773fdd7fc73ca2bd69cf375986efc40a86c0ad9b6baa300a3548d886edd4f2e"
 
+# --suite all on the n=4 cover with a constant pinning object 2 (exit 1): no
+# automorphism carries (0, 1) to a pair through object 2, so those pairs have
+# no translation.  Pins composite-membership's enumeration fallback, the
+# "no transport automorphism" witnesses of transport-independence (target
+# (2, 3)) and of fgroupoid's DecompositionFailure.
+PINNED_DIGEST = "66273e9379f3dffebafb6e30e3f90cb141dff716faadaf1da5baed6e1f55f393"
+
 # a single suite below its minimum object count is an input error
 TOO_SMALL = [
     ("section3", 2, "error: suite section3 needs --objects >= 3\n"),
@@ -123,6 +130,19 @@ def test_structure_file_report_bytes_unchanged(tmp_path, capsys):
     assert main([*verify, "--structure", str(built), "--out", str(out)]) == 0
     capsys.readouterr()
     assert report_sha256(out) == STRUCTURE_DIGEST
+
+
+def test_constant_pinned_structure_report_bytes_unchanged(tmp_path, capsys):
+    built, out = tmp_path / "s.json", tmp_path / "report.json"
+    build = ["build", "--group", "cyclic:2", "--objects", "4", "--cover"]
+    assert main([*build, "--out", str(built)]) == 0
+    data = json.loads(built.read_text())
+    data["constants"] = [{"name": "mark", "sort": "O", "index": 2}]
+    built.write_text(json.dumps(data))
+    verify = ["verify", "--suite", "all", "--group", "cyclic:2"]
+    assert main([*verify, "--structure", str(built), "--out", str(out)]) == 1
+    capsys.readouterr()
+    assert report_sha256(out) == PINNED_DIGEST
 
 
 @pytest.mark.parametrize("suite,objects,message", TOO_SMALL)

@@ -190,6 +190,24 @@ def _structure_with(name, position, value):
     return data
 
 
+def _structure_with_true(name):
+    # the built structure whose function `name` holds JSON true for its first 1
+    data = _built_structure()
+    rows = next(f["rows"] for f in data["functions"] if f["name"] == name)
+    row = next(r for r in rows if 1 in r)
+    row[row.index(1)] = True
+    return data
+
+
+def _with_constant_index(index):
+    data = _built_structure()
+    data["constants"] = [{"name": "c", "sort": "O", "index": index}]
+    return data
+
+
+Z2_TABLE = [[0, 1], [1, 0]]
+
+
 @pytest.mark.parametrize(
     "kind,doc",
     [
@@ -198,8 +216,20 @@ def _structure_with(name, position, value):
         ("group", {"identity": 0, "table": 5}),
         ("structure", _structure_with("init", 1, "a")),
         ("structure", _structure_with("comp", 2, "z")),
+        # JSON true and false are not integers, and labels are a list of strings
+        ("group", {"identity": False, "table": Z2_TABLE}),
+        ("group", {"identity": 0, "table": [[0, True], [True, 0]]}),
+        ("group", {"order": True, "identity": 0, "table": [[0]]}),
+        ("group", {"identity": 0, "table": Z2_TABLE, "labels": 5}),
+        ("group", {"identity": 0, "table": Z2_TABLE, "labels": ["a", 7]}),
+        ("structure", _structure_with_true("ter")),
+        ("structure", _with_constant_index(True)),
     ],
-    ids=["table-entry", "identity", "table-not-a-list", "init-row", "comp-tuple"],
+    ids=[
+        "table-entry", "identity", "table-not-a-list", "init-row", "comp-tuple",
+        "false-identity", "true-table-entry", "true-order", "labels-not-a-list",
+        "label-not-a-string", "true-ter-row", "true-constant-index",
+    ],
 )
 def test_malformed_json_input_exits_two(kind, doc, tmp_path, capsys):
     path = tmp_path / "doc.json"
@@ -207,20 +237,16 @@ def test_malformed_json_input_exits_two(kind, doc, tmp_path, capsys):
     if kind == "group":
         argv = ["build", "--group", f"file:{path}", "--objects", "2"]
     else:
-        argv = ["verify", "--suite", "section3", "--group", "cyclic:2", "--structure", str(path)]
+        # section2 runs on the two-object structure, so only the input can fail
+        argv = ["verify", "--suite", "section2", "--group", "cyclic:2", "--structure", str(path)]
     assert main(argv) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
 
 
 def _with_sort_size(size):
     data = _built_structure()
     data["sorts"][0][1] = size
-    return data
-
-
-def _with_constant_index(index):
-    data = _built_structure()
-    data["constants"] = [{"name": "c", "sort": "O", "index": index}]
     return data
 
 

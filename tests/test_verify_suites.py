@@ -1,5 +1,8 @@
+import functools
+
 import pytest
 
+from conftest import _relabelled
 from groupoidlab import (
     InvalidInput,
     build_standard_groupoid,
@@ -146,3 +149,36 @@ def test_limits_epimorphism_failure_lands_in_each_claim(monkeypatch):
         assert status[claim][0] == "fail"
         assert status[claim][1].startswith("NotWellDefined")
     assert status["instance.tower-containment"][0] == "pass"
+
+
+def _all_statuses(s, g):
+    from groupoidlab.verify import run_suites
+
+    return [(e.claim_id, e.status) for e in run_suites(s, g, "all", "").entries]
+
+
+@functools.cache
+def _standard_statuses(group, objects, cover):
+    # the structure and the claim statuses of --suite all on it, per instance
+    from groupoidlab import group_from_spec
+
+    g = group_from_spec(group)
+    gpd = build_standard_groupoid(g, objects)
+    s = encode_double_cover(gpd) if cover else encode_groupoid(gpd)
+    return s, g, _all_statuses(s, g)
+
+
+@pytest.mark.parametrize("seed", [20150, 7])
+@pytest.mark.parametrize(
+    "group,objects,cover",
+    [("cyclic:2", 4, True), ("quaternion8", 3, True), ("symmetric:3", 4, False)],
+    ids=["z2-cover-4", "q8-cover-3", "s3-plain-4"],
+)
+def test_claim_statuses_do_not_depend_on_the_numbering(group, objects, cover, seed):
+    # references come from the numbering (min(morphisms_between),
+    # x_tuples(...)[0]), so a relabelled structure translates and transports
+    # through other automorphisms; every claim's status must stay the same
+    s, g, statuses = _standard_statuses(group, objects, cover)
+    r, obj = _relabelled(s, seed)
+    assert obj != sorted(obj)
+    assert _all_statuses(r, g) == statuses

@@ -1,7 +1,6 @@
-import random
-
 import pytest
 
+from conftest import _relabelled
 from groupoidlab import (
     InvalidInput,
     WitnessInstance,
@@ -431,26 +430,6 @@ def test_y_membership_matches_two_way_interdefinability(group, cover):
                 assert compute_Y(s, a, b, f=f).members == expected, (a, b, f)
 
 
-def _relabelled(s, seed):
-    """s with every sort's indices permuted at random, and the object map."""
-    from groupoidlab import structure_from_json, structure_to_json
-
-    rng = random.Random(seed)
-    perms = {}
-    for name, size in s.sorts:
-        perms[name] = list(range(size))
-        rng.shuffle(perms[name])
-    data = structure_to_json(s)
-    for f in data["functions"]:
-        sorts = (*f["args"], f["result"])
-        f["rows"] = [[perms[n][v] for n, v in zip(sorts, row)] for row in f["rows"]]
-    for r in data["relations"]:
-        r["tuples"] = [[perms[n][v] for n, v in zip(r["args"], t)] for t in r["tuples"]]
-    for c in data["constants"]:
-        c["index"] = perms[c["sort"]][c["index"]]
-    return structure_from_json(data), perms["O"]
-
-
 @pytest.mark.parametrize(
     "group,objects,cover",
     [("cyclic:2", 4, True), ("symmetric:3", 3, False)],
@@ -498,7 +477,7 @@ def _check_against_search(s, ys):
             assert ys.y_set(a, b) == y, (a, b)
             _check_restriction(s, ys.f_group(a, b), f)
             _check_restriction(s, ys.g_subgroup(a, b), g)
-            if ys._psi(a, b) is not None:
+            if ys.translation(a, b) is not None:
                 translated.add((a, b))
     return translated
 
@@ -592,10 +571,10 @@ def test_rejected_psi_falls_back_to_the_search(broken, monkeypatch):
     # is no automorphism although it maps the bases onto each other (the
     # real psi with the images of two morphisms 0 -> 1 swapped), is not
     # accepted: every pair but the reference pair is searched
-    from groupoidlab import Automorphism, Element, automorphisms
+    from groupoidlab import Automorphism, Element, witness
 
     s = encode_double_cover(build_standard_groupoid(cyclic_group(2), 4))
-    real = automorphisms.find_automorphism
+    real = witness.find_automorphism
     m1, m2 = (s.search_space.point(Element("M", m)) for m in morphisms_between(s, 0, 1))
 
     def bad_psi(structure, constraints, predicate=None):
@@ -606,7 +585,7 @@ def test_rejected_psi_falls_back_to_the_search(broken, monkeypatch):
         images[m1], images[m2] = images[m2], images[m1]
         return Automorphism(tuple(images), structure)
 
-    monkeypatch.setattr(automorphisms, "find_automorphism", bad_psi)
+    monkeypatch.setattr(witness, "find_automorphism", bad_psi)
     searched, _ = _spy_searches(monkeypatch)
     ys = YSystem(s)
     assert _check_against_search(s, ys) == set()
@@ -632,7 +611,7 @@ def test_pair_raises_its_own_error_when_the_reference_pair_raises(monkeypatch):
         ys.g_subgroup(0, 1)
     _, _, g = _searched_pair(s, 1, 2)
     _check_restriction(s, ys.g_subgroup(1, 2), g)
-    assert ys._psi(1, 2) is not None
+    assert ys.translation(1, 2) is not None
 
 
 def test_y_system_searches_only_the_reference_pair(monkeypatch):

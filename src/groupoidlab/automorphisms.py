@@ -53,12 +53,12 @@ images of its carrier, by relabelling its carrier permutations
 and translates them to the others through its psi (``YSystem.translation``),
 which section3's ``composite-membership`` also reads.  The automorphisms
 sending points S to given targets are likewise a coset psi0 . Aut(s/S),
-psi0 the first of them; the section3 claim ``transport-independence`` reads
-only what the coset's members do to a lead, so it takes psi0
-(``find_automorphism``, whose other caller is the Y-set system) after one
-member of Aut(s/S) per image of that lead, from one lead search over S that
-serves every target, and moves the reference F-group along each by
-``_relabelled`` too.
+psi0 the first of them (``find_automorphism``, called by the Y-set system
+only).  ``YSystem.transports`` reads such a coset, the binding classes among
+its constraints: a transport reads only what a member does to a lead, so
+psi0 after one member of Aut(s/S) per image of the lead, from one lead
+search over S that serves every target, gives every transport, moving the
+reference F-group by ``_relabelled`` too.
 
 An ``Automorphism`` is the search's image array, each sort's points after
 those of the sorts before it; ``_restriction`` reads a restriction off such
@@ -409,7 +409,7 @@ def _solutions(
 
 def _to_automorphism(s: MultiSortedStructure, images: tuple[int, ...]) -> Automorphism:
     """Wrap a search's image array.  ``Automorphism.compose`` and
-    ``inverse``, ``verify.choice_family_map`` and ``verify._transport_movers``
+    ``inverse``, ``verify.choice_family_map`` and ``YSystem.transports``
     build automorphisms directly, so the tracer's
     ``automorphisms.materialised`` counts search arrays only."""
     return Automorphism(images, s)
@@ -446,18 +446,13 @@ def iter_automorphisms(
 
 
 def find_automorphism(
-    s: MultiSortedStructure,
-    constraints: dict[Element, Element],
-    predicate: Optional[Callable[[Automorphism], bool]] = None,
+    s: MultiSortedStructure, constraints: dict[Element, Element]
 ) -> Optional[Automorphism]:
-    """The first automorphism extending constraints that satisfies the
-    predicate, in the order of the constrained search."""
+    """The first automorphism extending constraints, in the order of the
+    constrained search; None when there is none."""
     check_budget(s)
-    for images in _solutions(s, (), constraints):
-        aut = _to_automorphism(s, images)
-        if predicate is None or predicate(aut):
-            return aut
-    return None
+    images = next(_solutions(s, (), constraints), None)
+    return None if images is None else _to_automorphism(s, images)
 
 
 def is_automorphism(s: MultiSortedStructure, aut: Automorphism) -> bool:

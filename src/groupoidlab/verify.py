@@ -12,17 +12,15 @@ import functools
 import itertools
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 from .automorphisms import (
     Automorphism,
     RestrictedAutGroup,
     _carrier_index,
     _fixed,
-    _images,
     _restriction,
     automorphism_group,
-    find_automorphism,
     is_automorphism,
     orbit_of,
     restricted_group,
@@ -69,6 +67,11 @@ INDEPENDENCE_SURROGATE = "independence-as-distinct-objects"
 TYPE_SURROGATE = "type-equality-as-orbit"
 DCL_SURROGATE = "dcl-as-fixed-points"
 ACL_SURROGATE = "acl-as-explicit-closure-sets"
+
+
+def _isomorphic(g: FiniteGroup, h: FiniteGroup) -> bool:
+    """Orders first: ``isomorphism_search`` raises OrderMismatch on unequal ones."""
+    return g.order == h.order and isomorphism_search(g, h) is not None
 
 
 @dataclass(frozen=True)
@@ -281,7 +284,7 @@ def verify_section2(s: MultiSortedStructure, g: FiniteGroup) -> Report:
     def coset_group() -> Optional[object]:
         rg = restricted_group(s, pbase, coset_orbit())
         zg = center(g).as_group()
-        if isomorphism_search(rg.group, zg) is None:
+        if not _isomorphic(rg.group, zg):
             return {"restricted_order": rg.group.order, "center_order": zg.order}
         return None
 
@@ -299,7 +302,7 @@ def verify_section2(s: MultiSortedStructure, g: FiniteGroup) -> Report:
 
     def mor_group() -> Optional[object]:
         rg = mor_group_ab()
-        if isomorphism_search(rg.group, g) is None:
+        if not _isomorphic(rg.group, g):
             return {"restricted_order": rg.group.order, "group_order": g.order}
         return None
 
@@ -314,7 +317,7 @@ def verify_section2(s: MultiSortedStructure, g: FiniteGroup) -> Report:
     def mor_group_center() -> Optional[object]:
         zc = center(mor_group_ab().group).as_group()
         zg = center(g).as_group()
-        if isomorphism_search(zc, zg) is None:
+        if not _isomorphic(zc, zg):
             return {"center_order": zc.order, "expected": zg.order}
         return None
 
@@ -367,29 +370,6 @@ def verify_section2(s: MultiSortedStructure, g: FiniteGroup) -> Report:
         stab_order,
     )
     return report
-
-
-def _transport_movers(
-    s: MultiSortedStructure,
-    sources: tuple[Element, ...],
-    head: Automorphism,
-    carrier: tuple[YTuple, ...],
-) -> Iterator[Automorphism]:
-    """head . h for one h in H = Aut(s/sources) per image under H of every
-    morphism and of the points of carrier, the reference F-group's.
-
-    Whether head . h preserves the binding classes reads only its images of
-    the morphisms, and its transport (``YSystem._conjugate``) only its images
-    of the reference carrier, so two members of H with the same image of
-    that lead give the same binding verdict and the same transport.  So does
-    the transport's hypothesis, that head . h maps the reference carrier onto
-    the target's: checked on every representative, it is checked on H.  One
-    lead search over the sources gives one member per image."""
-    lead = tuple(Element("M", m) for m in range(s.sort_size("M")))
-    lead += tuple(e for t in carrier for e in t)
-    compose = head.images.__getitem__
-    for images in _images(s, sources, lead):
-        yield Automorphism(tuple(map(compose, images)), s)
 
 
 def verify_section3(s: MultiSortedStructure) -> Report:
@@ -546,27 +526,9 @@ def verify_section3(s: MultiSortedStructure) -> Report:
         spare = [u for u in objects_of(s) if u not in ref]
         if len(spare) >= 2:
             targets.append((spare[0], spare[1]))
-        f_ref = ys.f_group(*ref)
-        sources = object_tuple(s, o0) + object_tuple(s, o1)
-        # the automorphisms carrying ref to a target are the coset head . H,
-        # head the first of them and H = Aut(s/sources).  Where a target's
-        # object tuples differ in length from ref's, the zip pairs a fibre
-        # point with an object, so there is no head.
-        heads = [
-            find_automorphism(
-                s, constraints=dict(zip(sources, object_tuple(s, u) + object_tuple(s, v)))
-            )
-            for u, v in targets
-        ]
-        f_tgts = [ys.f_group(*tgt) for tgt in targets]
-        found = [
-            set() if head is None else {
-                ys._conjugate(psi, f_ref, f_tgt)
-                for psi in _transport_movers(s, sources, head, f_ref.carrier)
-                if ys.binding_preserving(psi)
-            }
-            for head, f_tgt in zip(heads, f_tgts)
-        ]
+        for tgt in targets:  # an F-group's failure is the witness before a transport's
+            ys.f_group(*tgt)
+        found = [ys.transports(*tgt) for tgt in targets]
         for tgt, transports in zip(targets, found):
             if not transports:
                 return {"target": tgt, "problem": "no transport automorphism"}
@@ -658,7 +620,7 @@ def verify_fgroupoid(s: MultiSortedStructure) -> Report:
     def vertex_iso() -> Optional[object]:
         vg = vertex_group(ext.groupoid, 0)
         fg = ys.f_group(0, 1)
-        if isomorphism_search(vg.group, fg.group) is None:
+        if not _isomorphic(vg.group, fg.group):
             return {"vertex_order": vg.group.order, "f_order": fg.group.order}
         return None
 
@@ -757,7 +719,7 @@ def verify_limits(s: MultiSortedStructure) -> Report:
             },
         )
         lim = finite_stage_limit(sys_chain, ("z2", "z4", "z8")).group
-        if isomorphism_search(lim, z8) is None:
+        if not _isomorphic(lim, z8):
             return {"limit_order": lim.order}
         return None
 
@@ -776,7 +738,7 @@ def verify_limits(s: MultiSortedStructure) -> Report:
             transitions={("lo", "hi"): [0, 1]},
         )
         lim = finite_stage_limit(sys_const, ("lo", "hi")).group
-        if isomorphism_search(lim, z2) is None:
+        if not _isomorphic(lim, z2):
             return {"limit_order": lim.order}
         return None
 

@@ -12,6 +12,10 @@ automorphism psi_ab carrying (0, 1) to it (``YSystem.translation``), the
 only such translation: section3's ``composite-membership`` reads its
 conjugate groups through it too.  A pair with no accepted psi is searched.
 
+Transports move the reference F-group along the automorphisms carrying
+(0, 1) to (a, b) that keep every binding class: a coset that search
+constraints fix (``YSystem.transports``).
+
 A Y-element is its member index in its Y-set: ``YSystem.compose`` and
 ``YSystem.divisor`` take and return member indices and read one composition
 table per object triple.  Member tuples are decoded only for reports.
@@ -26,6 +30,7 @@ from .automorphisms import (
     Automorphism,
     RestrictedAutGroup,
     _fixed,
+    _images,
     _relabelled,
     _restricted,
     _translated_restriction,
@@ -155,7 +160,8 @@ class YSystem:
     The group at the reference pair plays the role of the shared abstract
     group; transports to other pairs conjugate along object-tuple-matched
     automorphisms that fix every binding class setwise (the stand-in for
-    fixing the named closure of the empty set).
+    fixing the named closure of the empty set), the coset that the class
+    constraints of ``_transport_head`` fix.
     """
 
     ref_pair = (0, 1)
@@ -170,6 +176,7 @@ class YSystem:
         self._fgroups: dict[tuple[int, int], RestrictedAutGroup] = {}
         self._ggroups: dict[tuple[int, int], RestrictedAutGroup] = {}
         self._psis: dict[tuple[int, int], Optional[Automorphism]] = {}
+        self._heads: dict[tuple[int, int], Optional[Automorphism]] = {}
         self._transports: dict[tuple[int, int], tuple[int, ...]] = {}
         self._tables: dict[tuple[int, int, int], tuple[tuple[int, ...], ...]] = {}
         self._mover_cache: dict[tuple[int, int, int], tuple[int, ...]] = {}
@@ -304,16 +311,8 @@ class YSystem:
             self._binding = binding_group(self.gpd)
         return self._binding
 
-    def binding_preserving(self, aut: Automorphism) -> bool:
-        off = self.structure.search_space.offsets["M"]
-        images = aut.images
-        return all(
-            {images[off + m] - off for m in cls} == set(cls)
-            for cls in self.binding().classes
-        )
-
     def transport(self, a: int, b: int) -> tuple[int, ...]:
-        """Element map from the reference F-group onto F(a, b) by conjugation."""
+        """Element map from the reference F-group onto F(a, b) along the head."""
         if (a, b) in self._transports:
             return self._transports[(a, b)]
         f_ref = self.f_group(*self.ref_pair)
@@ -321,24 +320,59 @@ class YSystem:
         if (a, b) == self.ref_pair:
             mapping = tuple(range(f_ref.order))
         else:
-            psi = self._transport_map(a, b)
-            mapping = self._conjugate(psi, f_ref, f_ab)
+            head = self._transport_head(a, b)
+            if head is None:
+                raise DecompositionFailure("no transport automorphism", (self.ref_pair, (a, b)))
+            mapping = self._conjugate(head, f_ref, f_ab)
         self._check_transport_iso(f_ref, f_ab, mapping, (a, b))
         self._transports[(a, b)] = mapping
         return mapping
 
-    def _transport_map(self, a: int, b: int) -> Automorphism:
-        s = self.structure
-        constraints: dict[Element, Element] = {}
-        for src_obj, dst_obj in zip(self.ref_pair, (a, b)):
-            for e_src, e_dst in zip(object_tuple(s, src_obj), object_tuple(s, dst_obj)):
-                constraints[e_src] = e_dst
-        psi = find_automorphism(
-            s, constraints=constraints, predicate=self.binding_preserving
-        )
-        if psi is None:
-            raise DecompositionFailure("no transport automorphism", (self.ref_pair, (a, b)))
-        return psi
+    def transports(self, a: int, b: int) -> set[tuple[int, ...]]:
+        """The transports onto F(a, b) along every class-keeping automorphism
+        carrying the reference pair to (a, b); empty where there is none.
+
+        They are the coset head . Aut(s/S), S = object_closure(0) +
+        object_tuple(1): the quotient of two of them fixes the object tuples
+        and each class's member at 0, the whole vertex group there.  A
+        transport reads only the images of the reference carrier's points,
+        so one member of Aut(s/S) per image of them, from one lead search
+        shared by every target, gives every transport."""
+        head = self._transport_head(a, b)
+        if head is None:
+            return set()
+        s, (u, v) = self.structure, self.ref_pair
+        f_ref, f_ab = self.f_group(u, v), self.f_group(a, b)
+        lead = tuple(e for t in f_ref.carrier for e in t)
+        sources = object_closure(s, u) + object_tuple(s, v)
+        return {
+            self._conjugate(head.compose(Automorphism(images, s)), f_ref, f_ab)
+            for images in _images(s, sources, lead)
+        }
+
+    def _transport_head(self, a: int, b: int) -> Optional[Automorphism]:
+        """The first automorphism psi sending the reference pair's object
+        tuples to (a, b)'s and each class's member at 0 to its member at a,
+        searched once per pair; None where there is none.
+
+        The class constraints hold iff psi keeps every binding class: psi
+        sends 0 to a, each vertex morphism at x is a transport of one at 0,
+        psi(transport(sigma, f)) = transport(psi(sigma), psi(f)), and
+        ``binding_group`` checks that transport keeps a class and that each
+        class meets each vertex group once.  It is the first class-keeping
+        leaf of the search on the object tuples alone: both pin the
+        constants only, so share one point order along which depth-first
+        search yields leaves lexicographically, and the class constraints
+        fix only points on which every class-keeping leaf agrees."""
+        if (a, b) not in self._heads:
+            s, (u, v) = self.structure, self.ref_pair
+            constraints = dict(zip(
+                object_tuple(s, u) + object_tuple(s, v), object_tuple(s, a) + object_tuple(s, b)
+            ))
+            for rep in self.binding().reps:
+                constraints[Element("M", rep[u])] = Element("M", rep[a])
+            self._heads[(a, b)] = find_automorphism(s, constraints)
+        return self._heads[(a, b)]
 
     def _conjugate(
         self,

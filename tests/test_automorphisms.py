@@ -765,10 +765,10 @@ def _sending(s, pairs):
 @pytest.mark.parametrize("case", TRANSLATION_CASES, ids=_case_id)
 def test_coset_matches_the_constrained_search(case):
     # the automorphisms sending the object tuples of (0, 1) to those of
-    # (1, 2) are the coset psi0 . H, H = Aut(s/sources), from which section3's
-    # transport-independence draws its representatives: the find_automorphism
-    # head after each h of H gives exactly the leaves of the constrained
-    # search, each once, and the head is the first leaf
+    # (1, 2) are the coset psi0 . H, H = Aut(s/sources), the shape of the Y-set
+    # system's transport coset: the find_automorphism head after each h of H
+    # gives exactly the leaves of the constrained search, each once, and the
+    # head is the first leaf
     from groupoidlab import find_automorphism, object_tuple
     from groupoidlab.automorphisms import _solutions
 
@@ -792,64 +792,55 @@ TRANSPORT_CASES = [
 ]
 
 
-def _transport_targets(s):
-    # the reference pair and the pair of the first two spare objects, with
-    # the first automorphism carrying the reference pair's object tuples there
-    from groupoidlab import find_automorphism, object_tuple
-
-    n = s.sort_size("O")
-    sources = object_tuple(s, 0) + object_tuple(s, 1)
-    for u, v in [(0, 1)] + ([(2, 3)] if n >= 4 else []):
-        constraints = dict(zip(sources, object_tuple(s, u) + object_tuple(s, v)))
-        yield (u, v), find_automorphism(s, constraints=constraints)
+def _keeps_binding_classes(ys, images):
+    # the oracle of binding preservation: every class maps onto itself
+    off = ys.structure.search_space.offsets["M"]
+    return all(
+        {images[off + m] - off for m in cls} == set(cls) for cls in ys.binding().classes
+    )
 
 
 @pytest.mark.parametrize("case", TRANSPORT_CASES, ids=_case_id)
 def test_transport_representatives_match_the_enumerated_coset(case):
-    # section3's transport-independence composes the head with one member of
-    # H = Aut(s/sources) per image of the morphisms and of F(0, 1)'s carrier,
-    # and relabels carrier perms.  The oracle composes every member of H,
-    # conjugates each rep as a whole image array and restricts it: the
-    # (binding-preserving, transport) pairs are the same set, and the
-    # binding-preserving transports are the claim's.
-    from groupoidlab import DecompositionFailure, object_tuple
+    # the Y-set system's transports to a target: the head after one member of
+    # H' = Aut(s/object_closure(0) + object_tuple(1)) per image of F(0, 1)'s
+    # carrier, relabelling carrier perms.  The oracle composes the
+    # object-tuple head with every member of H = Aut(s/sources), keeps the
+    # binding-class-preserving ones, conjugates each rep as a whole image
+    # array and restricts it: the same transports.  The kept members are
+    # exactly the class-constrained head . H'.
+    from groupoidlab import find_automorphism, object_tuple
     from groupoidlab.automorphisms import _carrier_index, _restriction
-    from groupoidlab.verify import _transport_movers
 
     s = _instance(*case)
     ys = s.y_system
     f_ref = ys.f_group(0, 1)
     sources = object_tuple(s, 0) + object_tuple(s, 1)
     members = automorphism_group(s, sources).members
+    h_prime = automorphism_group(s, object_closure(s, 0) + object_tuple(s, 1)).members
+    targets = [(0, 1)] + ([(2, 3)] if s.sort_size("O") >= 4 else [])
 
-    for (u, v), head in _transport_targets(s):
+    for u, v in targets:
         f_tgt = ys.f_group(u, v)
         index = _carrier_index(s, f_tgt.carrier)
         positions = {perm: k for k, perm in enumerate(f_tgt.perms)}
 
         def enumerated(psi):
             psi_inv = psi.inverse()
-            mapping = tuple(
+            return tuple(
                 positions.get(_restriction(psi.compose(rep).compose(psi_inv).images, index))
                 for rep in f_ref.reps
             )
-            return None if None in mapping else mapping
 
-        def relabelled(psi):
-            try:
-                return ys._conjugate(psi, f_ref, f_tgt)
-            except DecompositionFailure:
-                return None
-
-        oracle = {
-            (ys.binding_preserving(psi), enumerated(psi))
-            for psi in map(head.compose, members)
-        }
-        movers = list(_transport_movers(s, sources, head, f_ref.carrier))
-        assert {(ys.binding_preserving(psi), relabelled(psi)) for psi in movers} == oracle
-        claim = {ys._conjugate(psi, f_ref, f_tgt) for psi in movers if ys.binding_preserving(psi)}
-        assert claim == {mapping for kept, mapping in oracle if kept}
-        assert len(claim) == 1 and ys.transport(u, v) in claim
+        head = find_automorphism(s, dict(zip(sources, object_tuple(s, u) + object_tuple(s, v))))
+        coset = map(head.compose, members)
+        kept = [psi for psi in coset if _keeps_binding_classes(ys, psi.images)]
+        oracle = set(map(enumerated, kept))
+        assert len(oracle) == 1
+        assert ys.transports(u, v) == oracle
+        assert ys.transport(u, v) in oracle
+        class_head = ys._transport_head(u, v)
+        assert {psi.images for psi in kept} == {class_head.compose(h).images for h in h_prime}
 
 
 @pytest.mark.parametrize(
@@ -858,45 +849,79 @@ def test_transport_representatives_match_the_enumerated_coset(case):
     ids=_case_id,
 )
 def test_transport_lead_images_match_enumeration(case):
-    # the lead of the transport representatives, every morphism and the
-    # points of the reference Y-set: its images under H = Aut(s/sources) from
-    # the lead search are those of the enumerated H, each once
-    from groupoidlab import Automorphism, object_tuple
-    from groupoidlab.verify import _transport_movers
+    # the lead of the transport representatives, the points of the reference
+    # Y-set: its images under H' = Aut(s/object_closure(0) + object_tuple(1))
+    # from the lead search are those of the enumerated H', each once
+    from groupoidlab import object_tuple
+    from groupoidlab.automorphisms import _images
 
     s = _instance(*case)
     space = s.search_space
-    carrier = s.y_system.y_set(0, 1).members
-    lead = [space.offsets["M"] + m for m in range(s.sort_size("M"))]
-    lead += [space.point(e) for t in carrier for e in t]
-    image = itemgetter(*lead)
-    sources = object_tuple(s, 0) + object_tuple(s, 1)
-    identity = Automorphism(tuple(range(s.carrier_size)), s)
-    found = [image(psi.images) for psi in _transport_movers(s, sources, identity, carrier)]
+    lead = tuple(e for t in s.y_system.y_set(0, 1).members for e in t)
+    image = itemgetter(*map(space.point, lead))
+    sources = object_closure(s, 0) + object_tuple(s, 1)
+    found = [image(images) for images in _images(s, sources, lead)]
     assert len(found) == len(set(found))
     assert set(found) == {image(h.images) for h in automorphism_group(s, sources).members}
 
 
 @pytest.mark.parametrize("case", TRANSLATION_CASES, ids=_case_id)
 def test_find_automorphism_is_first_in_constrained_search_order(case):
-    # with the transport constraints, and a predicate that the first leaf
-    # fails or the binding-class test of an abelian instance
-    from groupoidlab import Automorphism, find_automorphism, group_from_spec
+    # the first leaf of the constrained search, or None when the constraints
+    # are not injective
+    from groupoidlab import find_automorphism
     from groupoidlab.automorphisms import _solutions
 
     s = _instance(*case)
     constraints = _sending(s, [(0, 1), (1, 2)])
     first_leaf = next(_solutions(s, (), constraints))
-    predicates = [lambda aut: aut.images != first_leaf]
-    if group_from_spec(case[0]).is_abelian():
-        predicates.append(s.y_system.binding_preserving)
-    for predicate in predicates:
-        found = find_automorphism(s, constraints=constraints, predicate=predicate)
-        first = next(
-            images for images in _solutions(s, (), constraints)
-            if predicate(Automorphism(images, s))
-        )
-        assert found.images == first
+    assert find_automorphism(s, constraints).images == first_leaf
+    clash = {Element("O", 0): Element("O", 0), Element("O", 1): Element("O", 0)}
+    assert find_automorphism(s, clash) is None
+
+
+HEAD_CASES = [(case, None) for case in TRANSPORT_CASES] + [
+    (case, seed)
+    for case in [("cyclic:3", 4, False), ("product:cyclic:2,cyclic:2", 3, True)]
+    for seed in (20150, 7)
+]
+
+
+def _head_case_id(head_case):
+    case, seed = head_case
+    return _case_id(case) + ("" if seed is None else f"-relabelled-{seed}")
+
+
+@pytest.mark.parametrize("head_case", HEAD_CASES, ids=_head_case_id)
+def test_transport_head_is_the_first_class_keeping_leaf(head_case):
+    # at every pair, the head constrained by the binding classes is the first
+    # leaf of the search constrained by the object tuples alone that keeps
+    # every binding class, and None exactly when no leaf does.  On the
+    # relabelled structures that leaf is often not the first leaf.
+    from conftest import _relabelled
+    from groupoidlab.automorphisms import _solutions
+
+    (group, n, cover), seed = head_case
+    if seed is None:
+        s = _instance(group, n, cover)
+    else:
+        s, _ = _relabelled(_standard(group, cover, n), seed)
+    ys = s.y_system
+    n = s.sort_size("O")
+    for a in range(n):
+        for b in range(n):
+            if a == b:
+                continue
+            constraints = _sending(s, [(0, a), (1, b)])
+            first = next(
+                (
+                    images for images in _solutions(s, (), constraints)
+                    if _keeps_binding_classes(ys, images)
+                ),
+                None,
+            )
+            head = ys._transport_head(a, b)
+            assert (None if head is None else head.images) == first, (a, b)
 
 
 @pytest.mark.parametrize("case", TRANSLATION_CASES, ids=_case_id)
@@ -982,27 +1007,27 @@ def test_translation_falls_back_when_the_base_is_not_an_image(monkeypatch):
 def test_section3_searches_one_translation_per_pair(monkeypatch):
     # the constrained searches of section3 on the n=4 cover: the Y-set
     # system's psi_ab at the 11 pairs other than (0, 1), each sending the
-    # reference morphism tuple and so a sort-M point, and the coset heads of
-    # transport-independence's two targets, sending object tuples only.
-    # composite-membership searches none of its own (the code before it read
-    # the Y-set system's translations made 25 such searches).
-    from groupoidlab import automorphisms, object_tuple, verify_section3
+    # reference morphism tuple, and the transport heads of
+    # transport-independence's two targets, each sending the reference
+    # object tuples and the vertex group at 0 (one member per binding
+    # class).  composite-membership searches none of its own (the code
+    # before it read the Y-set system's translations made 25 such searches).
+    from groupoidlab import automorphisms, object_closure, object_tuple, verify_section3
+    from groupoidlab.witness import x_tuples
 
     s = encode_double_cover(build_standard_groupoid(cyclic_group(2), 4))
     solutions, constrained = automorphisms._solutions, []
 
     def spy(structure, base, constraints=None, lead=()):
         if constraints:
-            constrained.append(constraints)
+            constrained.append(set(constraints))
         return solutions(structure, base, constraints, lead=lead)
 
     monkeypatch.setattr(automorphisms, "_solutions", spy)
     assert verify_section3(s).passed
-    translations = [c for c in constrained if any(e.sort == "M" for e in c)]
-    heads = [c for c in constrained if all(e.sort != "M" for e in c)]
-    sources = set(object_tuple(s, 0) + object_tuple(s, 1))
+    translations = [c for c in constrained if c == set(x_tuples(s, 0, 1)[0])]
+    heads = [c for c in constrained if c == set(object_closure(s, 0) + object_tuple(s, 1))]
     assert (len(constrained), len(translations), len(heads)) == (13, 11, 2)
-    assert all(set(c) == sources for c in heads)
 
 
 def test_section3_enumerates_two_pinned_groups(monkeypatch):

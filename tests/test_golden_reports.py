@@ -58,8 +58,9 @@ GOLDEN = [
         "98bd4ac3d2579c0b9db6689f72c40826ba6ebf00899921e49f64a3a14dd9eb60",
     ),
     (
-        # abelian F-groups whose transport sources have many automorphisms
-        # per image of the morphisms and of the reference Y-set
+        # abelian F-groups whose transport pinned set, object_closure(0) and
+        # object_tuple(1), has many automorphisms per image of the reference
+        # Y-set
         "verify --suite section3 --group cyclic:4 --objects 4 --cover",
         0,
         "582d801bef2669151e1a5670c406fdab68e799834bb2d1ad5ee609c86cefc7a4",
@@ -87,6 +88,21 @@ GOLDEN = [
         "verify --suite all --group symmetric:3 --objects 3",
         1,
         "1b37456546ffa02d8dad31c42dfab4e04b304f7edb8202de160382c34bc0a725",
+    ),
+    (
+        # the suite-all configuration of the benchmark: Aut(Z/3) = Z/2, so
+        # the binding classes cut the transport coset, and every composition
+        # table is built through those transports
+        "verify --suite all --group cyclic:3 --objects 4",
+        0,
+        "6238783e0e36e3f2909f0df3d1da4ca4740913b74992d6044e762f68a2a0b842",
+    ),
+    (
+        # Aut(Z/2 x Z/2) = S3: the binding classes cut the transport coset
+        # further still
+        "verify --suite all --group product:cyclic:2,cyclic:2 --objects 4",
+        0,
+        "fb74749c67f9831a9994cdc88996d85b8373f070af3c108cefc18dd5bcf98938",
     ),
 ]
 

@@ -2,7 +2,8 @@
 
 ``perfbench/`` lies outside the test paths, and the tracer reports a layer
 whose entry points are missing as absent instead of failing; a deleted or
-renamed function would silently zero that layer's figures.
+renamed function would silently zero that layer's figures.  The tracer's
+work counters are deterministic, so two configurations pin them exactly.
 """
 
 import json
@@ -10,6 +11,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from conftest import SRC
 
@@ -25,3 +28,30 @@ def test_tracer_finds_every_layer():
     )
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout) == []
+
+
+COUNTED = ("search.runs", "search.solutions", "find.calls", "refine.calls",
+           "witness.ysets", "automorphisms.materialised")
+
+# the tracer's deterministic work counters on two benchmark configurations,
+# in the order of COUNTED; they do not depend on the machine, so a change in
+# the number of searches, solutions or refinements shows here
+COUNTER_GATES = [
+    ("verify --suite all --group cyclic:3 --objects 4", (53, 225, 23, 17, 4, 110)),
+    ("verify --suite section3 --group cyclic:2 --objects 5 --cover", (34, 467, 21, 8, 2, 427)),
+]
+
+
+@pytest.mark.parametrize("argv,counts", COUNTER_GATES, ids=[a for a, _ in COUNTER_GATES])
+def test_traced_counters(argv, counts):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC
+    done = subprocess.run(
+        [sys.executable, str(Path(PERFBENCH) / "tracer.py"), *argv.split()],
+        capture_output=True, text=True, env=env,
+    )
+    assert done.returncode == 0, done.stderr
+    traced = json.loads(done.stdout)
+    assert traced["exit"] == 0
+    found = traced["trace"]["counts"]
+    assert tuple(found.get(key) for key in COUNTED) == counts

@@ -130,6 +130,33 @@ def test_verify_structure_file_labelled_from_the_structure(
     assert json.loads(out.read_text())["instance"] == instance
 
 
+@pytest.mark.parametrize(
+    "group,coset_group,morphism_group,morphism_center",
+    [
+        ("cyclic:3", {"center_order": 3, "restricted_order": 2},
+         {"group_order": 3, "restricted_order": 2}, {"center_order": 2, "expected": 3}),
+        ("symmetric:3", {"center_order": 1, "restricted_order": 2},
+         {"group_order": 6, "restricted_order": 2}, {"center_order": 2, "expected": 1}),
+        ("trivial", {"center_order": 1, "restricted_order": 2},
+         {"group_order": 1, "restricted_order": 2}, {"center_order": 2, "expected": 1}),
+    ],
+)
+def test_group_order_mismatch_fails_with_the_claims_witnesses(
+    group, coset_group, morphism_group, morphism_center, tmp_path, capsys
+):
+    # a --group whose order differs from the structure's vertex group: the
+    # isomorphism claims fail with their own witnesses, not OrderMismatch
+    built, out = tmp_path / "s.json", tmp_path / "rep.json"
+    assert main(["build", "--group", "cyclic:2", "--objects", "3", "--out", str(built)]) == 0
+    verify = ["verify", "--suite", "section2", "--group", group, "--structure", str(built)]
+    assert main(verify + ["--out", str(out)]) == 1
+    capsys.readouterr()
+    witness = {c["id"]: c.get("witness") for c in json.loads(out.read_text())["claims"]}
+    assert witness["section2.coset-group-is-center"] == coset_group
+    assert witness["section2.morphism-group-is-g"] == morphism_group
+    assert witness["section2.morphism-group-center"] == morphism_center
+
+
 def test_verify_budget_exit_three():
     rc = main(["verify", "--suite", "section3", "--group", "cyclic:8",
                "--objects", "6", "--cover"])

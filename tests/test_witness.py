@@ -577,8 +577,8 @@ def test_rejected_psi_falls_back_to_the_search(broken, monkeypatch):
     real = witness.find_automorphism
     m1, m2 = (s.search_space.point(Element("M", m)) for m in morphisms_between(s, 0, 1))
 
-    def bad_psi(structure, constraints, predicate=None):
-        psi = real(structure, constraints, predicate)
+    def bad_psi(structure, constraints):
+        psi = real(structure, constraints)
         if broken == "identity":
             return Automorphism(tuple(range(structure.carrier_size)), structure)
         images = list(psi.images)

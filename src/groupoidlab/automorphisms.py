@@ -26,7 +26,8 @@ fixing the base; ``automorphism_group`` and ``dcl_of`` enumerate the group
 this way and are the ground-truth oracle.  With a lead tuple it assigns the
 lead's points first and yields one automorphism per image of the lead, so
 ``orbit_of`` and ``interdefinable`` read a tuple's images off the first
-levels of the search tree without enumerating the group.
+levels of the search tree without enumerating the group.  Section3's claims
+read orbits this way and enumerate no group.
 
 Each question is searched once per structure.  Next to the partitions, the
 ``_SearchSpace`` keeps two stores keyed by pinned set: the image arrays of
@@ -50,15 +51,16 @@ psi Aut(s/B) psi^-1 = Aut(s/psi(B)).  ``_translated_restriction``
 conjugates a restriction group over B into one over B' = psi(B), on the
 images of its carrier, by relabelling its carrier permutations
 (``_relabelled``).  The Y-set system builds its groups at one object pair
-and translates them to the others through its psi (``YSystem.translation``),
-which section3's ``composite-membership`` also reads.  The automorphisms
-sending points S to given targets are likewise a coset psi0 . Aut(s/S),
-psi0 the first of them (``find_automorphism``, called by the Y-set system
-only).  ``YSystem.transports`` reads such a coset, the binding classes among
-its constraints: a transport reads only what a member does to a lead, so
-psi0 after one member of Aut(s/S) per image of the lead, from one lead
-search over S that serves every target, gives every transport, moving the
-reference F-group by ``_relabelled`` too.
+and translates them to the others through its psi (``YSystem.translation``).
+Section3's ``composite-membership`` reads orbits the same way: the orbit
+of x over psi(B) is psi applied to the orbit of psi^-1(x) over B.  The
+automorphisms sending points S to given targets are likewise a coset
+psi0 . Aut(s/S), psi0 the first of them (``find_automorphism``, called by
+the Y-set system only).  ``YSystem.transports`` reads such a coset, the
+binding classes among its constraints: a transport reads only what a
+member does to a lead, so psi0 after one member of Aut(s/S) per image of
+the lead, from one lead search over S that serves every target, gives
+every transport, moving the reference F-group by ``_relabelled`` too.
 
 An ``Automorphism`` is the search's image array, each sort's points after
 those of the sorts before it; ``_restriction`` reads a restriction off such

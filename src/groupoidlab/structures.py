@@ -137,6 +137,9 @@ def validate_structure(s: MultiSortedStructure) -> MultiSortedStructure:
     sizes = dict(s.sorts)
     if len(sizes) != len(s.sorts):
         raise InvalidInput("duplicate sort name")
+    for kind, tables in (("function", s.functions), ("relation", s.relations)):
+        if len({t.name for t in tables}) != len(tables):
+            raise InvalidInput(f"duplicate {kind} name")
     for name, size in s.sorts:
         if size < 0:
             raise InvalidInput(f"sort {name!r} has negative size")
@@ -388,6 +391,12 @@ def _int_tuple(values: Iterable) -> tuple[int, ...]:
     return t
 
 
+def _str_tuple(values) -> tuple[str, ...]:
+    if type(values) is not list or not all(type(v) is str for v in values):
+        raise InvalidInput(f"structure JSON entry is not a list of strings: {values!r}")
+    return tuple(values)
+
+
 def structure_from_json(data: dict) -> MultiSortedStructure:
     try:
         raw_sorts = data["sorts"]
@@ -397,7 +406,7 @@ def structure_from_json(data: dict) -> MultiSortedStructure:
         functions = tuple(
             Function(
                 name=str(f["name"]),
-                arg_sorts=tuple(f["args"]),
+                arg_sorts=_str_tuple(f["args"]),
                 result_sort=str(f["result"]),
                 rows=tuple(sorted(_int_tuple(r) for r in f["rows"])),
             )
@@ -406,7 +415,7 @@ def structure_from_json(data: dict) -> MultiSortedStructure:
         relations = tuple(
             Relation(
                 name=str(r["name"]),
-                arg_sorts=tuple(r["args"]),
+                arg_sorts=_str_tuple(r["args"]),
                 tuples=tuple(sorted(_int_tuple(t) for t in r["tuples"])),
             )
             for r in data.get("relations", ())

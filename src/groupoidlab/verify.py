@@ -11,7 +11,6 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Callable, Optional
 
 from .automorphisms import (
@@ -385,26 +384,21 @@ def verify_section3(s: MultiSortedStructure) -> Report:
     ]
 
     def uniform_action() -> Optional[object]:
+        # some automorphism over the base multiplies every designated
+        # morphism by sigma exactly when the multiplied tuple is in the orbit
+        # of the designated tuple: one lead search, read per direction
         others = [u for u in objects_of(s) if u != o0]
-        gs = {u: min(morphisms_between(s, o0, u)) for u in others}
-        hs = {u: min(morphisms_between(s, u, o0)) for u in others}
-        base = tuple(
-            e for u in objects_of(s) for e in object_closure(s, u)
-        )
-        group = automorphism_group(s, base)
-        off = s.search_space.offsets["M"]
+        gs = [min(morphisms_between(s, o0, u)) for u in others]
+        hs = [min(morphisms_between(s, u, o0)) for u in others]
+        base = tuple(e for u in objects_of(s) for e in object_closure(s, u))
+        lead = tuple(Element("M", m) for m in gs + hs)
+        orbit = orbit_of(s, base, lead)
+        outs = {t[:len(gs)] for t in orbit}
+        ins = {t[len(gs):] for t in orbit}
         for sigma in vertex_morphisms(s, o0):
-            want_g = {u: gpd.compose(sigma, gs[u]) for u in others}
-            if not any(
-                all(aut.images[off + gs[u]] == off + want_g[u] for u in others)
-                for aut in group.members
-            ):
+            if tuple(Element("M", gpd.compose(sigma, g)) for g in gs) not in outs:
                 return {"sigma": sigma, "direction": "out"}
-            want_h = {u: gpd.compose(hs[u], sigma) for u in others}
-            if not any(
-                all(aut.images[off + hs[u]] == off + want_h[u] for u in others)
-                for aut in group.members
-            ):
+            if tuple(Element("M", gpd.compose(h, sigma)) for h in hs) not in ins:
                 return {"sigma": sigma, "direction": "in"}
         return None
 
@@ -461,53 +455,40 @@ def verify_section3(s: MultiSortedStructure) -> Report:
     )
 
     def composites() -> Optional[object]:
-        triples = [
-            (c, a, b)
-            for c in objects_of(s) for a in objects_of(s) for b in objects_of(s)
-            if len({c, a, b}) == 3
-        ]
-        space = s.search_space
-        point, elements = space.point, space.elements
-        # Aut(s/pair_closure(c, a)), one (c, a) at a time: the group at
-        # (0, 1), or its conjugates by the Y-set system's psi_ca, which sends
-        # 0 to c and 1 to a, where psi_ca carries pair_closure(0, 1) onto
-        # pair_closure(c, a) as a set (any such psi gives the same set);
-        # enumerated where there is no such psi
+        # The movers of f in Y(a, b) are the m in Aut(s/pair_closure(c, a))
+        # sending the reference ref to f, so f has one exactly when it is in
+        # ref's orbit.  Every mover gives the same composite h = m(t0),
+        # t0 = object_tuple(c) + object_tuple(b) + (g_raw . raw(ref),): m
+        # fixes object_tuple(c) and g_raw, sends object_tuple(b) to the
+        # middle of f, and keeps the comp relation, which decode_groupoid
+        # checks is a function, so m(g_raw . raw(ref)) = g_raw . raw(f).
+        #
+        # Where the Y-set system's psi_ca is accepted, it carries pinned
+        # pair_closure(0, 1) onto pinned pair_closure(c, a) (see
+        # YSystem.translation), so the orbit is psi applied to the orbit of
+        # psi^-1(ref) over pair_closure(0, 1), and every such search shares
+        # one pinned set.  At (0, 1) and without a psi, pair_closure(c, a) is
+        # searched itself.
         template = pair_closure(s, 0, 1)
-        group_01 = automorphism_group(s, template).members
-        for (c, a), same_pair in itertools.groupby(triples, key=itemgetter(0, 1)):
-            base, psi = pair_closure(s, c, a), ys.translation(c, a)
-            if (c, a) == (0, 1):
-                members = [h.images for h in group_01]
-            elif psi is None or set(
-                map(psi.images.__getitem__, space.pinned(template))
-            ) != space.pinned(base):
-                members = [aut.images for aut in automorphism_group(s, base).members]
-            else:
-                forward = psi.images.__getitem__
-                backward = itemgetter(*psi.inverse().images)
-                members = [tuple(map(forward, backward(h.images))) for h in group_01]
-            for _, _, b in same_pair:
-                ref = ys.y_set(a, b).reference
-                # the members' image arrays by the image of the reference's points
-                ref_image = itemgetter(*map(point, ref))
-                cells: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-                for images in members:
-                    cells.setdefault(ref_image(images), []).append(images)
+        for c, a in itertools.permutations(objects_of(s), 2):
+            psi = ys.translation(c, a)
+            for b in objects_of(s):
+                if b in (c, a):
+                    continue
+                y_ab = ys.y_set(a, b)
+                if psi is None:
+                    orbit = set(orbit_of(s, pair_closure(s, c, a), y_ab.reference))
+                else:
+                    lead = psi.inverse().apply_tuple(y_ab.reference)
+                    orbit = set(map(psi.apply_tuple, orbit_of(s, template, lead)))
                 y_cb = set(ys.y_set(c, b).members)
                 for g_raw in morphisms_between(s, c, a):
-                    t0 = object_tuple(s, c) + object_tuple(s, b) + (
-                        Element("M", gpd.compose(g_raw, raw_morphism(ref))),
-                    )
-                    t0_image = itemgetter(*map(point, t0))
-                    for f in ys.y_set(a, b).members:
-                        movers = cells.get(tuple(map(point, f)))
-                        if not movers:
+                    for f in y_ab.members:
+                        if f not in orbit:
                             return {"triple": (c, a, b), "f": f, "problem": "no mover"}
-                        images = {t0_image(m) for m in movers}
-                        if len(images) != 1:
-                            return {"triple": (c, a, b), "f": f, "problem": "ambiguous composite"}
-                        h = tuple(map(elements.__getitem__, images.pop()))
+                        h = object_tuple(s, c) + f[len(object_tuple(s, a)):-1] + (
+                            Element("M", gpd.compose(g_raw, raw_morphism(f))),
+                        )
                         if h not in y_cb:
                             return {"triple": (c, a, b), "f": f, "problem": "composite leaves Y"}
         return None

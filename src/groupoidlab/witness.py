@@ -9,8 +9,8 @@ morphisms, transported along a shared abstract group.
 The Y-set, its F-group and its G-subgroup are searched at the reference
 pair (0, 1) only; every other pair reads them off through one accepted
 automorphism psi_ab carrying (0, 1) to it (``YSystem.translation``), the
-only such translation: section3's ``composite-membership`` reads its
-conjugate groups through it too.  A pair with no accepted psi is searched.
+only such translation: section3's ``composite-membership`` reads its orbits
+over a pair closure through it too.  A pair with no accepted psi is searched.
 
 Transports move the reference F-group along the automorphisms carrying
 (0, 1) to (a, b) that keep every binding class: a coset that search
@@ -192,7 +192,12 @@ class YSystem:
         pair_base(0, 1) onto those of pair_base(a, b); then psi Aut(s/B)
         psi^-1 = Aut(s/psi(B)) for both bases B.  None at the reference
         pair, where either pair has no morphism (the groupoid need not be
-        connected) and where no psi is accepted."""
+        connected) and where no psi is accepted.
+
+        An accepted psi also carries the pinned points of pair_closure(0, 1)
+        onto those of pair_closure(a, b), which ``composite-membership``
+        reads: it sends object 0 to a and 1 to b and keeps init and ter, so
+        it maps Mor(0, 1) onto Mor(a, b), and it fixes every constant."""
         if (a, b) not in self._psis:
             s, ref = self.structure, self.ref_pair
             f_ref, f_ab = x_tuples(s, *ref), x_tuples(s, a, b)

@@ -924,17 +924,27 @@ def test_transport_head_is_the_first_class_keeping_leaf(head_case):
             assert (None if head is None else head.images) == first, (a, b)
 
 
-@pytest.mark.parametrize("case", TRANSLATION_CASES, ids=_case_id)
-def test_translated_groups_match_enumeration(case):
-    # composite-membership reads Aut(s/pair_closure(c, a)) as the conjugates
-    # of the group at (0, 1) by the Y-set system's psi_ca: at every pair but
-    # the reference pair psi_ca is accepted and carries the pinned pair
-    # closures onto each other, and the conjugates are the group enumerated
-    # on a fresh structure
+TRANSLATED_GROUP_CASES = [(case, None) for case in TRANSLATION_CASES] + [
+    (("cyclic:2", 4, True), seed) for seed in (20150, 7)
+]
+
+
+@pytest.mark.parametrize("head_case", TRANSLATED_GROUP_CASES, ids=_head_case_id)
+def test_translated_groups_match_enumeration(head_case):
+    # composite-membership reads orbits over pair_closure(c, a) as psi_ca's
+    # images of orbits over pair_closure(0, 1): at every pair but the
+    # reference pair, relabelled or not, the Y-set system accepts psi_ca, it
+    # carries the pinned pair closures onto each other, and the conjugates of
+    # the group at (0, 1) are the group enumerated on a fresh structure
+    from conftest import _relabelled
     from groupoidlab import pair_closure
 
-    group, n, cover = case
-    s, oracle = _instance(*case), _standard(group, cover, n)
+    (group, n, cover), seed = head_case
+    if seed is None:
+        s, oracle = _instance(group, n, cover), _standard(group, cover, n)
+    else:
+        s, _ = _relabelled(_standard(group, cover, n), seed)
+        oracle, _ = _relabelled(_standard(group, cover, n), seed)
     ys, pinned = s.y_system, s.search_space.pinned
     template = pair_closure(s, 0, 1)
     members = automorphism_group(s, template).members
@@ -951,57 +961,32 @@ def test_translated_groups_match_enumeration(case):
             assert conjugates == expect, (c, a)
 
 
-def _composite_enumerations(monkeypatch, s):
-    """verify_section3(s)'s composite-membership status and the pinned sets
-    of the groups it enumerates: every group verify enumerates but
-    uniform-action's."""
-    from groupoidlab import verify, verify_section3
-
-    space = s.search_space
-    enumerate_, pinned = verify.automorphism_group, []
-
-    def spy(structure, base=()):
-        pinned.append(space.pinned(base))
-        return enumerate_(structure, base)
-
-    monkeypatch.setattr(verify, "automorphism_group", spy)
-    status = {e.claim_id: e.status for e in verify_section3(s).entries}
-    uniform = tuple(e for u in range(s.sort_size("O")) for e in object_closure(s, u))
-    return status["composite-membership"], set(pinned) - {space.pinned(uniform)}
-
-
 def test_translation_falls_back_when_the_base_is_not_an_image(monkeypatch):
-    # composite-membership enumerates the group at (0, 1) and, at any other
-    # pair, only where the Y-set system has no translation or its translation
-    # does not carry pair_closure(0, 1) onto the pair's own.  A constant
-    # pinning object 2 leaves the pairs through it without a translation;
-    # on the unpinned cover, the identity given as psi_12 maps
-    # pair_closure(0, 1) onto itself.
+    # composite-membership searches over pair_closure(0, 1) and, at any other
+    # pair, over its own pair closure only where the Y-set system has no
+    # translation.  A constant pinning object 2 leaves the pairs through it
+    # without a translation.
     from dataclasses import replace
 
-    from groupoidlab import Automorphism, pair_closure
+    from groupoidlab import pair_closure, verify, verify_section3
     from groupoidlab.structures import Constant
 
     s = replace(_standard("cyclic:2", True, 4), constants=(Constant("mark", "O", 2),))
     pinned = s.search_space.pinned
-    through_2 = [(c, a) for c in range(4) for a in range(4) if c != a and 2 in (c, a)]
-    status, enumerated = _composite_enumerations(monkeypatch, s)
-    assert status == "pass"
-    assert enumerated == {pinned(pair_closure(s, c, a)) for c, a in [(0, 1), *through_2]}
+    orbit, searched = verify.orbit_of, []
 
-    s = _standard("cyclic:2", True, 4)
-    ys, pinned = s.y_system, s.search_space.pinned
-    for c in range(4):
-        for a in range(4):
-            if c != a:  # built through the real translations
-                ys.f_group(c, a), ys.g_subgroup(c, a)
-    real, identity = ys.translation, Automorphism(tuple(range(s.carrier_size)), s)
-    monkeypatch.setattr(
-        ys, "translation", lambda c, a: identity if (c, a) == (1, 2) else real(c, a)
-    )
-    status, enumerated = _composite_enumerations(monkeypatch, s)
-    assert status == "pass"
-    assert enumerated == {pinned(pair_closure(s, 0, 1)), pinned(pair_closure(s, 1, 2))}
+    def spy(structure, base, x):
+        searched.append(pinned(base))
+        return orbit(structure, base, x)
+
+    monkeypatch.setattr(verify, "orbit_of", spy)
+    status = {e.claim_id: e.status for e in verify_section3(s).entries}
+    assert status["composite-membership"] == "pass"
+    uniform = tuple(e for u in range(4) for e in object_closure(s, u))
+    through_2 = [(c, a) for c in range(4) for a in range(4) if c != a and 2 in (c, a)]
+    assert set(searched) - {pinned(uniform)} == {
+        pinned(pair_closure(s, c, a)) for c, a in [(0, 1), *through_2]
+    }
 
 
 def test_section3_searches_one_translation_per_pair(monkeypatch):
@@ -1030,26 +1015,20 @@ def test_section3_searches_one_translation_per_pair(monkeypatch):
     assert (len(constrained), len(translations), len(heads)) == (13, 11, 2)
 
 
-def test_section3_enumerates_two_pinned_groups(monkeypatch):
-    # without a lead or constraints, section3 searches only the uniform-action
-    # base and pair_closure(0, 1) (translated to every other pair), however
-    # many object pairs; the transport sources get a lead search
-    from groupoidlab import automorphisms, pair_closure, verify_section3
+def test_section3_enumerates_no_group(monkeypatch):
+    # every search of section3 has a lead or constraints: the claims read
+    # orbits and the Y-set system's restriction groups, transports and
+    # translations, none of which enumerates a group
+    from groupoidlab import automorphisms, verify_section3
 
     s = encode_double_cover(build_standard_groupoid(cyclic_group(2), 4))
-    space = s.search_space
-    solutions = automorphisms._solutions
-    pinned = []
+    solutions, unled = automorphisms._solutions, []
 
     def spy(structure, base, constraints=None, lead=()):
         if not lead and not constraints:
-            pinned.append(space.pinned(base))
+            unled.append(base)
         return solutions(structure, base, constraints, lead=lead)
 
     monkeypatch.setattr(automorphisms, "_solutions", spy)
     assert verify_section3(s).passed
-    uniform = tuple(e for u in range(4) for e in object_closure(s, u))
-    assert set(pinned) == {
-        space.pinned(uniform),
-        space.pinned(pair_closure(s, 0, 1)),
-    }
+    assert unled == []

@@ -104,6 +104,13 @@ GOLDEN = [
         0,
         "fb74749c67f9831a9994cdc88996d85b8373f070af3c108cefc18dd5bcf98938",
     ),
+    (
+        # the largest section3 input the cyclic groups give: 3,072
+        # automorphisms fix pair_closure(0, 1)
+        "verify --suite section3 --group cyclic:4 --objects 5 --cover",
+        0,
+        "609e0acd8f7ab5328992f54b2ef84cc738093584872709519ad9892f3a41d90f",
+    ),
 ]
 
 # --suite all on a built cover structure: section2 falls back to the plain
@@ -112,10 +119,16 @@ STRUCTURE_DIGEST = "3773fdd7fc73ca2bd69cf375986efc40a86c0ad9b6baa300a3548d886edd
 
 # --suite all on the n=4 cover with a constant pinning object 2 (exit 1): no
 # automorphism carries (0, 1) to a pair through object 2, so those pairs have
-# no translation.  Pins composite-membership's enumeration fallback, the
-# "no transport automorphism" witnesses of transport-independence (target
-# (2, 3)) and of fgroupoid's DecompositionFailure.
+# no translation.  Pins composite-membership's orbits over those pairs' own
+# closures, the "no transport automorphism" witnesses of
+# transport-independence (target (2, 3)) and of fgroupoid's
+# DecompositionFailure.
 PINNED_DIGEST = "66273e9379f3dffebafb6e30e3f90cb141dff716faadaf1da5baed6e1f55f393"
+
+# section3 on the plain n=3 structure with a constant pinning morphism 5
+# (exit 1): the only golden where composite-membership fails, so it pins
+# the "no mover" witness.
+MORPHISM_PINNED_DIGEST = "5142fe8b5e4311fe3047189a9dc0a64596cce737f096b32add9f5e5ac1ac8bc4"
 
 # a single suite below its minimum object count is an input error
 TOO_SMALL = [
@@ -159,6 +172,19 @@ def test_constant_pinned_structure_report_bytes_unchanged(tmp_path, capsys):
     assert main([*verify, "--structure", str(built), "--out", str(out)]) == 1
     capsys.readouterr()
     assert report_sha256(out) == PINNED_DIGEST
+
+
+def test_morphism_pinned_structure_report_bytes_unchanged(tmp_path, capsys):
+    built, out = tmp_path / "s.json", tmp_path / "report.json"
+    build = ["build", "--group", "cyclic:2", "--objects", "3"]
+    assert main([*build, "--out", str(built)]) == 0
+    data = json.loads(built.read_text())
+    data["constants"] = [{"name": "mark", "sort": "M", "index": 5}]
+    built.write_text(json.dumps(data))
+    verify = ["verify", "--suite", "section3", "--group", "cyclic:2"]
+    assert main([*verify, "--structure", str(built), "--out", str(out)]) == 1
+    capsys.readouterr()
+    assert report_sha256(out) == MORPHISM_PINNED_DIGEST
 
 
 @pytest.mark.parametrize("suite,objects,message", TOO_SMALL)

@@ -226,6 +226,23 @@ def _structure_with_true(name):
     return data
 
 
+def _structure_with_args(name, args):
+    # the built structure whose function or relation `name` has these args
+    data = _built_structure()
+    for table in (*data["functions"], *data["relations"]):
+        if table["name"] == name:
+            table["args"] = args
+    return data
+
+
+def _structure_with_copy(name):
+    # the built structure with a second function or relation named `name`
+    data = _built_structure()
+    for kind in ("functions", "relations"):
+        data[kind] += [dict(t) for t in data[kind] if t["name"] == name]
+    return data
+
+
 def _with_constant_index(index):
     data = _built_structure()
     data["constants"] = [{"name": "c", "sort": "O", "index": index}]
@@ -251,11 +268,19 @@ Z2_TABLE = [[0, 1], [1, 0]]
         ("group", {"identity": 0, "table": Z2_TABLE, "labels": ["a", 7]}),
         ("structure", _structure_with_true("ter")),
         ("structure", _with_constant_index(True)),
+        # args are a list of sort names, and names are unique per kind
+        ("structure", _structure_with_args("init", "M")),
+        ("structure", _structure_with_args("comp", "MMM")),
+        ("structure", _structure_with_args("init", [["M"]])),
+        ("structure", _structure_with_copy("init")),
+        ("structure", _structure_with_copy("comp")),
     ],
     ids=[
         "table-entry", "identity", "table-not-a-list", "init-row", "comp-tuple",
         "false-identity", "true-table-entry", "true-order", "labels-not-a-list",
         "label-not-a-string", "true-ter-row", "true-constant-index",
+        "init-args-string", "comp-args-string", "init-args-nested",
+        "duplicate-function", "duplicate-relation",
     ],
 )
 def test_malformed_json_input_exits_two(kind, doc, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import functools
+import itertools
 
 import pytest
 
@@ -182,3 +183,112 @@ def test_claim_statuses_do_not_depend_on_the_numbering(group, objects, cover, se
     r, obj = _relabelled(s, seed)
     assert obj != sorted(obj)
     assert _all_statuses(r, g) == statuses
+
+
+def _enumerated_uniform_action(s):
+    """uniform-action read off the enumerated group over every object
+    closure, member by member."""
+    from groupoidlab import automorphism_group, morphisms_between, object_closure
+    from groupoidlab.structures import objects_of, vertex_morphisms
+
+    gpd = s.y_system.gpd
+    others = [u for u in objects_of(s) if u != 0]
+    gs = {u: min(morphisms_between(s, 0, u)) for u in others}
+    hs = {u: min(morphisms_between(s, u, 0)) for u in others}
+    base = tuple(e for u in objects_of(s) for e in object_closure(s, u))
+    group = automorphism_group(s, base)
+    off = s.search_space.offsets["M"]
+    for sigma in vertex_morphisms(s, 0):
+        want_g = {u: gpd.compose(sigma, gs[u]) for u in others}
+        if not any(
+            all(aut.images[off + gs[u]] == off + want_g[u] for u in others)
+            for aut in group.members
+        ):
+            return {"sigma": sigma, "direction": "out"}
+        want_h = {u: gpd.compose(hs[u], sigma) for u in others}
+        if not any(
+            all(aut.images[off + hs[u]] == off + want_h[u] for u in others)
+            for aut in group.members
+        ):
+            return {"sigma": sigma, "direction": "in"}
+    return None
+
+
+def _enumerated_composites(s):
+    """composite-membership read off Aut(s/pair_closure(c, a)), enumerated
+    at every pair: each member is filed by its image of the reference, and
+    every mover of f is checked to send t0 to the composite the claim reads
+    off f."""
+    from groupoidlab import Element, automorphism_group, morphisms_between, object_tuple
+    from groupoidlab.structures import objects_of, pair_closure
+    from groupoidlab.witness import raw_morphism
+
+    ys = s.y_system
+    gpd = ys.gpd
+    for c, a, b in itertools.permutations(objects_of(s), 3):
+        members = automorphism_group(s, pair_closure(s, c, a)).members
+        ref = ys.y_set(a, b).reference
+        cells = {}
+        for m in members:
+            cells.setdefault(m.apply_tuple(ref), []).append(m)
+        y_cb = set(ys.y_set(c, b).members)
+        for g_raw in morphisms_between(s, c, a):
+            t0 = object_tuple(s, c) + object_tuple(s, b) + (
+                Element("M", gpd.compose(g_raw, raw_morphism(ref))),
+            )
+            for f in ys.y_set(a, b).members:
+                movers = cells.get(f)
+                if not movers:
+                    return {"triple": (c, a, b), "f": f, "problem": "no mover"}
+                h = object_tuple(s, c) + f[len(object_tuple(s, a)):-1] + (
+                    Element("M", gpd.compose(g_raw, raw_morphism(f))),
+                )
+                assert {m.apply_tuple(t0) for m in movers} == {h}, ((c, a, b), f)
+                if h not in y_cb:
+                    return {"triple": (c, a, b), "f": f, "problem": "composite leaves Y"}
+    return None
+
+
+ORBIT_CLAIM_CASES = [
+    ("cyclic:2", 4, True, None, None),
+    ("cyclic:3", 4, False, None, None),
+    ("symmetric:3", 3, False, None, None),
+    ("quaternion8", 3, True, None, None),
+    ("cyclic:2", 4, True, 20150, None),
+    ("cyclic:2", 4, True, 7, None),
+    ("cyclic:2", 3, False, None, ("M", 5)),
+    ("cyclic:2", 4, True, None, ("O", 2)),
+]
+
+
+def _orbit_claim_case_id(case):
+    group, objects, cover, seed, constant = case
+    parts = [group, f"n{objects}", "cover" if cover else "plain"]
+    if seed is not None:
+        parts.append(f"relabelled-{seed}")
+    if constant is not None:
+        parts.append("constant-{}{}".format(*constant))
+    return "-".join(parts)
+
+
+@pytest.mark.parametrize("case", ORBIT_CLAIM_CASES, ids=_orbit_claim_case_id)
+def test_orbit_claims_match_enumeration(case):
+    # uniform-action and composite-membership read one lead search per
+    # question; the enumerated groups they stand for give the same witness,
+    # failing ones included (the non-abelian vertex groups and the constant
+    # on morphism 5)
+    from dataclasses import replace
+
+    from groupoidlab import group_from_spec
+    from groupoidlab.structures import Constant
+
+    group, objects, cover, seed, constant = case
+    gpd = build_standard_groupoid(group_from_spec(group), objects)
+    s = encode_double_cover(gpd) if cover else encode_groupoid(gpd)
+    if constant is not None:
+        s = replace(s, constants=(Constant("mark", *constant),))
+    if seed is not None:
+        s, _ = _relabelled(s, seed)
+    witness = {e.claim_id: e.witness for e in verify_section3(s).entries}
+    assert witness["uniform-action"] == _enumerated_uniform_action(s)
+    assert witness["composite-membership"] == _enumerated_composites(s)

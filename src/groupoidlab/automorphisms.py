@@ -26,8 +26,11 @@ fixing the base; ``automorphism_group`` and ``dcl_of`` enumerate the group
 this way and are the ground-truth oracle.  With a lead tuple it assigns the
 lead's points first and yields one automorphism per image of the lead, so
 ``orbit_of`` and ``interdefinable`` read a tuple's images off the first
-levels of the search tree without enumerating the group.  Section3's claims
-read orbits this way and enumerate no group.
+levels of the search tree without enumerating the group.  No claim
+enumerates a group: section3's claims read orbits this way, and section2
+reads a stabiliser's order off ``orbit_certificate``, an orbit-stabiliser
+certificate from the cell sizes of a lead and one search constrained to
+fix it.
 
 Each question is searched once per structure.  Next to the partitions, the
 ``_SearchSpace`` keeps two stores keyed by pinned set: the image arrays of
@@ -71,7 +74,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import compress, count
+from itertools import compress, count, islice
+from math import prod
 from operator import itemgetter, ne
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -519,6 +523,34 @@ def orbit_of(
     return tuple(sorted(
         tuple(elements[images[p]] for p in points) for images in _images(s, base, x)
     ))
+
+
+def orbit_certificate(
+    s: MultiSortedStructure,
+    base: Iterable[Element],
+    x: tuple[Element, ...],
+) -> tuple[int, bool]:
+    """An orbit-stabiliser certificate for the order of Aut(s/base): the
+    product, over x's points, of their cell sizes in the stable partition of
+    base, and whether the search over base constrained to fix x has exactly
+    one completion, that is, whether Aut(s/base + x) = 1.
+
+    |Aut(s/base)| = |orbit of x| . |Aut(s/base + x)| (Seress, *Permutation
+    Group Algorithms*, 2003), and an automorphism fixing base keeps its
+    stable colouring, so every image of x keeps each of x's points in its
+    own cell.  When the second factor is 1, the product therefore bounds
+    the order from above.  The constrained search runs over base's own
+    partition: refining base + x would cost one more pinned set."""
+    check_budget(s)
+    space = s.search_space
+    color, cells = space.partition(space.pinned(base))
+    cell_product = prod(len(cells[color[p]]) for p in space.lead_points(x))
+    search = _solutions(s, tuple(base), {e: e for e in x})
+    try:
+        alone = len(list(islice(search, 2))) == 1
+    finally:
+        search.close()
+    return cell_product, alone
 
 
 def dcl_of(s: MultiSortedStructure, base: Iterable[Element]) -> tuple[Element, ...]:

@@ -19,13 +19,13 @@ from .automorphisms import (
     _carrier_index,
     _fixed,
     _restriction,
-    automorphism_group,
     is_automorphism,
+    orbit_certificate,
     orbit_of,
     restricted_group,
     setwise_restricted_group,
 )
-from .errors import BudgetExceeded, GroupoidLabError, InvalidInput
+from .errors import BudgetExceeded, ClaimFailure, GroupoidLabError, InvalidInput
 from .groups import FiniteGroup, center, compose_perms, cyclic_group, isomorphism_search
 from .groupoids import build_standard_groupoid, vertex_group
 from .limits import (
@@ -237,10 +237,39 @@ def choice_family_map(
     return Automorphism(tuple(images), s)
 
 
+def _choice_family_members(
+    s: MultiSortedStructure, a: int, base: tuple[Element, ...]
+) -> tuple[Optional[dict], frozenset[Automorphism]]:
+    """Every choice-family map at a, family by family: the first family whose
+    map is not in Aut(s/base), with its problem, and the distinct maps that
+    are.  A member is an automorphism fixing every point of base, so no
+    group is needed."""
+    first, members = None, set()
+    base_points = [s.search_space.point(e) for e in base]
+    other = [u for u in objects_of(s) if u != a]
+    for choice in itertools.product(*(vertex_morphisms(s, u) for u in other)):
+        family = dict(zip(other, choice))
+        aut = choice_family_map(s, a, family)
+        if not is_automorphism(s, aut):
+            problem = "not an automorphism"
+        elif any(aut.images[p] != p for p in base_points):
+            problem = "not in the stabilizer"
+        else:
+            members.add(aut)
+            continue
+        if first is None:
+            first = {"family": family, "problem": problem}
+    return first, frozenset(members)
+
+
 def verify_section2(s: MultiSortedStructure, g: FiniteGroup) -> Report:
     """Claims about the standard connected groupoid with vertex group g:
     the orbit coset is the center translate, its restriction group is the
-    center, and the morphism-set restriction group is g itself."""
+    center, and the morphism-set restriction group is g itself.  The
+    choice-family maps are |G|^(n-1) distinct members of the pointwise
+    stabiliser of all objects and the vertex group at a, each checked for
+    membership directly, and the stabiliser has that order, read by
+    orbit-stabiliser (``orbit_certificate``).  No claim enumerates a group."""
     if has_cover(s):
         raise InvalidInput("standard-model claims run on the plain encoding")
     n = s.sort_size("O")
@@ -331,21 +360,16 @@ def verify_section2(s: MultiSortedStructure, g: FiniteGroup) -> Report:
         Element("M", m) for m in vertex_morphisms(s, a)
     )
 
+    @functools.cache
+    def choice_family() -> tuple[Optional[dict], frozenset[Automorphism]]:
+        return _choice_family_members(s, a, base_oga)
+
     def choice_maps() -> Optional[object]:
-        stab = automorphism_group(s, base_oga)
-        members = set(stab.members)
-        built = set()
-        other = [u for u in objects_of(s) if u != a]
-        for choice in itertools.product(*(vertex_morphisms(s, u) for u in other)):
-            family = dict(zip(other, choice))
-            aut = choice_family_map(s, a, family)
-            if not is_automorphism(s, aut):
-                return {"family": family, "problem": "not an automorphism"}
-            if aut not in members:
-                return {"family": family, "problem": "not in the stabilizer"}
-            built.add(aut)
-        if len(built) != g.order ** (n - 1):
-            return {"distinct_maps": len(built)}
+        first, members = choice_family()
+        if first is not None:
+            return first
+        if len(members) != g.order ** (n - 1):
+            return {"distinct_maps": len(members)}
         return None
 
     report.add(
@@ -356,10 +380,24 @@ def verify_section2(s: MultiSortedStructure, g: FiniteGroup) -> Report:
     )
 
     def stab_order() -> Optional[object]:
-        stab = automorphism_group(s, base_oga)
+        # the lead pins the stabilizer: a morphism u -> v is m_u^-1 . x . m_v
+        # with x in the vertex group at a, m_u the lead's morphism a -> u
+        lead = tuple(
+            Element("M", min(morphisms_between(s, a, u))) for u in objects_of(s) if u != a
+        )
+        cell_product, alone = orbit_certificate(s, base_oga, lead)
+        if not alone:
+            raise ClaimFailure(
+                "stabilizer-order",
+                {"lead": [e.index for e in lead], "problem": "a second automorphism fixes the lead"},
+            )
+        # each member is in the stabilizer, whose order is the lead's orbit
+        # size, at most cell_product
+        members = len(choice_family()[1])
+        order = members if cell_product == members else len(orbit_of(s, base_oga, lead))
         expect = g.order ** (n - 1)
-        if stab.order != expect:
-            return {"order": stab.order, "expected": expect}
+        if order != expect:
+            return {"order": order, "expected": expect}
         return None
 
     report.add(

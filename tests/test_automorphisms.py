@@ -1015,13 +1015,20 @@ def test_section3_searches_one_translation_per_pair(monkeypatch):
     assert (len(constrained), len(translations), len(heads)) == (13, 11, 2)
 
 
-def test_section3_enumerates_no_group(monkeypatch):
-    # every search of section3 has a lead or constraints: the claims read
-    # orbits and the Y-set system's restriction groups, transports and
-    # translations, none of which enumerates a group
-    from groupoidlab import automorphisms, verify_section3
+@pytest.mark.parametrize(
+    "group,n,cover", [(cyclic_group(2), 4, True), (cyclic_group(3), 4, False)],
+    ids=["cyclic2-4-cover", "cyclic3-4-plain"],
+)
+def test_no_suite_enumerates_a_group(group, n, cover, monkeypatch):
+    # every search of every suite has a lead or constraints: the claims read
+    # orbits, orbit-stabiliser certificates and the Y-set system's
+    # restriction groups, transports and translations, none of which
+    # enumerates a group
+    from groupoidlab import automorphisms
+    from groupoidlab.verify import run_suites
 
-    s = encode_double_cover(build_standard_groupoid(cyclic_group(2), 4))
+    gpd = build_standard_groupoid(group, n)
+    s = encode_double_cover(gpd) if cover else encode_groupoid(gpd)
     solutions, unled = automorphisms._solutions, []
 
     def spy(structure, base, constraints=None, lead=()):
@@ -1030,5 +1037,5 @@ def test_section3_enumerates_no_group(monkeypatch):
         return solutions(structure, base, constraints, lead=lead)
 
     monkeypatch.setattr(automorphisms, "_solutions", spy)
-    assert verify_section3(s).passed
+    assert run_suites(s, group, "all", "no-enumeration").passed
     assert unled == []

@@ -125,10 +125,41 @@ STRUCTURE_DIGEST = "3773fdd7fc73ca2bd69cf375986efc40a86c0ad9b6baa300a3548d886edd
 # DecompositionFailure.
 PINNED_DIGEST = "66273e9379f3dffebafb6e30e3f90cb141dff716faadaf1da5baed6e1f55f393"
 
-# section3 on the plain n=3 structure with a constant pinning morphism 5
-# (exit 1): the only golden where composite-membership fails, so it pins
-# the "no mover" witness.
-MORPHISM_PINNED_DIGEST = "5142fe8b5e4311fe3047189a9dc0a64596cce737f096b32add9f5e5ac1ac8bc4"
+# the plain n=3 structure with a constant pinning one morphism (exit 1), per
+# suite.  section3 with morphism 5: the only golden where composite-membership
+# fails, so it pins the "no mover" witness.  section2: the constant breaks
+# choice-family maps.  With morphism 5 the cell product over the stabiliser's
+# partition is its order; with morphism 10 (1 -> 2) it is larger, so the
+# order is read off the orbit of the lead.  The two section2 reports are
+# alike byte for byte.
+SECTION2_PINNED_WITNESSES = {
+    "choice-family-maps": {"family": {"1": 8, "2": 17}, "problem": "not an automorphism"},
+    "stabilizer-order": {"expected": 4, "order": 2},
+}
+MORPHISM_PINNED = [
+    ("section3", 5, "5142fe8b5e4311fe3047189a9dc0a64596cce737f096b32add9f5e5ac1ac8bc4", None),
+    (
+        "section2",
+        5,
+        "f9912016c06e48909ea01a1144021b5da3a6007a346a2881aa1cc9bda394865e",
+        SECTION2_PINNED_WITNESSES,
+    ),
+    (
+        "section2",
+        10,
+        "f9912016c06e48909ea01a1144021b5da3a6007a346a2881aa1cc9bda394865e",
+        SECTION2_PINNED_WITNESSES,
+    ),
+]
+
+# section2 on a built symmetric:3 n=3 structure checked against cyclic:2
+# (exit 1): every choice-family map is an automorphism of the structure, so
+# the cell product certifies the stabiliser order on a failing run.
+MISMATCHED_GROUP_DIGEST = "67ced66cc785e171dc110b142ada965c7468de32fa60b85e2d928c5bd8ba7667"
+MISMATCHED_GROUP_WITNESSES = {
+    "choice-family-maps": {"distinct_maps": 36},
+    "stabilizer-order": {"expected": 4, "order": 36},
+}
 
 # a single suite below its minimum object count is an input error
 TOO_SMALL = [
@@ -174,17 +205,44 @@ def test_constant_pinned_structure_report_bytes_unchanged(tmp_path, capsys):
     assert report_sha256(out) == PINNED_DIGEST
 
 
-def test_morphism_pinned_structure_report_bytes_unchanged(tmp_path, capsys):
+def _stabiliser_witnesses(path) -> dict:
+    """The witnesses of section2's two stabiliser claims."""
+    claims = json.loads(path.read_text())["claims"]
+    names = ("section2.choice-family-maps", "section2.stabilizer-order")
+    return {c["id"].split(".", 1)[1]: c.get("witness") for c in claims if c["id"] in names}
+
+
+@pytest.mark.parametrize(
+    "suite,morphism,digest,witnesses",
+    MORPHISM_PINNED,
+    ids=[f"{suite}-M{m}" for suite, m, *_ in MORPHISM_PINNED],
+)
+def test_morphism_pinned_structure_report_bytes_unchanged(
+    suite, morphism, digest, witnesses, tmp_path, capsys
+):
     built, out = tmp_path / "s.json", tmp_path / "report.json"
     build = ["build", "--group", "cyclic:2", "--objects", "3"]
     assert main([*build, "--out", str(built)]) == 0
     data = json.loads(built.read_text())
-    data["constants"] = [{"name": "mark", "sort": "M", "index": 5}]
+    data["constants"] = [{"name": "mark", "sort": "M", "index": morphism}]
     built.write_text(json.dumps(data))
-    verify = ["verify", "--suite", "section3", "--group", "cyclic:2"]
+    verify = ["verify", "--suite", suite, "--group", "cyclic:2"]
     assert main([*verify, "--structure", str(built), "--out", str(out)]) == 1
     capsys.readouterr()
-    assert report_sha256(out) == MORPHISM_PINNED_DIGEST
+    assert report_sha256(out) == digest
+    if witnesses is not None:
+        assert _stabiliser_witnesses(out) == witnesses
+
+
+def test_mismatched_group_structure_report_bytes_unchanged(tmp_path, capsys):
+    built, out = tmp_path / "s.json", tmp_path / "report.json"
+    build = ["build", "--group", "symmetric:3", "--objects", "3"]
+    assert main([*build, "--out", str(built)]) == 0
+    verify = ["verify", "--suite", "section2", "--group", "cyclic:2"]
+    assert main([*verify, "--structure", str(built), "--out", str(out)]) == 1
+    capsys.readouterr()
+    assert report_sha256(out) == MISMATCHED_GROUP_DIGEST
+    assert _stabiliser_witnesses(out) == MISMATCHED_GROUP_WITNESSES
 
 
 @pytest.mark.parametrize("suite,objects,message", TOO_SMALL)

@@ -292,3 +292,64 @@ def test_orbit_claims_match_enumeration(case):
     witness = {e.claim_id: e.witness for e in verify_section3(s).entries}
     assert witness["uniform-action"] == _enumerated_uniform_action(s)
     assert witness["composite-membership"] == _enumerated_composites(s)
+
+
+# (group, objects, constant, whether the cell product is the stabiliser's
+# order): a constant on morphism 5 pins the lead's morphism 0 -> 2, and one
+# on morphism 10 (1 -> 2) ties the lead's two images together, which the
+# stable partition does not see
+STABILIZER_CASES = [
+    *(("cyclic:2", n, None, True) for n in (2, 3, 4, 5)),
+    *(
+        (group, n, None, True)
+        for group in ("symmetric:3", "dihedral:4", "quaternion8", "product:cyclic:2,cyclic:2")
+        for n in (2, 3)
+    ),
+    ("cyclic:2", 3, ("M", 5), True),
+    ("cyclic:2", 3, ("M", 10), False),
+]
+
+
+@pytest.mark.parametrize(
+    "group,objects,constant,exact",
+    STABILIZER_CASES,
+    ids=[
+        f"{g}-n{n}" + ("-constant-{}{}".format(*c) if c else "")
+        for g, n, c, _ in STABILIZER_CASES
+    ],
+)
+def test_stabilizer_certificate_matches_enumeration(
+    group, objects, constant, exact, monkeypatch
+):
+    # section2 reads the stabiliser of all objects and the vertex group at 0
+    # off the choice-family maps that pass the membership check and an
+    # orbit-stabiliser certificate; the enumerated stabiliser is the oracle
+    from dataclasses import replace
+
+    from groupoidlab import automorphism_group, group_from_spec, verify
+    from groupoidlab.structures import Constant
+
+    g = group_from_spec(group)
+    s = encode_groupoid(build_standard_groupoid(g, objects))
+    if constant is not None:
+        s = replace(s, constants=(Constant("mark", *constant),))
+    certify, certificates = verify.orbit_certificate, []
+
+    def spy(structure, base, lead):
+        certificates.append((base, certify(structure, base, lead)))
+        return certificates[-1][1]
+
+    monkeypatch.setattr(verify, "orbit_certificate", spy)
+    entries = {e.claim_id: e for e in verify_section2(s, g).entries}
+    [(base, (cell_product, alone))] = certificates
+    oracle = automorphism_group(s, base)
+    assert alone
+    assert cell_product >= oracle.order
+    assert (cell_product == oracle.order) == exact
+    expect = g.order ** (objects - 1)
+    order_entry = entries["stabilizer-order"]
+    order = expect if order_entry.status == "pass" else order_entry.witness["order"]
+    assert order == oracle.order
+    # the maps that pass are members, and they realise the whole stabiliser
+    _, members = verify._choice_family_members(s, 0, base)
+    assert members == set(oracle.members)

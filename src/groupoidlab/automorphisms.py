@@ -67,7 +67,9 @@ every transport, moving the reference F-group by ``_relabelled`` too.
 
 An ``Automorphism`` is the search's image array, each sort's points after
 those of the sorts before it; ``_restriction`` reads a restriction off such
-an array, over a carrier indexed by point tuples.
+an array, over a carrier indexed by point tuples, and ``is_automorphism``
+checks one on the search space's flattening: its sort offsets, constants and
+relation columns.
 """
 
 from __future__ import annotations
@@ -100,8 +102,8 @@ class Automorphism:
     structure: MultiSortedStructure = field(compare=False, repr=False)
 
     def apply(self, el: Element) -> Element:
-        off = self.structure.search_space.offsets[el.sort]
-        return Element(el.sort, self.images[off + el.index] - off)
+        space = self.structure.search_space
+        return space.elements[self.images[space.point(el)]]
 
     def apply_tuple(self, els: tuple[Element, ...]) -> tuple[Element, ...]:
         return tuple(self.apply(e) for e in els)
@@ -132,18 +134,20 @@ class AutomorphismGroup:
 
 
 class _Rel:
-    """A relation flattened to global point ids, with functional-direction
-    maps.  Both are keyed the way ``itemgetter(*t)`` reads a tuple t off an
-    image array: ``members`` holds the tuples (bare points for arity one),
-    and ``lookups[r]``, for each position r that the others determine, maps
-    a tuple with -1 at position r, as read while that point is open, to the
+    """A relation flattened to global point ids, its columns (none when
+    nullary or empty) and functional-direction maps.  Members and maps are
+    keyed the way ``itemgetter(*t)`` reads a tuple t off an image array:
+    ``members`` holds the tuples (bare points for arity one), and
+    ``lookups[r]``, for each position r that the others determine, maps a
+    tuple with -1 at position r, as read while that point is open, to the
     point that fills it."""
 
-    __slots__ = ("tuples", "members", "lookups")
+    __slots__ = ("tuples", "columns", "members", "lookups")
 
     def __init__(self, tuples: list[tuple[int, ...]]):
         self.tuples = tuples
-        arity = len(tuples[0]) if tuples else 0
+        self.columns = tuple(zip(*tuples))
+        arity = len(self.columns)
         self.members = {t[0] for t in tuples} if arity == 1 else set(tuples)
         self.lookups: dict[int, dict[tuple[int, ...], int]] = {}
         for r in range(arity) if arity > 1 else ():
@@ -159,14 +163,16 @@ class _Rel:
 
 
 class _SearchSpace:
-    """Flattened structure shared by every search over the same structure,
-    and what the searches found on it: the stable partition of each pinned
-    set searched so far, the image arrays of each complete lead search,
-    keyed by pinned set and lead points, the points moved by any
-    automorphism found over each pinned set, and the groups enumerated,
-    keyed by base.  One instance per structure, reached through
-    ``MultiSortedStructure.search_space``; the stores grow with the number
-    of distinct questions asked and are freed with the structure."""
+    """The structure's one point numbering (``offsets``, ``elements``), each
+    function graph and relation flattened to a ``_Rel`` that keeps its
+    tuples, their ``columns``, its members and lookups, and what the searches
+    found on it: the stable partition of each pinned set searched so far,
+    the image arrays of each complete lead search, keyed by pinned set and
+    lead points, the points moved by any automorphism found over each pinned
+    set, and the groups enumerated, keyed by base.  One instance per
+    structure, reached through ``MultiSortedStructure.search_space``; the
+    stores grow with the number of distinct questions asked and are freed
+    with the structure."""
 
     def __init__(self, s: MultiSortedStructure):
         self.groups: dict[tuple[Element, ...], AutomorphismGroup] = {}
@@ -184,19 +190,12 @@ class _SearchSpace:
             off += size
         self.n_points = off
 
-        self.rels: list[_Rel] = []
-        for f in s.functions:
-            rows = [
-                tuple(self.offsets[sn] + v for sn, v in zip((*f.arg_sorts, f.result_sort), row))
-                for row in f.rows
-            ]
-            self.rels.append(_Rel(rows))
-        for r in s.relations:
-            rows = [
-                tuple(self.offsets[sn] + v for sn, v in zip(r.arg_sorts, t))
-                for t in r.tuples
-            ]
-            self.rels.append(_Rel(rows))
+        tables = [((*f.arg_sorts, f.result_sort), f.rows) for f in s.functions]
+        tables += [(r.arg_sorts, r.tuples) for r in s.relations]
+        self.rels = [
+            _Rel([tuple(self.offsets[sn] + v for sn, v in zip(sorts, t)) for t in rows])
+            for sorts, rows in tables
+        ]
 
         # every tuple of every relation, numbered in relation order: its
         # count of distinct points, its image getter, its relation's members,
@@ -230,9 +229,7 @@ class _SearchSpace:
                 self.forcers_of.append(forcers)
                 self.determined.append(len(points) > 1 and len(forcers) == len(t))
 
-        self.const_points = tuple(
-            self.offsets[c.sort] + c.index for c in s.constants
-        )
+        self.const_points = tuple(self.offsets[c.sort] + c.index for c in s.constants)
 
     def point(self, el: Element) -> int:
         return self.offsets[el.sort] + el.index
@@ -462,22 +459,27 @@ def find_automorphism(
 
 
 def is_automorphism(s: MultiSortedStructure, aut: Automorphism) -> bool:
-    """Validate the Automorphism invariant directly from the structure: each
-    sort's slice of the array permutes that sort's points, and every function
-    graph, relation and constant (a one-tuple relation) maps into itself, so
+    """Validate the Automorphism invariant on the search space's points: each
+    sort's slice permutes that sort's points, every constant is fixed, and
+    every function graph and relation (``_Rel.columns``) maps into itself, so
     onto itself, as the array is a bijection and the tuple sets are finite."""
+    space = s.search_space
     images = aut.images
-    if len(images) != s.carrier_size:
+    if len(images) != space.n_points:
         return False
-    off = 0
-    for _, size in s.sorts:
+    for name, size in s.sorts:
+        off = space.offsets[name]
         if sorted(images[off:off + size]) != list(range(off, off + size)):
             return False
-        off += size
+    if any(images[p] != p for p in space.const_points):
+        return False
     image_of = images.__getitem__
     return all(
-        tset.issuperset(zip(*[map(image_of, column) for column in columns]))
-        for tset, columns in zip(s.point_tuple_sets, s.point_columns)
+        rel.members.issuperset(
+            map(image_of, rel.columns[0]) if len(rel.columns) == 1
+            else zip(*[map(image_of, column) for column in rel.columns])
+        )
+        for rel in space.rels
     )
 
 
@@ -556,12 +558,9 @@ def orbit_certificate(
 def dcl_of(s: MultiSortedStructure, base: Iterable[Element]) -> tuple[Element, ...]:
     """Fixed points of Aut(s/base): the finite surrogate of definable closure."""
     members = automorphism_group(s, base).members
-    offsets = s.search_space.offsets
     return tuple(
-        Element(name, i)
-        for name, size in s.sorts
-        for i in range(size)
-        if all(aut.images[offsets[name] + i] == offsets[name] + i for aut in members)
+        el for p, el in enumerate(s.search_space.elements)
+        if all(aut.images[p] == p for aut in members)
     )
 
 

@@ -98,29 +98,6 @@ class MultiSortedStructure:
         return _SearchSpace(self)
 
     @cached_property
-    def point_tuple_sets(self) -> tuple[frozenset[tuple[int, ...]], ...]:
-        """Each function graph, relation and constant (a one-tuple relation)
-        as a set of point tuples, each sort's points numbered after those of
-        the sorts before it."""
-        offsets, off = {}, 0
-        for name, size in self.sorts:
-            offsets[name], off = off, off + size
-        checks = [((*f.arg_sorts, f.result_sort), f.rows) for f in self.functions]
-        checks += [(r.arg_sorts, r.tuples) for r in self.relations]
-        checks += [((c.sort,), ((c.index,),)) for c in self.constants]
-        return tuple(
-            frozenset(tuple(offsets[n] + v for n, v in zip(sorts, t)) for t in tuples)
-            for sorts, tuples in checks
-        )
-
-    @cached_property
-    def point_columns(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        """Each of ``point_tuple_sets`` as its columns: the points at each
-        position of its tuples, in the set's iteration order.  A nullary or
-        empty relation has no columns."""
-        return tuple(tuple(zip(*tset)) for tset in self.point_tuple_sets)
-
-    @cached_property
     def groupoid_view(self) -> "GroupoidView":
         return GroupoidView(self)
 
@@ -255,7 +232,7 @@ class GroupoidView:
     def groupoid(self) -> FiniteGroupoid:
         """The decoded groupoid, validated on first use.  A failed
         validation caches nothing: it raises again on every use."""
-        return _decode(self.structure)
+        return _decode(self)
 
 
 def decode_groupoid(s: MultiSortedStructure) -> FiniteGroupoid:
@@ -263,11 +240,11 @@ def decode_groupoid(s: MultiSortedStructure) -> FiniteGroupoid:
     return s.groupoid_view.groupoid
 
 
-def _decode(s: MultiSortedStructure) -> FiniteGroupoid:
+def _decode(view: GroupoidView) -> FiniteGroupoid:
+    s = view.structure
     n_obj = s.sort_size("O")
     n_mor = s.sort_size("M")
-    init = tuple(v for _, v in sorted(s.function("init").rows))
-    ter = tuple(v for _, v in sorted(s.function("ter").rows))
+    init, ter = view.init, view.ter
     inverse = tuple(v for _, v in sorted(s.function("inverse").rows))
     composition = tuple(sorted(s.relation("comp").tuples))
     seen = set()

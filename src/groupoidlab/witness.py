@@ -100,8 +100,7 @@ def raw_morphism(t: YTuple) -> int:
 
 def x_tuples(s: MultiSortedStructure, a: int, b: int) -> tuple[YTuple, ...]:
     """The standard-groupoid morphisms a -> b as canonically ordered tuples."""
-    head = object_tuple(s, a) + object_tuple(s, b)
-    return tuple(head + (Element("M", m),) for m in morphisms_between(s, a, b))
+    return tuple(morphism_tuple(s, m) for m in morphisms_between(s, a, b))
 
 
 def _check_pair(s: MultiSortedStructure, a: int, b: int) -> None:

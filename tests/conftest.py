@@ -1,11 +1,18 @@
 import os
 import random
 import sys
+import tempfile
 from pathlib import Path
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 if SRC not in sys.path:
     sys.path.insert(0, SRC)
+
+# hypothesis caches what it reads from the sources under its storage
+# directory, .hypothesis/ in the working directory unless this names another
+os.environ.setdefault(
+    "HYPOTHESIS_STORAGE_DIRECTORY", os.path.join(tempfile.gettempdir(), "groupoidlab-hypothesis")
+)
 
 
 def subprocess_env() -> dict:

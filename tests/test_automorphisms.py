@@ -3,6 +3,10 @@ import random
 from operator import itemgetter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import _relabelled
 
 from groupoidlab import (
     BudgetExceeded,
@@ -317,20 +321,34 @@ def test_engine_handles_nullary_and_unary_relations():
     assert all(set(aut.apply_tuple(red)) == set(red) for aut in group.members)
 
 
+def _offsets(s):
+    # each sort's first point, numbered after the sorts before it
+    offsets, off = {}, 0
+    for name, size in s.sorts:
+        offsets[name], off = off, off + size
+    return offsets
+
+
 def _tuplewise_is_automorphism(s, images):
-    # the oracle: each sort's slice permutes its points, and the image of
-    # every tuple of every function graph, relation and constant is a tuple
-    # of the same one
-    if len(images) != s.carrier_size:
+    # the oracle, read off the structure's own sorts, function rows, relation
+    # tuples and constants: each sort's slice permutes its points, and the
+    # image of every tuple of every function graph, relation and constant (a
+    # one-tuple relation) is a tuple of the same one
+    offsets = _offsets(s)
+    if len(images) != sum(size for _, size in s.sorts):
         return False
-    off = 0
-    for _, size in s.sorts:
+    for name, size in s.sorts:
+        off = offsets[name]
         if sorted(images[off:off + size]) != list(range(off, off + size)):
             return False
-        off += size
-    return all(
-        tuple(images[p] for p in t) in tset for tset in s.point_tuple_sets for t in tset
-    )
+    tables = [((*f.arg_sorts, f.result_sort), f.rows) for f in s.functions]
+    tables += [(r.arg_sorts, r.tuples) for r in s.relations]
+    tables += [((c.sort,), ((c.index,),)) for c in s.constants]
+    for sorts, tuples in tables:
+        tset = {tuple(offsets[n] + v for n, v in zip(sorts, t)) for t in tuples}
+        if any(tuple(images[p] for p in t) not in tset for t in tset):
+            return False
+    return True
 
 
 def _constant_structure():
@@ -404,6 +422,38 @@ def test_is_automorphism_matches_the_tuplewise_check():
         assert expect is None or verdict == expect, images
         outcomes.add(verdict)
     assert outcomes == {True, False}
+
+
+@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@given(
+    group=st.sampled_from(("cyclic:2", "cyclic:3", "symmetric:3", "product:cyclic:2,cyclic:2")),
+    n=st.integers(2, 3),
+    cover=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_is_automorphism_and_apply_on_drawn_relabelled_instances(group, n, cover, seed):
+    # a drawn standard groupoid with every sort relabelled: the first three
+    # members of its group and one sort-wise shuffle against the oracle, and
+    # apply against offsets computed here
+    from itertools import islice
+
+    from groupoidlab import Automorphism, iter_automorphisms
+
+    s, _ = _relabelled(_standard(group, cover, n), seed)
+    members = list(islice(iter_automorphisms(s), 3))
+    assert members
+    shuffle = _sortwise_shuffle(s, random.Random(seed))
+    for images in [aut.images for aut in members] + [shuffle]:
+        verdict = is_automorphism(s, Automorphism(images, s))
+        assert verdict == _tuplewise_is_automorphism(s, images), images
+    assert all(is_automorphism(s, aut) for aut in members)
+    offsets = _offsets(s)
+    for aut in members:
+        for name, size in s.sorts:
+            off = offsets[name]
+            for i in range(size):
+                image = Element(name, aut.images[off + i] - off)
+                assert aut.apply(Element(name, i)) == image
 
 
 def test_array_kernels_match_their_loops():

@@ -52,6 +52,25 @@ def test_section3_report_lists_every_claim_once():
     assert rep.passed
 
 
+def test_irregular_f_group_fails_f_action_regular(monkeypatch):
+    # only F-groups over the closure of object 0 act regularly, so the
+    # reference pair (0, 1) builds and the first pair from object 1 raises
+    # RegularityFailure inside the claim
+    from groupoidlab import object_closure
+    from groupoidlab.automorphisms import RestrictedAutGroup
+
+    s = encode_double_cover(build_standard_groupoid(cyclic_group(2), 3))
+    closure_0 = tuple(sorted(object_closure(s, 0)))
+    is_regular = RestrictedAutGroup.is_regular
+    monkeypatch.setattr(
+        RestrictedAutGroup, "is_regular",
+        lambda rg: rg.base == closure_0 and is_regular(rg),
+    )
+    entry = next(e for e in verify_section3(s).entries if e.claim_id == "f-action-regular")
+    assert entry.status == "fail"
+    assert entry.witness.startswith("RegularityFailure: group action is not regular: (1, 0,")
+
+
 def test_witness_report_is_stable_under_repetition():
     z2 = cyclic_group(2)
     s = encode_double_cover(build_standard_groupoid(z2, 3))

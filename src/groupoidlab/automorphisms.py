@@ -27,10 +27,15 @@ this way and are the ground-truth oracle.  With a lead tuple it assigns the
 lead's points first and yields one automorphism per image of the lead, so
 ``orbit_of`` and ``interdefinable`` read a tuple's images off the first
 levels of the search tree without enumerating the group.  No claim
-enumerates a group: section3's claims read orbits this way, and section2
-reads a stabiliser's order off ``orbit_certificate``, an orbit-stabiliser
-certificate from the cell sizes of a lead and one search constrained to
-fix it.
+enumerates a group, and no claim reads a whole orbit or walks a product to
+answer whether an automorphism exists: section3's ``composite-membership``
+reads orbits this way; ``uniform-action`` and the witness's
+``type-equivalence`` ask ``carries``, one search constrained to send one
+tuple to another; and section2 checks the choice-family maps of the
+single-coordinate families, which generate the others under composition,
+and reads a stabiliser's order off ``orbit_certificate``, an
+orbit-stabiliser certificate from the cell sizes of a lead and one search
+constrained to fix it.
 
 Each question is searched once per structure.  Next to the partitions, the
 ``_SearchSpace`` keeps two stores keyed by pinned set: the image arrays of
@@ -59,7 +64,8 @@ Section3's ``composite-membership`` reads orbits the same way: the orbit
 of x over psi(B) is psi applied to the orbit of psi^-1(x) over B.  The
 automorphisms sending points S to given targets are likewise a coset
 psi0 . Aut(s/S), psi0 the first of them (``find_automorphism``, called by
-the Y-set system only).  ``YSystem.transports`` reads such a coset, the
+the Y-set system only); ``carries`` asks only whether psi0 exists, and
+stops the search at it.  ``YSystem.transports`` reads such a coset, the
 binding classes among its constraints: a transport reads only what a
 member does to a lead, so psi0 after one member of Aut(s/S) per image of
 the lead, from one lead search over S that serves every target, gives
@@ -456,6 +462,32 @@ def find_automorphism(
     check_budget(s)
     images = next(_solutions(s, (), constraints), None)
     return None if images is None else _to_automorphism(s, images)
+
+
+def carries(
+    s: MultiSortedStructure,
+    base: Iterable[Element],
+    x: tuple[Element, ...],
+    y: tuple[Element, ...],
+) -> bool:
+    """Whether some automorphism fixing base pointwise sends x to y
+    componentwise, that is, whether y is in the orbit of x under
+    Aut(s/base): one search constrained to send x to y, stopped at its first
+    solution.  Pairs that are not a consistent, injective map are answered
+    without a search."""
+    constraints = dict(zip(x, y))
+    if (
+        len(x) != len(y)
+        or any(constraints[e] != f for e, f in zip(x, y))
+        or len(set(constraints.values())) != len(constraints)
+    ):
+        return False
+    check_budget(s)
+    search = _solutions(s, tuple(base), constraints)
+    try:
+        return next(search, None) is not None
+    finally:
+        search.close()
 
 
 def is_automorphism(s: MultiSortedStructure, aut: Automorphism) -> bool:

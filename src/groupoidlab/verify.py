@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
+from math import prod
 from typing import Callable, Optional
 
 from .automorphisms import (
@@ -19,6 +20,8 @@ from .automorphisms import (
     _carrier_index,
     _fixed,
     _restriction,
+    carries,
+    check_budget,
     is_automorphism,
     orbit_certificate,
     orbit_of,
@@ -158,9 +161,8 @@ def check_witness(w: WitnessInstance) -> Report:
     )
 
     def equivalent() -> Optional[object]:
-        orbit = set(orbit_of(s, (), w.f01))
         for name, f in (("f12", w.f12), ("f02", w.f02)):
-            if f not in orbit:
+            if not carries(s, (), w.f01, f):
                 return f"{name} not in the empty-base orbit of f01"
         return None
 
@@ -239,27 +241,46 @@ def choice_family_map(
 
 def _choice_family_members(
     s: MultiSortedStructure, a: int, base: tuple[Element, ...]
-) -> tuple[Optional[dict], frozenset[Automorphism]]:
-    """Every choice-family map at a, family by family: the first family whose
-    map is not in Aut(s/base), with its problem, and the distinct maps that
-    are.  A member is an automorphism fixing every point of base, so no
-    group is needed."""
-    first, members = None, set()
+) -> tuple[Optional[dict], int]:
+    """The first family whose choice-family map at a is not in Aut(s/base),
+    with its problem, and the number of distinct maps that are.  A member is
+    an automorphism fixing every point of base, so no group is needed.
+
+    The map of f after the map of g is the map of the coordinatewise product
+    g(u) . f(u), by associativity in the decoded groupoid, and Aut(s/base) is
+    closed under composition.  So when the maps of the single-coordinate
+    families pass (one object u != a takes a morphism of Mor(u, u), every
+    other its identity), every map does.  The maps are injective in the
+    family: on m: a -> u the map of f is m . f(u), and the groupoid cancels.
+    Every family is then a distinct member, prod |Mor(u, u)| of them.
+    Otherwise every family is checked in product order, and the first that
+    fails is the witness."""
+    gpd = decode_groupoid(s)
     base_points = [s.search_space.point(e) for e in base]
     other = [u for u in objects_of(s) if u != a]
-    for choice in itertools.product(*(vertex_morphisms(s, u) for u in other)):
-        family = dict(zip(other, choice))
+
+    def problem(family: dict[int, int]) -> Optional[str]:
         aut = choice_family_map(s, a, family)
         if not is_automorphism(s, aut):
-            problem = "not an automorphism"
-        elif any(aut.images[p] != p for p in base_points):
-            problem = "not in the stabilizer"
-        else:
-            members.add(aut)
-            continue
-        if first is None:
-            first = {"family": family, "problem": problem}
-    return first, frozenset(members)
+            return "not an automorphism"
+        if any(aut.images[p] != p for p in base_points):
+            return "not in the stabilizer"
+        return None
+
+    identities = {u: gpd.identities[u] for u in other}
+    if not any(
+        problem({**identities, u: x}) for u in other for x in vertex_morphisms(s, u)
+    ):
+        return None, prod(len(vertex_morphisms(s, u)) for u in other)
+    first, count = None, 0
+    for choice in itertools.product(*(vertex_morphisms(s, u) for u in other)):
+        family = dict(zip(other, choice))
+        found = problem(family)
+        if found is None:
+            count += 1
+        elif first is None:
+            first = {"family": family, "problem": found}
+    return first, count
 
 
 def verify_section2(s: MultiSortedStructure, g: FiniteGroup) -> Report:
@@ -267,8 +288,10 @@ def verify_section2(s: MultiSortedStructure, g: FiniteGroup) -> Report:
     the orbit coset is the center translate, its restriction group is the
     center, and the morphism-set restriction group is g itself.  The
     choice-family maps are |G|^(n-1) distinct members of the pointwise
-    stabiliser of all objects and the vertex group at a, each checked for
-    membership directly, and the stabiliser has that order, read by
+    stabiliser of all objects and the vertex group at a: the maps compose
+    as their families multiply, so the (n-1)|G| maps of the single-coordinate
+    families are checked for membership directly and generate the rest
+    (``_choice_family_members``).  The stabiliser has that order, read by
     orbit-stabiliser (``orbit_certificate``).  No claim enumerates a group."""
     if has_cover(s):
         raise InvalidInput("standard-model claims run on the plain encoding")
@@ -361,15 +384,15 @@ def verify_section2(s: MultiSortedStructure, g: FiniteGroup) -> Report:
     )
 
     @functools.cache
-    def choice_family() -> tuple[Optional[dict], frozenset[Automorphism]]:
+    def choice_family() -> tuple[Optional[dict], int]:
         return _choice_family_members(s, a, base_oga)
 
     def choice_maps() -> Optional[object]:
-        first, members = choice_family()
+        first, count = choice_family()
         if first is not None:
             return first
-        if len(members) != g.order ** (n - 1):
-            return {"distinct_maps": len(members)}
+        if count != g.order ** (n - 1):
+            return {"distinct_maps": count}
         return None
 
     report.add(
@@ -393,7 +416,7 @@ def verify_section2(s: MultiSortedStructure, g: FiniteGroup) -> Report:
             )
         # each member is in the stabilizer, whose order is the lead's orbit
         # size, at most cell_product
-        members = len(choice_family()[1])
+        members = choice_family()[1]
         order = members if cell_product == members else len(orbit_of(s, base_oga, lead))
         expect = g.order ** (n - 1)
         if order != expect:
@@ -423,20 +446,24 @@ def verify_section3(s: MultiSortedStructure) -> Report:
 
     def uniform_action() -> Optional[object]:
         # some automorphism over the base multiplies every designated
-        # morphism by sigma exactly when the multiplied tuple is in the orbit
-        # of the designated tuple: one lead search, read per direction
+        # morphism by sigma: one search constrained to send the designated
+        # tuple to its multiple, per sigma and direction
         others = [u for u in objects_of(s) if u != o0]
         gs = [min(morphisms_between(s, o0, u)) for u in others]
         hs = [min(morphisms_between(s, u, o0)) for u in others]
         base = tuple(e for u in objects_of(s) for e in object_closure(s, u))
-        lead = tuple(Element("M", m) for m in gs + hs)
-        orbit = orbit_of(s, base, lead)
-        outs = {t[:len(gs)] for t in orbit}
-        ins = {t[len(gs):] for t in orbit}
+
+        def carried(ms: list[int], images: list[int]) -> bool:
+            return carries(
+                s, base,
+                tuple(Element("M", m) for m in ms),
+                tuple(Element("M", m) for m in images),
+            )
+
         for sigma in vertex_morphisms(s, o0):
-            if tuple(Element("M", gpd.compose(sigma, g)) for g in gs) not in outs:
+            if not carried(gs, [gpd.compose(sigma, g) for g in gs]):
                 return {"sigma": sigma, "direction": "out"}
-            if tuple(Element("M", gpd.compose(h, sigma)) for h in hs) not in ins:
+            if not carried(hs, [gpd.compose(h, sigma) for h in hs]):
                 return {"sigma": sigma, "direction": "in"}
         return None
 
@@ -881,12 +908,18 @@ def verify_limits(s: MultiSortedStructure) -> Report:
 # the suite registry
 
 
+def _section2_structure(s: MultiSortedStructure, g: FiniteGroup) -> MultiSortedStructure:
+    """The structure section2 searches: s, or on a double cover the plain
+    encoding of the standard groupoid of g."""
+    if has_cover(s):
+        return encode_groupoid(build_standard_groupoid(g, s.sort_size("O")))
+    return s
+
+
 def _section2_on_plain(s: MultiSortedStructure, g: FiniteGroup) -> Report:
     """Standard-model claims; on a double cover they run on the plain
     encoding of the standard groupoid of g instead."""
-    if has_cover(s):
-        s = encode_groupoid(build_standard_groupoid(g, s.sort_size("O")))
-    return verify_section2(s, g)
+    return verify_section2(_section2_structure(s, g), g)
 
 
 Suite = Callable[[MultiSortedStructure, FiniteGroup], Report]
@@ -910,18 +943,29 @@ def run_suites(
     an explicit skipped entry rather than silently dropped; asked for alone,
     it is an input error.  A suite that blows up on a broken instance is
     recorded as a claim failure.  Every suite presumes a connected groupoid,
-    so an empty Mor(a, b) is an input error before any suite runs.
+    so an empty Mor(a, b) is an input error before any suite runs, and the
+    carrier budget of every structure a selected suite searches (section2's
+    plain encoding on a double cover, s otherwise) is checked before any
+    suite runs too.
     """
     n = s.sort_size("O")
     for a, b in itertools.product(range(n), repeat=2):
         if not morphisms_between(s, a, b):
             raise InvalidInput(f"Mor({a}, {b}) is empty: the suites need a connected groupoid")
+    names = list(SUITES) if suite == "all" else [suite]
+    searched: dict[str, MultiSortedStructure] = {}
+    for name in names:
+        min_objects = SUITES[name][1]
+        if n >= min_objects:
+            searched[name] = _section2_structure(s, g) if name == "section2" else s
+        elif suite != "all":
+            raise InvalidInput(f"suite {name} needs --objects >= {min_objects}")
+    for target in searched.values():
+        check_budget(target)
     combined = Report(instance=instance)
-    for name in SUITES if suite == "all" else (suite,):
+    for name in names:
         runner, min_objects = SUITES[name]
-        if n < min_objects:
-            if suite != "all":
-                raise InvalidInput(f"suite {name} needs --objects >= {min_objects}")
+        if name not in searched:
             combined.entries.append(
                 ClaimEntry(
                     claim_id=f"{name}.skipped",
@@ -931,7 +975,7 @@ def run_suites(
             )
             continue
         try:
-            sub = runner(s, g)
+            sub = runner(searched[name], g)
         except (InvalidInput, BudgetExceeded):
             raise
         except GroupoidLabError as exc:

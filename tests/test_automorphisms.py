@@ -456,6 +456,86 @@ def test_is_automorphism_and_apply_on_drawn_relabelled_instances(group, n, cover
                 assert aut.apply(Element(name, i)) == image
 
 
+def _drawn_carries_case(s, data):
+    """A base of whole object closures, a tuple x of up to three points,
+    repeats allowed, and a target y: an image of x in its orbit, that image
+    with one coordinate copied onto another (a non-injective or
+    inconsistent pair list when the coordinates differ), or any tuple."""
+    from groupoidlab.structures import objects_of
+
+    objects = data.draw(st.lists(st.sampled_from(objects_of(s)), unique=True, max_size=2))
+    base = tuple(e for u in objects for e in object_closure(s, u))
+    x = tuple(data.draw(st.lists(st.sampled_from(all_elements(s)), min_size=1, max_size=3)))
+    if len(x) > 1 and data.draw(st.booleans()):
+        x = x + (x[0],)
+    kind = data.draw(st.sampled_from(("image", "collapsed", "any")))
+    if kind == "any":
+        y = tuple(data.draw(st.sampled_from(all_elements(s))) for _ in x)
+    else:
+        y = data.draw(st.sampled_from(orbit_of(s, base, x)))
+        if kind == "collapsed" and len(x) > 1:
+            i, j = data.draw(st.lists(st.sampled_from(range(len(x))), min_size=2, max_size=2, unique=True))
+            y = y[:j] + (y[i],) + y[j + 1:]
+    return base, x, y
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(
+    group=st.sampled_from(("cyclic:2", "cyclic:3", "symmetric:3", "product:cyclic:2,cyclic:2")),
+    n=st.integers(2, 3),
+    cover=st.booleans(),
+    seed=st.integers(0, 2**16),
+    data=st.data(),
+)
+def test_carries_matches_the_orbit_on_drawn_instances(group, n, cover, seed, data):
+    # the constrained existence search against the lead search's orbit, on
+    # a drawn relabelled standard groupoid
+    from groupoidlab.automorphisms import carries
+
+    s, _ = _relabelled(_standard(group, cover, n), seed)
+    base, x, y = _drawn_carries_case(s, data)
+    assert carries(s, base, x, y) == (y in orbit_of(s, base, x)), (base, x, y)
+
+
+def test_carries_answers_inconsistent_pairs_without_a_search(monkeypatch):
+    # repeated points need repeated images, distinct points distinct ones,
+    # and both tuples one length; such pair lists are answered before any
+    # search, and a consistent one searches once, stopping at its first
+    # solution
+    from groupoidlab import automorphisms
+    from groupoidlab.automorphisms import carries
+
+    s = _standard("cyclic:2", False, 3)
+    m01, m02 = (Element("M", min(morphisms_between(s, 0, u))) for u in (1, 2))
+    o1, o2 = Element("O", 1), Element("O", 2)
+    searches = []
+    solutions = automorphisms._solutions
+
+    def spy(structure, base, constraints=None, lead=()):
+        searches.append(dict(constraints))
+        return solutions(structure, base, constraints, lead=lead)
+
+    monkeypatch.setattr(automorphisms, "_solutions", spy)
+    for x, y in [
+        ((m01, m01), (m02, m01)),  # one point, two images
+        ((m01, m02), (m01, m01)),  # two points, one image
+        ((m01,), (m01, m02)),  # unequal lengths
+    ]:
+        assert not carries(s, (), x, y)
+    assert searches == []
+    assert carries(s, (), (o1, o2, o1), (o2, o1, o2))
+    assert not carries(s, object_closure(s, 1), (o1, o2), (o2, o1))
+    assert searches == [{o1: o2, o2: o1}, {o1: o2, o2: o1}]
+
+
+def test_carries_keeps_the_budget():
+    from groupoidlab.automorphisms import carries
+
+    s = encode_double_cover(build_standard_groupoid(cyclic_group(8), 6))
+    with pytest.raises(BudgetExceeded):
+        carries(s, (), (Element("O", 0),), (Element("O", 1),))
+
+
 def test_array_kernels_match_their_loops():
     # composition, inversion, restriction and relabelling read arrays through
     # C-level maps; on seeded random permutations each equals its loop
@@ -1042,11 +1122,14 @@ def test_translation_falls_back_when_the_base_is_not_an_image(monkeypatch):
 def test_section3_searches_one_translation_per_pair(monkeypatch):
     # the constrained searches of section3 on the n=4 cover: the Y-set
     # system's psi_ab at the 11 pairs other than (0, 1), each sending the
-    # reference morphism tuple, and the transport heads of
+    # reference morphism tuple, the transport heads of
     # transport-independence's two targets, each sending the reference
     # object tuples and the vertex group at 0 (one member per binding
-    # class).  composite-membership searches none of its own (the code
-    # before it read the Y-set system's translations made 25 such searches).
+    # class), and uniform-action's existence questions, one per vertex
+    # morphism at 0 and direction, each sending the designated morphisms
+    # out of or into 0.  composite-membership searches none of its own (the
+    # code before it read the Y-set system's translations made 25 such
+    # searches).
     from groupoidlab import automorphisms, object_closure, object_tuple, verify_section3
     from groupoidlab.witness import x_tuples
 
@@ -1062,7 +1145,12 @@ def test_section3_searches_one_translation_per_pair(monkeypatch):
     assert verify_section3(s).passed
     translations = [c for c in constrained if c == set(x_tuples(s, 0, 1)[0])]
     heads = [c for c in constrained if c == set(object_closure(s, 0) + object_tuple(s, 1))]
-    assert (len(constrained), len(translations), len(heads)) == (13, 11, 2)
+    designated = [
+        {Element("M", min(morphisms_between(s, *pair))) for pair in pairs}
+        for pairs in ([(0, u) for u in (1, 2, 3)], [(u, 0) for u in (1, 2, 3)])
+    ]
+    uniform = [c for c in constrained if c in designated]
+    assert (len(constrained), len(translations), len(heads), len(uniform)) == (17, 11, 2, 4)
 
 
 @pytest.mark.parametrize(

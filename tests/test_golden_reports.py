@@ -131,7 +131,8 @@ PINNED_DIGEST = "66273e9379f3dffebafb6e30e3f90cb141dff716faadaf1da5baed6e1f55f39
 # choice-family maps.  With morphism 5 the cell product over the stabiliser's
 # partition is its order; with morphism 10 (1 -> 2) it is larger, so the
 # order is read off the orbit of the lead.  The two section2 reports are
-# alike byte for byte.
+# alike byte for byte.  witness with morphism 10: the constant pins f12, so
+# no automorphism carries f01 to it and type-equivalence fails.
 SECTION2_PINNED_WITNESSES = {
     "choice-family-maps": {"family": {"1": 8, "2": 17}, "problem": "not an automorphism"},
     "stabilizer-order": {"expected": 4, "order": 2},
@@ -149,6 +150,12 @@ MORPHISM_PINNED = [
         10,
         "f9912016c06e48909ea01a1144021b5da3a6007a346a2881aa1cc9bda394865e",
         SECTION2_PINNED_WITNESSES,
+    ),
+    (
+        "witness",
+        10,
+        "a9b080331b23c242e6badf55607bbc58893e90473123de15e51b521ddf258a1f",
+        {"type-equivalence": "f12 not in the empty-base orbit of f01"},
     ),
 ]
 
@@ -205,11 +212,11 @@ def test_constant_pinned_structure_report_bytes_unchanged(tmp_path, capsys):
     assert report_sha256(out) == PINNED_DIGEST
 
 
-def _stabiliser_witnesses(path) -> dict:
-    """The witnesses of section2's two stabiliser claims."""
+def _witnesses(path, names) -> dict:
+    """The witnesses of the named claims, each named without its suite."""
     claims = json.loads(path.read_text())["claims"]
-    names = ("section2.choice-family-maps", "section2.stabilizer-order")
-    return {c["id"].split(".", 1)[1]: c.get("witness") for c in claims if c["id"] in names}
+    found = {c["id"].split(".", 1)[1]: c.get("witness") for c in claims}
+    return {name: found[name] for name in names}
 
 
 @pytest.mark.parametrize(
@@ -231,7 +238,7 @@ def test_morphism_pinned_structure_report_bytes_unchanged(
     capsys.readouterr()
     assert report_sha256(out) == digest
     if witnesses is not None:
-        assert _stabiliser_witnesses(out) == witnesses
+        assert _witnesses(out, witnesses) == witnesses
 
 
 def test_mismatched_group_structure_report_bytes_unchanged(tmp_path, capsys):
@@ -242,7 +249,7 @@ def test_mismatched_group_structure_report_bytes_unchanged(tmp_path, capsys):
     assert main([*verify, "--structure", str(built), "--out", str(out)]) == 1
     capsys.readouterr()
     assert report_sha256(out) == MISMATCHED_GROUP_DIGEST
-    assert _stabiliser_witnesses(out) == MISMATCHED_GROUP_WITNESSES
+    assert _witnesses(out, MISMATCHED_GROUP_WITNESSES) == MISMATCHED_GROUP_WITNESSES
 
 
 @pytest.mark.parametrize("suite,objects,message", TOO_SMALL)

@@ -163,6 +163,39 @@ def test_verify_budget_exit_three():
     assert rc == 3
 
 
+def _spied_suites(monkeypatch) -> list:
+    """Replace every SUITES runner with one that records the suite's name
+    and the carrier size of the structure it runs on."""
+    ran = []
+    for name, (runner, min_objects) in list(SUITES.items()):
+        def spy(s, g, name=name, runner=runner):
+            ran.append((name, s.carrier_size))
+            return runner(s, g)
+
+        monkeypatch.setitem(SUITES, name, (spy, min_objects))
+    return ran
+
+
+def test_verify_all_checks_every_budget_before_any_suite(monkeypatch, capsys):
+    # the n=6 cover of Z/8 has carrier 306, over the budget of 300, and
+    # section2's plain encoding has 294: no suite runs before the exit
+    ran = _spied_suites(monkeypatch)
+    rc = main(["verify", "--suite", "all", "--group", "cyclic:8", "--objects", "6", "--cover"])
+    assert rc == 3
+    assert ran == []
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_verify_section2_on_a_cover_over_budget_runs_on_the_plain_encoding(
+    monkeypatch, capsys
+):
+    ran = _spied_suites(monkeypatch)
+    rc = main(["verify", "--suite", "section2", "--group", "cyclic:8", "--objects", "6", "--cover"])
+    assert rc == 0
+    assert ran == [("section2", 294)]
+    capsys.readouterr()
+
+
 def test_report_merging_cli(tmp_path):
     r1 = tmp_path / "r1.json"
     r2 = tmp_path / "r2.json"

@@ -11,6 +11,7 @@ from groupoidlab import (
     cyclic_group,
     encode_double_cover,
     encode_groupoid,
+    is_automorphism,
     standard_witness,
     symmetric_group,
     verify_section2,
@@ -233,6 +234,40 @@ def _enumerated_uniform_action(s):
     return None
 
 
+def _orbit_uniform_action(s):
+    """uniform-action read off one lead search over every object closure:
+    the orbit of the designated morphisms out of and into 0, projected per
+    direction."""
+    from groupoidlab import Element, morphisms_between, object_closure, orbit_of
+    from groupoidlab.structures import objects_of, vertex_morphisms
+
+    gpd = s.y_system.gpd
+    others = [u for u in objects_of(s) if u != 0]
+    gs = [min(morphisms_between(s, 0, u)) for u in others]
+    hs = [min(morphisms_between(s, u, 0)) for u in others]
+    base = tuple(e for u in objects_of(s) for e in object_closure(s, u))
+    orbit = orbit_of(s, base, tuple(Element("M", m) for m in gs + hs))
+    outs = {t[:len(gs)] for t in orbit}
+    ins = {t[len(gs):] for t in orbit}
+    for sigma in vertex_morphisms(s, 0):
+        if tuple(Element("M", gpd.compose(sigma, g)) for g in gs) not in outs:
+            return {"sigma": sigma, "direction": "out"}
+        if tuple(Element("M", gpd.compose(h, sigma)) for h in hs) not in ins:
+            return {"sigma": sigma, "direction": "in"}
+    return None
+
+
+def _orbit_type_equivalence(w):
+    """type-equivalence read off the empty-base orbit of f01."""
+    from groupoidlab import orbit_of
+
+    orbit = set(orbit_of(w.structure, (), w.f01))
+    for name, f in (("f12", w.f12), ("f02", w.f02)):
+        if f not in orbit:
+            return f"{name} not in the empty-base orbit of f01"
+    return None
+
+
 def _enumerated_composites(s):
     """composite-membership read off Aut(s/pair_closure(c, a)), enumerated
     at every pair: each member is filed by its image of the reference, and
@@ -277,6 +312,15 @@ ORBIT_CLAIM_CASES = [
     ("cyclic:2", 4, True, 7, None),
     ("cyclic:2", 3, False, None, ("M", 5)),
     ("cyclic:2", 4, True, None, ("O", 2)),
+    ("cyclic:2", 3, False, None, None),
+    ("cyclic:2", 5, False, None, None),
+    ("dihedral:4", 3, False, None, None),
+    ("product:cyclic:2,cyclic:2", 3, False, None, None),
+    # type-equivalence fails: the constant on morphism 10 = min Mor(1, 2)
+    # pins f12, and the one on object 2 pins f12 and f02
+    ("cyclic:2", 3, False, None, ("M", 10)),
+    ("cyclic:2", 3, True, None, ("M", 10)),
+    ("cyclic:3", 3, False, None, ("O", 2)),
 ]
 
 
@@ -292,10 +336,11 @@ def _orbit_claim_case_id(case):
 
 @pytest.mark.parametrize("case", ORBIT_CLAIM_CASES, ids=_orbit_claim_case_id)
 def test_orbit_claims_match_enumeration(case):
-    # uniform-action and composite-membership read one lead search per
-    # question; the enumerated groups they stand for give the same witness,
-    # failing ones included (the non-abelian vertex groups and the constant
-    # on morphism 5)
+    # composite-membership reads one lead search per question, and
+    # uniform-action and type-equivalence one constrained search per
+    # existence question; the enumerated groups and the orbits they stand
+    # for give the same witness, failing ones included (the non-abelian
+    # vertex groups and the constants)
     from dataclasses import replace
 
     from groupoidlab import group_from_spec
@@ -309,40 +354,75 @@ def test_orbit_claims_match_enumeration(case):
     if seed is not None:
         s, _ = _relabelled(s, seed)
     witness = {e.claim_id: e.witness for e in verify_section3(s).entries}
-    assert witness["uniform-action"] == _enumerated_uniform_action(s)
+    uniform = witness["uniform-action"]
+    assert uniform == _enumerated_uniform_action(s) == _orbit_uniform_action(s)
     assert witness["composite-membership"] == _enumerated_composites(s)
+    w = standard_witness(s)
+    typed = {e.claim_id: e.witness for e in check_witness(w).entries}
+    assert typed["type-equivalence"] == _orbit_type_equivalence(w)
+
+
+def _walked_choice_family(s, a, base):
+    """Every choice-family map at a, family by family in product order: the
+    first family whose map is not in Aut(s/base), with its problem, and the
+    distinct maps that are."""
+    from groupoidlab.structures import objects_of, vertex_morphisms
+    from groupoidlab.verify import choice_family_map
+
+    first, members = None, set()
+    base_points = [s.search_space.point(e) for e in base]
+    other = [u for u in objects_of(s) if u != a]
+    for choice in itertools.product(*(vertex_morphisms(s, u) for u in other)):
+        family = dict(zip(other, choice))
+        aut = choice_family_map(s, a, family)
+        if not is_automorphism(s, aut):
+            problem = "not an automorphism"
+        elif any(aut.images[p] != p for p in base_points):
+            problem = "not in the stabilizer"
+        else:
+            members.add(aut)
+            continue
+        if first is None:
+            first = {"family": family, "problem": problem}
+    return first, frozenset(members)
 
 
 # (group, objects, constant, whether the cell product is the stabiliser's
-# order): a constant on morphism 5 pins the lead's morphism 0 -> 2, and one
-# on morphism 10 (1 -> 2) ties the lead's two images together, which the
-# stable partition does not see
+# order, relabelling seed): a constant on morphism 5 pins the lead's
+# morphism 0 -> 2, and one on morphism 10 (1 -> 2) ties the lead's two
+# images together, which the stable partition does not see.  Relabelled by
+# seed 7, the constant sits on morphism 9, now a morphism 0 -> 1 off the
+# lead, and the cell product is the order again
 STABILIZER_CASES = [
-    *(("cyclic:2", n, None, True) for n in (2, 3, 4, 5)),
+    *(("cyclic:2", n, None, True, None) for n in (2, 3, 4, 5)),
     *(
-        (group, n, None, True)
+        (group, n, None, True, None)
         for group in ("symmetric:3", "dihedral:4", "quaternion8", "product:cyclic:2,cyclic:2")
         for n in (2, 3)
     ),
-    ("cyclic:2", 3, ("M", 5), True),
-    ("cyclic:2", 3, ("M", 10), False),
+    ("cyclic:2", 3, ("M", 5), True, None),
+    ("cyclic:2", 3, ("M", 10), False, None),
+    ("dihedral:4", 3, None, True, 20150),
+    ("cyclic:2", 3, ("M", 10), True, 7),
 ]
 
 
 @pytest.mark.parametrize(
-    "group,objects,constant,exact",
+    "group,objects,constant,exact,seed",
     STABILIZER_CASES,
     ids=[
         f"{g}-n{n}" + ("-constant-{}{}".format(*c) if c else "")
-        for g, n, c, _ in STABILIZER_CASES
+        + (f"-relabelled-{seed}" if seed is not None else "")
+        for g, n, c, _, seed in STABILIZER_CASES
     ],
 )
 def test_stabilizer_certificate_matches_enumeration(
-    group, objects, constant, exact, monkeypatch
+    group, objects, constant, exact, seed, monkeypatch
 ):
     # section2 reads the stabiliser of all objects and the vertex group at 0
-    # off the choice-family maps that pass the membership check and an
-    # orbit-stabiliser certificate; the enumerated stabiliser is the oracle
+    # off the choice-family maps, by closure from the single-coordinate
+    # families or else by the product walk, and an orbit-stabiliser
+    # certificate; the walk and the enumerated stabiliser are the oracles
     from dataclasses import replace
 
     from groupoidlab import automorphism_group, group_from_spec, verify
@@ -352,6 +432,8 @@ def test_stabilizer_certificate_matches_enumeration(
     s = encode_groupoid(build_standard_groupoid(g, objects))
     if constant is not None:
         s = replace(s, constants=(Constant("mark", *constant),))
+    if seed is not None:
+        s, _ = _relabelled(s, seed)
     certify, certificates = verify.orbit_certificate, []
 
     def spy(structure, base, lead):
@@ -369,6 +451,68 @@ def test_stabilizer_certificate_matches_enumeration(
     order_entry = entries["stabilizer-order"]
     order = expect if order_entry.status == "pass" else order_entry.witness["order"]
     assert order == oracle.order
-    # the maps that pass are members, and they realise the whole stabiliser
-    _, members = verify._choice_family_members(s, 0, base)
+    # the walk's first failing family and count of distinct members, and
+    # the members it finds realise the whole stabiliser
+    first, members = _walked_choice_family(s, 0, base)
+    assert verify._choice_family_members(s, 0, base) == (first, len(members))
     assert members == set(oracle.members)
+    maps = entries["choice-family-maps"]
+    assert maps.witness == (first or (
+        None if len(members) == expect else {"distinct_maps": len(members)}
+    ))
+
+
+def _counted_section2(s, g, monkeypatch):
+    """verify_section2's report and its is_automorphism calls."""
+    from groupoidlab import verify
+
+    check, calls = verify.is_automorphism, []
+
+    def spy(structure, aut):
+        calls.append(aut)
+        return check(structure, aut)
+
+    monkeypatch.setattr(verify, "is_automorphism", spy)
+    return verify_section2(s, g), len(calls)
+
+
+def test_section2_checks_only_the_single_coordinate_families(monkeypatch):
+    # when the (n-1)|G| maps of the single-coordinate families pass, they
+    # generate every choice-family map: 24 checks on D4 n=4, where the
+    # product walk made 8^3 = 512
+    from groupoidlab import group_from_spec
+
+    g = group_from_spec("dihedral:4")
+    report, calls = _counted_section2(encode_groupoid(build_standard_groupoid(g, 4)), g, monkeypatch)
+    assert report.passed, report.render_text()
+    assert calls == 3 * 8
+
+
+def test_section2_walks_every_family_once_a_generator_fails(monkeypatch):
+    # the constant on morphism 10 (1 -> 2): the single-coordinate families
+    # at object 1 are the identity, which passes, and the non-identity,
+    # which fails and stops the closure check; then the product walk checks
+    # all 2^2 families, so its first failure is the witness
+    from dataclasses import replace
+
+    from groupoidlab.structures import Constant
+
+    g = cyclic_group(2)
+    s = encode_groupoid(build_standard_groupoid(g, 3))
+    s = replace(s, constants=(Constant("mark", "M", 10),))
+    report, calls = _counted_section2(s, g, monkeypatch)
+    witness = {e.claim_id: e.witness for e in report.entries}
+    assert witness["choice-family-maps"] == {
+        "family": {1: 8, 2: 17}, "problem": "not an automorphism",
+    }
+    assert calls == 2 + 2 ** 2
+
+
+def test_section2_holds_on_dihedral4_six_objects():
+    # the largest plain D4 instance the CLI accepts: 5 * 8 single-coordinate
+    # checks in place of 8^5 maps
+    from groupoidlab import group_from_spec
+
+    g = group_from_spec("dihedral:4")
+    report = verify_section2(encode_groupoid(build_standard_groupoid(g, 6)), g)
+    assert report.passed, report.render_text()

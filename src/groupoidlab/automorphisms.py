@@ -33,7 +33,9 @@ reads orbits this way; ``uniform-action`` and the witness's
 ``type-equivalence`` ask ``carries``, one search constrained to send one
 tuple to another; and section2 checks the choice-family maps of the
 single-coordinate families, which generate the others under composition,
-and reads a stabiliser's order off ``orbit_certificate``, an
+and reports the first that fails, last object first (the product's first
+failing family when every identity is the least morphism of its vertex
+group), and reads a stabiliser's order off ``orbit_certificate``, an
 orbit-stabiliser certificate from the cell sizes of a lead and one search
 constrained to fix it.
 
@@ -87,7 +89,7 @@ from math import prod
 from operator import itemgetter, ne
 from typing import Callable, Iterable, Iterator, Optional
 
-from .errors import BudgetExceeded, NotInvariant
+from .errors import BudgetExceeded, InvalidInput, NotInvariant
 from .groups import FiniteGroup, GroupAction, _perm_group
 from .structures import Element, MultiSortedStructure
 
@@ -186,6 +188,7 @@ class _SearchSpace:
         self.leads: dict[tuple[frozenset[int], tuple[int, ...]], tuple[tuple[int, ...], ...]] = {}
         self.moved: dict[frozenset[int], set[int]] = {}
         self.offsets: dict[str, int] = {}
+        self.sizes: dict[str, int] = dict(s.sorts)
         self.sort_of_point: list[int] = []
         self.elements: list[Element] = []
         off = 0
@@ -238,6 +241,9 @@ class _SearchSpace:
         self.const_points = tuple(self.offsets[c.sort] + c.index for c in s.constants)
 
     def point(self, el: Element) -> int:
+        """The point numbering el; InvalidInput when el names no element."""
+        if not 0 <= el.index < self.sizes.get(el.sort, 0):
+            raise InvalidInput(f"{el} is not an element of the structure")
         return self.offsets[el.sort] + el.index
 
     def pinned(self, base: Iterable[Element]) -> frozenset[int]:

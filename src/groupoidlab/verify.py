@@ -239,48 +239,38 @@ def choice_family_map(
     return Automorphism(tuple(images), s)
 
 
-def _choice_family_members(
+def _failing_generator(
     s: MultiSortedStructure, a: int, base: tuple[Element, ...]
-) -> tuple[Optional[dict], int]:
-    """The first family whose choice-family map at a is not in Aut(s/base),
-    with its problem, and the number of distinct maps that are.  A member is
-    an automorphism fixing every point of base, so no group is needed.
+) -> Optional[dict]:
+    """The first non-identity single-coordinate family (one object u != a
+    takes a morphism of Mor(u, u), every other its identity), last object
+    first, then by morphism index, whose choice-family map at a is not in
+    Aut(s/base), with its problem; None when every one is.  A member is an
+    automorphism fixing every point of base, so no group is needed.
 
     The map of f after the map of g is the map of the coordinatewise product
     g(u) . f(u), by associativity in the decoded groupoid, and Aut(s/base) is
-    closed under composition.  So when the maps of the single-coordinate
-    families pass (one object u != a takes a morphism of Mor(u, u), every
-    other its identity), every map does.  The maps are injective in the
-    family: on m: a -> u the map of f is m . f(u), and the groupoid cancels.
-    Every family is then a distinct member, prod |Mor(u, u)| of them.
-    Otherwise every family is checked in product order, and the first that
-    fails is the witness."""
+    closed under composition, so these families generate every member.  The
+    maps are injective in the family: on m: a -> u the map of f is m . f(u),
+    and the groupoid cancels.  When every identity is the least morphism of
+    its vertex group, the failure is the product order's first: if F is that
+    and j its first non-identity object, F with j reset to the identity comes
+    earlier and passes, so the family (j -> F(j)), no later than F, fails and
+    is F.  Otherwise it is some failing single-coordinate family."""
     gpd = decode_groupoid(s)
     base_points = [s.search_space.point(e) for e in base]
-    other = [u for u in objects_of(s) if u != a]
-
-    def problem(family: dict[int, int]) -> Optional[str]:
-        aut = choice_family_map(s, a, family)
-        if not is_automorphism(s, aut):
-            return "not an automorphism"
-        if any(aut.images[p] != p for p in base_points):
-            return "not in the stabilizer"
-        return None
-
-    identities = {u: gpd.identities[u] for u in other}
-    if not any(
-        problem({**identities, u: x}) for u in other for x in vertex_morphisms(s, u)
-    ):
-        return None, prod(len(vertex_morphisms(s, u)) for u in other)
-    first, count = None, 0
-    for choice in itertools.product(*(vertex_morphisms(s, u) for u in other)):
-        family = dict(zip(other, choice))
-        found = problem(family)
-        if found is None:
-            count += 1
-        elif first is None:
-            first = {"family": family, "problem": found}
-    return first, count
+    identities = {u: gpd.identities[u] for u in objects_of(s) if u != a}
+    for u in reversed(identities):
+        for x in vertex_morphisms(s, u):
+            if x == identities[u]:
+                continue
+            family = {**identities, u: x}
+            aut = choice_family_map(s, a, family)
+            if not is_automorphism(s, aut):
+                return {"family": family, "problem": "not an automorphism"}
+            if any(aut.images[p] != p for p in base_points):
+                return {"family": family, "problem": "not in the stabilizer"}
+    return None
 
 
 def verify_section2(s: MultiSortedStructure, g: FiniteGroup) -> Report:
@@ -289,9 +279,10 @@ def verify_section2(s: MultiSortedStructure, g: FiniteGroup) -> Report:
     center, and the morphism-set restriction group is g itself.  The
     choice-family maps are |G|^(n-1) distinct members of the pointwise
     stabiliser of all objects and the vertex group at a: the maps compose
-    as their families multiply, so the (n-1)|G| maps of the single-coordinate
-    families are checked for membership directly and generate the rest
-    (``_choice_family_members``).  The stabiliser has that order, read by
+    as their families multiply, so the (n-1)(|G|-1) maps of the non-identity
+    single-coordinate families are checked for membership directly and
+    generate the rest; the first that fails is the witness, in the order of
+    ``_failing_generator``.  The stabiliser has that order, read by
     orbit-stabiliser (``orbit_certificate``).  No claim enumerates a group."""
     if has_cover(s):
         raise InvalidInput("standard-model claims run on the plain encoding")
@@ -384,15 +375,18 @@ def verify_section2(s: MultiSortedStructure, g: FiniteGroup) -> Report:
     )
 
     @functools.cache
-    def choice_family() -> tuple[Optional[dict], int]:
-        return _choice_family_members(s, a, base_oga)
+    def failing_generator() -> Optional[dict]:
+        return _failing_generator(s, a, base_oga)
+
+    # the number of choice-family maps, all distinct
+    families = prod(len(vertex_morphisms(s, u)) for u in objects_of(s) if u != a)
 
     def choice_maps() -> Optional[object]:
-        first, count = choice_family()
-        if first is not None:
-            return first
-        if count != g.order ** (n - 1):
-            return {"distinct_maps": count}
+        failed = failing_generator()
+        if failed is not None:
+            return failed
+        if families != g.order ** (n - 1):
+            return {"distinct_maps": families}
         return None
 
     report.add(
@@ -414,10 +408,12 @@ def verify_section2(s: MultiSortedStructure, g: FiniteGroup) -> Report:
                 "stabilizer-order",
                 {"lead": [e.index for e in lead], "problem": "a second automorphism fixes the lead"},
             )
-        # each member is in the stabilizer, whose order is the lead's orbit
-        # size, at most cell_product
-        members = choice_family()[1]
-        order = members if cell_product == members else len(orbit_of(s, base_oga, lead))
+        # the stabilizer's order is the lead's orbit size, at most
+        # cell_product; when every generator passes, the families are members
+        order = (
+            families if failing_generator() is None and cell_product == families
+            else len(orbit_of(s, base_oga, lead))
+        )
         expect = g.order ** (n - 1)
         if order != expect:
             return {"order": order, "expected": expect}
@@ -916,17 +912,12 @@ def _section2_structure(s: MultiSortedStructure, g: FiniteGroup) -> MultiSortedS
     return s
 
 
-def _section2_on_plain(s: MultiSortedStructure, g: FiniteGroup) -> Report:
-    """Standard-model claims; on a double cover they run on the plain
-    encoding of the standard groupoid of g instead."""
-    return verify_section2(_section2_structure(s, g), g)
-
-
 Suite = Callable[[MultiSortedStructure, FiniteGroup], Report]
 
-# name -> (runner, minimum object count), in the order "all" runs them
+# name -> (runner, minimum object count), in the order "all" runs them;
+# run_suites hands section2 the structure of _section2_structure
 SUITES: dict[str, tuple[Suite, int]] = {
-    "section2": (_section2_on_plain, 2),
+    "section2": (verify_section2, 2),
     "section3": (lambda s, g: verify_section3(s), 3),
     "witness": (lambda s, g: check_witness(standard_witness(s)), 3),
     "fgroupoid": (lambda s, g: verify_fgroupoid(s), 4),
@@ -948,6 +939,8 @@ def run_suites(
     plain encoding on a double cover, s otherwise) is checked before any
     suite runs too.
     """
+    if suite != "all" and suite not in SUITES:
+        raise InvalidInput(f"unknown suite {suite!r}: expected one of {', '.join(SUITES)} or all")
     n = s.sort_size("O")
     for a, b in itertools.product(range(n), repeat=2):
         if not morphisms_between(s, a, b):

@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 from conftest import _relabelled
 
 from groupoidlab import (
+    Automorphism,
     BudgetExceeded,
     Element,
+    InvalidInput,
     NotInvariant,
     automorphism_group,
     build_standard_groupoid,
@@ -33,6 +35,7 @@ from groupoidlab import (
     symmetric_group,
     vertex_morphisms,
 )
+from groupoidlab.automorphisms import carries, find_automorphism
 
 
 def plain(group, n):
@@ -206,9 +209,34 @@ def _unary_relation_structure():
     )
 
 
-def test_is_automorphism_rejects_malformed_arrays():
-    from groupoidlab import Automorphism
+# queries that turn an Element into a point: the base, a lead, a
+# constraint, a carrier tuple and Automorphism.apply
+_POINT_QUERIES = {
+    "orbit_of": lambda s, el: orbit_of(s, (), (el,)),
+    "orbit_of-base": lambda s, el: orbit_of(s, (el,), (Element("O", 0),)),
+    "carries": lambda s, el: carries(s, (), (el,), (el,)),
+    "find_automorphism": lambda s, el: find_automorphism(s, {el: el}),
+    "restricted_group": lambda s, el: restricted_group(s, (), ((el,),)),
+    "apply": lambda s, el: Automorphism(tuple(range(s.carrier_size)), s).apply(el),
+}
 
+
+@pytest.mark.parametrize("query", list(_POINT_QUERIES))
+@pytest.mark.parametrize(
+    "el",
+    [Element("O", 4), Element("O", -1), Element("M", 18), Element("X", 0)],
+    ids=["past-its-sort", "negative", "past-the-last-sort", "unknown-sort"],
+)
+def test_queries_reject_elements_outside_the_structure(query, el):
+    # cyclic:2 n=3 has sorts O 3 and M 18: O 4 would be point 7, M 1, and
+    # O -1 point 2, O 2, if the index were not checked against its sort
+    s = plain(cyclic_group(2), 3)
+    assert s.sorts == (("O", 3), ("M", 18))
+    with pytest.raises(InvalidInput, match="not an element"):
+        _POINT_QUERIES[query](s, el)
+
+
+def test_is_automorphism_rejects_malformed_arrays():
     s = plain(cyclic_group(2), 2)  # O: points 0-1, M: points 2-9
     identity = Automorphism(tuple(range(s.carrier_size)), s)
     assert identity.images == tuple(range(10)) and is_automorphism(s, identity)
@@ -490,8 +518,6 @@ def _drawn_carries_case(s, data):
 def test_carries_matches_the_orbit_on_drawn_instances(group, n, cover, seed, data):
     # the constrained existence search against the lead search's orbit, on
     # a drawn relabelled standard groupoid
-    from groupoidlab.automorphisms import carries
-
     s, _ = _relabelled(_standard(group, cover, n), seed)
     base, x, y = _drawn_carries_case(s, data)
     assert carries(s, base, x, y) == (y in orbit_of(s, base, x)), (base, x, y)
@@ -503,7 +529,6 @@ def test_carries_answers_inconsistent_pairs_without_a_search(monkeypatch):
     # search, and a consistent one searches once, stopping at its first
     # solution
     from groupoidlab import automorphisms
-    from groupoidlab.automorphisms import carries
 
     s = _standard("cyclic:2", False, 3)
     m01, m02 = (Element("M", min(morphisms_between(s, 0, u))) for u in (1, 2))
@@ -529,8 +554,6 @@ def test_carries_answers_inconsistent_pairs_without_a_search(monkeypatch):
 
 
 def test_carries_keeps_the_budget():
-    from groupoidlab.automorphisms import carries
-
     s = encode_double_cover(build_standard_groupoid(cyclic_group(8), 6))
     with pytest.raises(BudgetExceeded):
         carries(s, (), (Element("O", 0),), (Element("O", 1),))
@@ -539,7 +562,6 @@ def test_carries_keeps_the_budget():
 def test_array_kernels_match_their_loops():
     # composition, inversion, restriction and relabelling read arrays through
     # C-level maps; on seeded random permutations each equals its loop
-    from groupoidlab import Automorphism
     from groupoidlab.automorphisms import _relabelled, _restriction
 
     rng = random.Random(21)

@@ -128,10 +128,10 @@ PINNED_DIGEST = "66273e9379f3dffebafb6e30e3f90cb141dff716faadaf1da5baed6e1f55f39
 # the plain n=3 structure with a constant pinning one morphism (exit 1), per
 # suite.  section3 with morphism 5: the only golden where composite-membership
 # fails, so it pins the "no mover" witness.  section2: the constant breaks
-# choice-family maps.  With morphism 5 the cell product over the stabiliser's
-# partition is its order; with morphism 10 (1 -> 2) it is larger, so the
-# order is read off the orbit of the lead.  The two section2 reports are
-# alike byte for byte.  witness with morphism 10: the constant pins f12, so
+# choice-family maps, so a generator fails and the stabiliser's order is read
+# off the orbit of the lead, whether or not the cell product over its
+# partition equals it (with morphism 5 it does; with morphism 10, 1 -> 2, it
+# is larger).  The two section2 reports are alike byte for byte.  witness with morphism 10: the constant pins f12, so
 # no automorphism carries f01 to it and type-equivalence fails.
 SECTION2_PINNED_WITNESSES = {
     "choice-family-maps": {"family": {"1": 8, "2": 17}, "problem": "not an automorphism"},

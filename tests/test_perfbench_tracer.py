@@ -3,7 +3,7 @@
 ``perfbench/`` lies outside the test paths, and the tracer reports a layer
 whose entry points are missing as absent instead of failing; a deleted or
 renamed function would silently zero that layer's figures.  The tracer's
-work counters are deterministic, so two configurations pin them exactly.
+work counters are deterministic, so three configurations pin them exactly.
 """
 
 import json
@@ -33,13 +33,15 @@ def test_tracer_finds_every_layer():
 COUNTED = ("search.runs", "search.solutions", "find.calls", "refine.calls",
            "witness.ysets", "automorphisms.materialised", "group.calls")
 
-# the tracer's deterministic work counters on two benchmark configurations,
-# in the order of COUNTED; they do not depend on the machine, so a change in
-# the number of searches, solutions, refinements or enumerated groups shows
-# here.  No suite enumerates a group: group.calls is 0 on both.
+# the tracer's deterministic work counters on three benchmark configurations,
+# one of them from enumerate-plain, in the order of COUNTED; they do not
+# depend on the machine, so a change in the number of searches, solutions,
+# refinements or enumerated groups shows here.  No suite enumerates a group:
+# group.calls is 0 on all three.
 COUNTER_GATES = [
     ("verify --suite all --group cyclic:3 --objects 4", (60, 138, 23, 17, 4, 38, 0)),
     ("verify --suite section3 --group cyclic:2 --objects 5 --cover", (39, 107, 21, 8, 2, 27, 0)),
+    ("verify --suite section2 --group dihedral:4 --objects 3", (4, 21, 0, 3, 0, 10, 0)),
 ]
 
 

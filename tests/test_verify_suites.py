@@ -2,9 +2,12 @@ import functools
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import _relabelled
 from groupoidlab import (
+    Element,
     InvalidInput,
     build_standard_groupoid,
     check_witness,
@@ -16,6 +19,7 @@ from groupoidlab import (
     symmetric_group,
     verify_section2,
     verify_section3,
+    vertex_morphisms,
 )
 
 
@@ -170,6 +174,16 @@ def test_limits_epimorphism_failure_lands_in_each_claim(monkeypatch):
         assert status[claim][0] == "fail"
         assert status[claim][1].startswith("NotWellDefined")
     assert status["instance.tower-containment"][0] == "pass"
+
+
+def test_run_suites_rejects_an_unknown_suite():
+    # the CLI's choices hide this; a library caller gets an input error
+    # naming the known suites, not a KeyError
+    from groupoidlab.verify import run_suites
+
+    s = encode_groupoid(build_standard_groupoid(cyclic_group(2), 3))
+    with pytest.raises(InvalidInput, match="section2, section3, witness, fgroupoid, limits or all"):
+        run_suites(s, cyclic_group(2), "bogus", "")
 
 
 def _all_statuses(s, g):
@@ -392,7 +406,9 @@ def _walked_choice_family(s, a, base):
 # morphism 0 -> 2, and one on morphism 10 (1 -> 2) ties the lead's two
 # images together, which the stable partition does not see.  Relabelled by
 # seed 7, the constant sits on morphism 9, now a morphism 0 -> 1 off the
-# lead, and the cell product is the order again
+# lead, and the cell product is the order again; there an identity is not
+# the least morphism of its vertex group, and the failing generator
+# {1: 12, 2: 17} is not the walk's first failure {1: 12, 2: 15}
 STABILIZER_CASES = [
     *(("cyclic:2", n, None, True, None) for n in (2, 3, 4, 5)),
     *(
@@ -407,6 +423,51 @@ STABILIZER_CASES = [
 ]
 
 
+def _standard_section2(group, objects, constant=None, seed=None):
+    """The plain standard groupoid of a spec group, with an optional constant
+    on one point, relabelled by an optional seed, and its group."""
+    from dataclasses import replace
+
+    from groupoidlab import group_from_spec
+    from groupoidlab.structures import Constant
+
+    g = group_from_spec(group)
+    s = encode_groupoid(build_standard_groupoid(g, objects))
+    if constant is not None:
+        s = replace(s, constants=(Constant("mark", *constant),))
+    if seed is not None:
+        s, _ = _relabelled(s, seed)
+    return s, g
+
+
+def _stabiliser_base(s):
+    """Section2's base: every object and the vertex group at 0."""
+    from groupoidlab.structures import objects_of
+
+    return tuple(Element("O", o) for o in objects_of(s)) + tuple(
+        Element("M", m) for m in vertex_morphisms(s, 0)
+    )
+
+
+def _assert_generator_rule(s, failed, first, stabiliser):
+    """The failing generator against the walk's first failure: the same
+    family when every identity is the least morphism of its vertex group,
+    otherwise a failing single-coordinate family, one exactly when the walk
+    fails."""
+    from groupoidlab.structures import decode_groupoid, objects_of
+    from groupoidlab.verify import choice_family_map
+
+    identities = {u: decode_groupoid(s).identities[u] for u in objects_of(s) if u != 0}
+    if all(x == min(vertex_morphisms(s, u)) for u, x in identities.items()):
+        assert failed == first
+        return
+    assert (failed is None) == (first is None)
+    if failed is not None:
+        family = failed["family"]
+        assert sum(family[u] != x for u, x in identities.items()) == 1
+        assert choice_family_map(s, 0, family) not in stabiliser
+
+
 @pytest.mark.parametrize(
     "group,objects,constant,exact,seed",
     STABILIZER_CASES,
@@ -419,21 +480,13 @@ STABILIZER_CASES = [
 def test_stabilizer_certificate_matches_enumeration(
     group, objects, constant, exact, seed, monkeypatch
 ):
-    # section2 reads the stabiliser of all objects and the vertex group at 0
-    # off the choice-family maps, by closure from the single-coordinate
-    # families or else by the product walk, and an orbit-stabiliser
-    # certificate; the walk and the enumerated stabiliser are the oracles
-    from dataclasses import replace
+    # section2 checks the choice-family maps on their single-coordinate
+    # generators and reads the stabiliser of all objects and the vertex
+    # group at 0 off an orbit-stabiliser certificate; the walk and the
+    # enumerated stabiliser are the oracles
+    from groupoidlab import automorphism_group, verify
 
-    from groupoidlab import automorphism_group, group_from_spec, verify
-    from groupoidlab.structures import Constant
-
-    g = group_from_spec(group)
-    s = encode_groupoid(build_standard_groupoid(g, objects))
-    if constant is not None:
-        s = replace(s, constants=(Constant("mark", *constant),))
-    if seed is not None:
-        s, _ = _relabelled(s, seed)
+    s, g = _standard_section2(group, objects, constant, seed)
     certify, certificates = verify.orbit_certificate, []
 
     def spy(structure, base, lead):
@@ -451,19 +504,46 @@ def test_stabilizer_certificate_matches_enumeration(
     order_entry = entries["stabilizer-order"]
     order = expect if order_entry.status == "pass" else order_entry.witness["order"]
     assert order == oracle.order
-    # the walk's first failing family and count of distinct members, and
-    # the members it finds realise the whole stabiliser
+    # the walk's first failing family and the members it finds, which
+    # realise the whole stabiliser
     first, members = _walked_choice_family(s, 0, base)
-    assert verify._choice_family_members(s, 0, base) == (first, len(members))
     assert members == set(oracle.members)
+    failed = verify._failing_generator(s, 0, base)
+    _assert_generator_rule(s, failed, first, members)
     maps = entries["choice-family-maps"]
-    assert maps.witness == (first or (
+    assert maps.witness == (failed or (
         None if len(members) == expect else {"distinct_maps": len(members)}
     ))
 
 
-def _counted_section2(s, g, monkeypatch):
-    """verify_section2's report and its is_automorphism calls."""
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(
+    group=st.sampled_from(("cyclic:2", "cyclic:3", "symmetric:3", "product:cyclic:2,cyclic:2")),
+    objects=st.integers(2, 3),
+    seed=st.none() | st.integers(0, 2**16),
+    data=st.data(),
+)
+def test_failing_generator_on_drawn_instances(group, objects, seed, data):
+    # a drawn standard groupoid with an optional constant on a morphism and
+    # an optional relabelling: the generator rule against the walk, and the
+    # stabiliser-order status against the enumerated stabiliser
+    from groupoidlab import automorphism_group, verify
+
+    s, g = _standard_section2(group, objects)
+    mark = data.draw(st.none() | st.integers(0, s.sort_size("M") - 1))
+    if mark is not None or seed is not None:
+        s, g = _standard_section2(group, objects, None if mark is None else ("M", mark), seed)
+    entries = {e.claim_id: e for e in verify_section2(s, g).entries}
+    base = _stabiliser_base(s)
+    oracle = automorphism_group(s, base)
+    first, members = _walked_choice_family(s, 0, base)
+    _assert_generator_rule(s, verify._failing_generator(s, 0, base), first, members)
+    order_entry = entries["stabilizer-order"]
+    assert (order_entry.status == "pass") == (oracle.order == g.order ** (objects - 1))
+
+
+def _counted_is_automorphism(monkeypatch):
+    """The list that section2's is_automorphism calls are appended to."""
     from groupoidlab import verify
 
     check, calls = verify.is_automorphism, []
@@ -473,39 +553,54 @@ def _counted_section2(s, g, monkeypatch):
         return check(structure, aut)
 
     monkeypatch.setattr(verify, "is_automorphism", spy)
+    return calls
+
+
+def _counted_section2(s, g, monkeypatch):
+    """verify_section2's report and its is_automorphism calls."""
+    calls = _counted_is_automorphism(monkeypatch)
     return verify_section2(s, g), len(calls)
 
 
 def test_section2_checks_only_the_single_coordinate_families(monkeypatch):
-    # when the (n-1)|G| maps of the single-coordinate families pass, they
-    # generate every choice-family map: 24 checks on D4 n=4, where the
-    # product walk made 8^3 = 512
+    # when the (n-1)(|G|-1) maps of the non-identity single-coordinate
+    # families pass, they generate every choice-family map: 21 checks on D4
+    # n=4, where the product walk made 8^3 = 512
     from groupoidlab import group_from_spec
 
     g = group_from_spec("dihedral:4")
     report, calls = _counted_section2(encode_groupoid(build_standard_groupoid(g, 4)), g, monkeypatch)
     assert report.passed, report.render_text()
-    assert calls == 3 * 8
+    assert calls == 3 * 7
 
 
-def test_section2_walks_every_family_once_a_generator_fails(monkeypatch):
-    # the constant on morphism 10 (1 -> 2): the single-coordinate families
-    # at object 1 are the identity, which passes, and the non-identity,
-    # which fails and stops the closure check; then the product walk checks
-    # all 2^2 families, so its first failure is the witness
-    from dataclasses import replace
-
-    from groupoidlab.structures import Constant
-
-    g = cyclic_group(2)
-    s = encode_groupoid(build_standard_groupoid(g, 3))
-    s = replace(s, constants=(Constant("mark", "M", 10),))
+def test_section2_stops_at_the_first_failing_generator(monkeypatch):
+    # the constant on morphism 10 (1 -> 2): the first generator, the
+    # non-identity at object 2, moves it, and is the witness the product
+    # walk reports too
+    s, g = _standard_section2("cyclic:2", 3, ("M", 10))
     report, calls = _counted_section2(s, g, monkeypatch)
     witness = {e.claim_id: e.witness for e in report.entries}
     assert witness["choice-family-maps"] == {
         "family": {1: 8, 2: 17}, "problem": "not an automorphism",
     }
-    assert calls == 2 + 2 ** 2
+    assert calls == 1
+
+
+def test_failing_generator_on_dihedral4_five_objects(monkeypatch):
+    # a constant on min Mor(1, 2) = 56: the 7 generators at each of objects
+    # 4 and 3 pass and the first at object 2 fails, where the product walk
+    # made 8^4 = 4096 checks for the same witness
+    from groupoidlab import verify
+    from groupoidlab.structures import morphisms_between
+
+    s, _ = _standard_section2("dihedral:4", 5, ("M", 56))
+    assert min(morphisms_between(s, 1, 2)) == 56
+    base = _stabiliser_base(s)
+    calls = _counted_is_automorphism(monkeypatch)
+    failed = verify._failing_generator(s, 0, base)
+    assert len(calls) == 7 + 7 + 1
+    assert failed == _walked_choice_family(s, 0, base)[0]
 
 
 def test_section2_holds_on_dihedral4_six_objects():

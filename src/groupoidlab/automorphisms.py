@@ -12,6 +12,18 @@ the points of each colour in increasing order; every later search over the
 same pinned set reads it.  A search branches on the open points by cell
 size, then by index, and tries each cell's points in increasing order, so
 its order depends only on the partition, not on the colour labels.
+
+The refinement (``colors``) is the equitable-partition refinement of McKay
+and Piperno (*Practical graph isomorphism II*, 2014), run on integers.  The
+search space lays out the relations' incidences once (``incidences``): each
+relation's columns and, per point, the slots of its incidences in their
+concatenation.  A round codes every incidence (relation, position, colour
+tuple) as one int, keys each point by its colour and its sorted codes, and
+relabels the points by key.  The codes name the incidences one to one, so a
+round splits the cells exactly as the signature of nested tuples does, and
+the refinement reaches the same coarsest stable partition in the same
+number of rounds.
+
 Propagation counts, per tuple of every relation, its distinct points not
 yet assigned: an assignment lowers the count of each tuple through the
 point and ``undo`` raises it again, and a tuple is read only when its count
@@ -84,7 +96,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import compress, count, islice
+from itertools import chain, compress, count, islice, repeat
 from math import prod
 from operator import itemgetter, ne
 from typing import Callable, Iterable, Iterator, Optional
@@ -271,23 +283,54 @@ class _SearchSpace:
             hit = self.partitions[pinned] = (color, tuple(map(tuple, cells)))
         return hit
 
+    @cached_property
+    def incidences(self) -> tuple[list[tuple[tuple[int, ...], ...]], tuple[tuple[int, ...], ...]]:
+        """The relation incidence layout that ``colors`` reads each round:
+        the columns of each relation with a tuple of positive arity, in
+        relation order, and per point the slots of its incidences in the
+        concatenation of those columns, relation by relation and column by
+        column."""
+        columns = [rel.columns for rel in self.rels if rel.columns]
+        slots: list[list[int]] = [[] for _ in range(self.n_points)]
+        flat = chain.from_iterable(chain.from_iterable(columns))
+        for slot, p in enumerate(flat):
+            slots[p].append(slot)
+        return columns, tuple(map(tuple, slots))
+
     def colors(self, pinned: frozenset[int]) -> list[int]:
-        """Iterated refinement; pinned points keep unique colors throughout."""
+        """The coarsest stable refinement of the colouring by sort in which
+        each pinned point is alone in its cell.
+
+        Each round keys a point by its colour and its signature, the multiset
+        of its incidences (relation, position, colours of the tuple), and
+        relabels the points by key (``_compress``), until no cell splits.
+        The round runs on integers.  It reads each relation's colour tuples
+        off its columns at C level and codes each incidence by the slot of
+        the first incidence in its column whose tuple has the same colours,
+        one int that names (relation, position, colour tuple) one to one.  A
+        point's key is its colour and its incidence codes, sorted, read
+        through its slots in ``incidences``.  Two points get equal keys
+        exactly when their signatures are equal, so every round splits the
+        cells as the signature does and the fixpoint is the same partition
+        after the same number of rounds; only the colour labels differ, and
+        the search reads the partition alone."""
         key: list[object] = [
             (self.sort_of_point[p], p if p in pinned else -1)
             for p in range(self.n_points)
         ]
         color = self._compress(key)
         n_colors = len(set(color))
+        columns, slots = self.incidences
         while True:
-            sig: list[list[object]] = [[color[p]] for p in range(self.n_points)]
-            for ri, rel in enumerate(self.rels):
-                for t in rel.tuples:
-                    ct = tuple(color[x] for x in t)
-                    for i, p in enumerate(t):
-                        sig[p].append((ri, i, ct))
-            key = [(s[0], tuple(sorted(s[1:]))) for s in sig]
-            color = self._compress(key)
+            codes: list[int] = []
+            for cols in columns:
+                rows = zip(*[map(color.__getitem__, col) for col in cols])
+                first: dict[tuple[int, ...], int] = {}
+                tuple_codes = list(map(first.setdefault, rows, count()))
+                for _ in cols:
+                    codes.extend(map(len(codes).__add__, tuple_codes))
+            incident = map(sorted, map(map, repeat(codes.__getitem__), slots))
+            color = self._compress(list(zip(color, map(tuple, incident))))
             new_n = len(set(color))
             if new_n == n_colors:
                 return color

@@ -247,8 +247,9 @@ def _perm_group(perms: Sequence[tuple[int, ...]]) -> FiniteGroup:
 def symmetric_group(n: int) -> FiniteGroup:
     import math
 
-    if n < 1 or math.factorial(n) > MAX_GROUP_ORDER:
-        raise UnsupportedSize(f"symmetric degree {n} gives order > {MAX_GROUP_ORDER}")
+    top = max(d for d in range(1, MAX_GROUP_ORDER + 1) if math.factorial(d) <= MAX_GROUP_ORDER)
+    if not 1 <= n <= top:
+        raise UnsupportedSize(f"symmetric degree {n} outside 1..{top}")
     perms = sorted(itertools.permutations(range(n)))
     return _perm_group(perms)
 
@@ -258,8 +259,8 @@ def dihedral_group(n: int) -> FiniteGroup:
 
     Element f*n + k stands for s^f r^k; the table follows r^k s = s r^-k.
     """
-    if n < 1 or 2 * n > MAX_GROUP_ORDER:
-        raise UnsupportedSize(f"dihedral parameter {n} gives order > {MAX_GROUP_ORDER}")
+    if not 1 <= n <= MAX_GROUP_ORDER // 2:
+        raise UnsupportedSize(f"dihedral parameter {n} outside 1..{MAX_GROUP_ORDER // 2}")
     table = [[0] * (2 * n) for _ in range(2 * n)]
     for fa in (0, 1):
         for ka in range(n):

@@ -697,6 +697,158 @@ def test_refinement_runs_once_per_pinned_set(monkeypatch):
     assert in_section3 == compressed[0]
 
 
+def _signature_colors(space, pinned):
+    """The refinement on signatures of nested tuples, the oracle for
+    ``_SearchSpace.colors``: each round keys a point by its colour and the
+    sorted (relation, position, colour tuple) of its incidences.  The stable
+    colouring and the number of rounds."""
+
+    def relabel(keys):
+        label = {k: c for c, k in enumerate(sorted(set(keys)))}
+        return [label[k] for k in keys]
+
+    color = relabel([
+        (space.sort_of_point[p], p if p in pinned else -1) for p in range(space.n_points)
+    ])
+    rounds = 0
+    while True:
+        sig = [[color[p]] for p in range(space.n_points)]
+        for ri, rel in enumerate(space.rels):
+            for t in rel.tuples:
+                ct = tuple(color[x] for x in t)
+                for i, p in enumerate(t):
+                    sig[p].append((ri, i, ct))
+        refined = relabel([(s[0], tuple(sorted(s[1:]))) for s in sig])
+        rounds += 1
+        if len(set(refined)) == len(set(color)):
+            return refined, rounds
+        color = refined
+
+
+def _cells(color):
+    by_color = {}
+    for p, c in enumerate(color):
+        by_color.setdefault(c, []).append(p)
+    return sorted(map(tuple, by_color.values()))
+
+
+def _assert_colors_match_the_oracle(s, pinned_sets):
+    # the same cells after the same number of rounds: colors relabels once
+    # for the sort colouring and once per round
+    from groupoidlab.automorphisms import _SearchSpace
+
+    space = _SearchSpace(s)
+    relabels = [0]
+    compress = space._compress
+
+    def counted(keys):
+        relabels[0] += 1
+        return compress(keys)
+
+    space._compress = counted
+    for pinned in pinned_sets:
+        relabels[0] = 0
+        expected, rounds = _signature_colors(space, pinned)
+        assert _cells(space.colors(pinned)) == _cells(expected), sorted(pinned)
+        assert relabels[0] == rounds + 1, sorted(pinned)
+
+
+def _refinement_bases(s):
+    return ((), object_closure(s, 0), pair_base(s, 0, 1), object_closure(s, 2))
+
+
+# CACHE_CASES, D4 and Q8 at three objects, and two relabelled structures
+REFINEMENT_CASES = {
+    **CACHE_CASES,
+    **{
+        f"{group}-3-{'cover' if cover else 'plain'}": lambda g=group, c=cover: _standard(g, c)
+        for group in ("dihedral:4", "quaternion8") for cover in (False, True)
+    },
+    **{
+        f"{group}-3-{'cover' if cover else 'plain'}-relabelled-{seed}":
+            lambda g=group, c=cover, k=seed: _relabelled(_standard(g, c), k)[0]
+        for group, cover, seed in (("cyclic:3", True, 7), ("symmetric:3", False, 11))
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFINEMENT_CASES))
+def test_colors_match_the_signature_oracle(case):
+    s = REFINEMENT_CASES[case]()
+    space = s.search_space
+    _assert_colors_match_the_oracle(s, [space.pinned(b) for b in _refinement_bases(s)])
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(
+    group=st.sampled_from(("cyclic:2", "cyclic:3", "symmetric:3", "product:cyclic:2,cyclic:2")),
+    n=st.integers(2, 3),
+    cover=st.booleans(),
+    seed=st.integers(0, 2**16),
+    data=st.data(),
+)
+def test_colors_match_the_signature_oracle_on_drawn_pinned_sets(group, n, cover, seed, data):
+    # any set of points pinned, with the constants, on a drawn relabelled
+    # standard groupoid
+    s, _ = _relabelled(_standard(group, cover, n), seed)
+    space = s.search_space
+    points = data.draw(st.lists(st.integers(0, space.n_points - 1), unique=True, max_size=6))
+    _assert_colors_match_the_oracle(s, [frozenset(points) | frozenset(space.const_points)])
+
+
+@st.composite
+def _drawn_structures(draw):
+    """Two sorts, no function, a nullary relation and drawn unary, binary
+    and ternary relations: unlike the groupoid encodings, these split cells
+    by a tuple's position, by how often a point meets one colour tuple,
+    and by the pinned colours alone."""
+    from groupoidlab.structures import MultiSortedStructure, Relation
+
+    a, b = draw(st.integers(1, 5)), draw(st.integers(0, 3))
+
+    def tuples(*sizes):
+        if not all(sizes):
+            return ()
+        cells = st.tuples(*(st.integers(0, size - 1) for size in sizes))
+        return tuple(sorted(draw(st.lists(cells, unique=True, max_size=8))))
+
+    return MultiSortedStructure(
+        sorts=(("A", a), ("B", b)),
+        functions=(),
+        relations=(
+            Relation("flag", (), ((),)),
+            Relation("red", ("A",), tuples(a)),
+            Relation("edge", ("A", "A"), tuples(a, a)),
+            Relation("meet", ("A", "B", "A"), tuples(a, b, a)),
+        ),
+    )
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(s=_drawn_structures(), data=st.data())
+def test_colors_match_the_signature_oracle_on_drawn_structures(s, data):
+    # and every automorphism fixing the pinned points keeps the colouring
+    space = s.search_space
+    pinned = data.draw(st.lists(st.sampled_from(space.elements), unique=True, max_size=3))
+    _assert_colors_match_the_oracle(s, [space.pinned(pinned)])
+    color = space.colors(space.pinned(pinned))
+    for aut in automorphism_group(s, pinned).members:
+        assert list(map(color.__getitem__, aut.images)) == color
+
+
+@pytest.mark.parametrize("case", sorted(REFINEMENT_CASES))
+def test_automorphisms_preserve_the_stable_colouring(case):
+    # soundness: every automorphism fixing the base keeps the colour of
+    # every point under the stable colouring of the base's pinned set; the
+    # empty base is left out, as Aut(s) of Q8 n=3 cover has 3,072 members
+    s = REFINEMENT_CASES[case]()
+    space = s.search_space
+    for base in _refinement_bases(s)[1:]:
+        color = space.colors(space.pinned(base))
+        for aut in automorphism_group(s, base).members:
+            assert list(map(color.__getitem__, aut.images)) == color, base
+
+
 def test_restriction_builders_search_with_a_lead(monkeypatch):
     # every restriction group, and the restriction epimorphism, comes from
     # lead searches: none of them enumerates a base-fixing group

@@ -81,6 +81,27 @@ def test_build_rejects_unknown_group():
     assert main(["build", "--group", "sporadic:1", "--objects", "3"]) == 2
 
 
+@pytest.mark.parametrize(
+    "spec,message",
+    [
+        ("cyclic:0", "cyclic order 0 outside 1..64"),
+        ("cyclic:65", "cyclic order 65 outside 1..64"),
+        ("symmetric:0", "symmetric degree 0 outside 1..4"),
+        ("symmetric:-1", "symmetric degree -1 outside 1..4"),
+        ("symmetric:5", "symmetric degree 5 outside 1..4"),
+        ("dihedral:0", "dihedral parameter 0 outside 1..32"),
+        ("dihedral:-2", "dihedral parameter -2 outside 1..32"),
+        ("dihedral:33", "dihedral parameter 33 outside 1..32"),
+    ],
+)
+def test_build_names_the_valid_group_parameter_range(spec, message, capsys):
+    # a parameter below the range is refused for what it is, not as an
+    # order above the limit
+    assert main(["build", "--group", spec, "--objects", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
+
+
 def test_verify_witness_suite_exit_zero(capsys):
     rc = main([
         "verify", "--suite", "witness", "--group", "cyclic:2",

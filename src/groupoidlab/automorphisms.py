@@ -24,14 +24,29 @@ round splits the cells exactly as the signature of nested tuples does, and
 the refinement reaches the same coarsest stable partition in the same
 number of rounds.
 
-Propagation counts, per tuple of every relation, its distinct points not
-yet assigned: an assignment lowers the count of each tuple through the
-point and ``undo`` raises it again, and a tuple is read only when its count
-reaches one (a functional direction may force the last image) or zero (its
-image must be a tuple of the relation).  An open point sitting twice in a
-tuple forces nothing.  A tuple whose every point is fixed by the others
-through a functional direction was completed by forcing, so it is not
-read again at zero.
+Propagation is compiled, once per search.  A tuple forces its one open
+point when the point sits once in it at a position the others determine
+(``_Rel.lookups``), so the points a successful assignment wave forces
+depend only on the points assigned before it and the wave's own, never on
+their images.  The set assigned at each depth, and with it the next branch
+point, is therefore the same in every node of the search tree.  ``_Plan``
+compiles the seed (the pinned and constrained points) and each depth on its
+first reach, by the counting propagation run on assignedness alone, into a
+wave: forcing steps, where q's image is ``lookup[getter(img)]`` checked for
+injectivity and colour, and the tuples the wave completes, read per
+relation at C level; the depth whose branch position passes the lead is
+where the lead is fully assigned.  ``_wave`` runs a wave with no counters.
+It succeeds exactly when the counting kernel's wave would, with the same
+images: when either succeeds, each forced image is the one its lookup gives
+from the images before it, so both assign the same images, and both accept
+only new images of the right colour under which every completed tuple is a
+member.  So the search tree, the arrays yielded and their order are those
+of the counting kernel, which the tests keep as the oracle.  Each completed
+tuple is checked once per wave, because nothing else implies it: a tuple
+whose last point another tuple forced, or whose last point no functional
+direction reads, may map outside its relation.  Only a forcing tuple holds
+by its lookup, and a unary tuple by the stable colouring, which splits
+every unary relation, so neither is read.
 
 The search runs in two modes.  Without a lead it yields every automorphism
 fixing the base; ``automorphism_group`` and ``dcl_of`` enumerate the group
@@ -52,14 +67,17 @@ orbit-stabiliser certificate from the cell sizes of a lead and one search
 constrained to fix it.
 
 Each question is searched once per structure.  Next to the partitions, the
-``_SearchSpace`` keeps two stores keyed by pinned set: the image arrays of
+``_SearchSpace`` keeps three stores keyed by pinned set: the image arrays of
 every complete lead search (``_images``), per lead points, which
-``orbit_of`` and every restriction group read; and every point moved by an
-automorphism found over the pinned set.  Fixedness (``_fixed``, dcl
-membership) is decided by individualise-refine: an automorphism fixing the
-pinned set preserves its stable colouring, so a point alone in its cell is
-fixed.  A point of the tuple in the moved store is not fixed; otherwise
-the tuple's lead search, kept or run until an image moves the tuple, decides.
+``orbit_of`` and every restriction group read; every point moved by an
+automorphism found over the pinned set; and the plans of the constrained
+searches, per constrained points, as ``carries`` and ``find_automorphism``
+ask about the same points again and again with other targets.  Fixedness
+(``_fixed``, dcl membership) is decided by individualise-refine: an
+automorphism fixing the pinned set preserves its stable colouring, so a
+point alone in its cell is fixed.  A point of the tuple in the moved store
+is not fixed; otherwise the tuple's lead search, kept or run until an image
+moves the tuple, decides.
 
 Every restriction group comes from one such lead search (``_restricted``).
 The lead fixes the restriction: by default it is the carrier's points; the
@@ -96,10 +114,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, compress, count, islice, repeat
+from itertools import chain, compress, count, groupby, islice, repeat
 from math import prod
 from operator import itemgetter, ne
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from .errors import BudgetExceeded, InvalidInput, NotInvariant
 from .groups import FiniteGroup, GroupAction, _perm_group
@@ -155,12 +173,11 @@ class AutomorphismGroup:
 
 class _Rel:
     """A relation flattened to global point ids, its columns (none when
-    nullary or empty) and functional-direction maps.  Members and maps are
-    keyed the way ``itemgetter(*t)`` reads a tuple t off an image array:
-    ``members`` holds the tuples (bare points for arity one), and
-    ``lookups[r]``, for each position r that the others determine, maps a
-    tuple with -1 at position r, as read while that point is open, to the
-    point that fills it."""
+    nullary or empty) and functional-direction maps.  ``members`` holds the
+    tuples (bare points for arity one), keyed the way ``itemgetter(*t)``
+    reads a tuple t off an image array; ``lookups[r]``, for each position r
+    that the others determine, maps the tuple of the other positions (a bare
+    point for arity two), read the same way, to the point that fills it."""
 
     __slots__ = ("tuples", "columns", "members", "lookups")
 
@@ -169,12 +186,12 @@ class _Rel:
         self.columns = tuple(zip(*tuples))
         arity = len(self.columns)
         self.members = {t[0] for t in tuples} if arity == 1 else set(tuples)
-        self.lookups: dict[int, dict[tuple[int, ...], int]] = {}
+        self.lookups: dict[int, dict] = {}
         for r in range(arity) if arity > 1 else ():
-            table: dict[tuple[int, ...], int] = {}
+            table: dict = {}
             ok = True
             for t in tuples:
-                key = t[:r] + (-1,) + t[r + 1:]
+                key = t[1 - r] if arity == 2 else t[:r] + t[r + 1:]
                 if table.setdefault(key, t[r]) != t[r]:
                     ok = False
                     break
@@ -185,11 +202,14 @@ class _Rel:
 class _SearchSpace:
     """The structure's one point numbering (``offsets``, ``elements``), each
     function graph and relation flattened to a ``_Rel`` that keeps its
-    tuples, their ``columns``, its members and lookups, and what the searches
+    tuples, their ``columns``, its members and lookups, the tuples of arity
+    two or more that the plans are compiled from, and what the searches
     found on it: the stable partition of each pinned set searched so far,
     the image arrays of each complete lead search, keyed by pinned set and
     lead points, the points moved by any automorphism found over each pinned
-    set, and the groups enumerated, keyed by base.  One instance per
+    set, the plans of the constrained searches, keyed by pinned set,
+    constrained points and lead points, and the groups enumerated, keyed by
+    base.  One instance per
     structure, reached through ``MultiSortedStructure.search_space``; the
     stores grow with the number of distinct questions asked and are freed
     with the structure."""
@@ -199,6 +219,7 @@ class _SearchSpace:
         self.partitions: dict[frozenset[int], _Partition] = {}
         self.leads: dict[tuple[frozenset[int], tuple[int, ...]], tuple[tuple[int, ...], ...]] = {}
         self.moved: dict[frozenset[int], set[int]] = {}
+        self.plans: dict[tuple[frozenset[int], tuple[int, ...], tuple[int, ...]], _Plan] = {}
         self.offsets: dict[str, int] = {}
         self.sizes: dict[str, int] = dict(s.sorts)
         self.sort_of_point: list[int] = []
@@ -218,37 +239,25 @@ class _SearchSpace:
             for sorts, rows in tables
         ]
 
-        # every tuple of every relation, numbered in relation order: its
-        # count of distinct points, its image getter, its relation's members,
-        # its forcers and whether it is determined; per point, the numbers
-        # of the tuples through it.  A forcer (q, lookup) is a point q sitting
-        # once in the tuple at a position with a functional direction: when
-        # q is the last open point, lookup maps the tuple's image to q's
-        # image.  In a determined tuple every point is a forcer, so the
-        # tuple is a member once its last point is assigned.
+        # every tuple of arity two or more, numbered in relation order: its
+        # relation, its points and its count of distinct points; per point,
+        # the numbers of the tuples through it.  ``_Plan`` compiles the
+        # searches' propagation from these.
+        self.tuple_rel: list[_Rel] = []
+        self.tuple_points: list[tuple[int, ...]] = []
         self.n_distinct: list[int] = []
-        self.image_of: list[Callable] = []
-        self.members_of: list[set] = []
-        self.forcers_of: list[tuple] = []
-        self.determined: list[bool] = []
         self.incident: list[list[int]] = [[] for _ in range(self.n_points)]
         for rel in self.rels:
             for t in rel.tuples:
-                if not t:
-                    continue  # a nullary relation holds under every bijection
-                points = set(t)
-                for p in points:
+                if len(t) < 2:
+                    # a nullary relation holds under every bijection, and a
+                    # unary one under every map keeping the stable colouring
+                    continue
+                for p in set(t):
                     self.incident[p].append(len(self.n_distinct))
-                self.n_distinct.append(len(points))
-                self.image_of.append(itemgetter(*t))
-                self.members_of.append(rel.members)
-                forcers = tuple(
-                    (q, rel.lookups[i])
-                    for i, q in enumerate(t)
-                    if i in rel.lookups and t.count(q) == 1
-                )
-                self.forcers_of.append(forcers)
-                self.determined.append(len(points) > 1 and len(forcers) == len(t))
+                self.n_distinct.append(len(set(t)))
+                self.tuple_rel.append(rel)
+                self.tuple_points.append(t)
 
         self.const_points = tuple(self.offsets[c.sort] + c.index for c in s.constants)
 
@@ -344,6 +353,140 @@ class _SearchSpace:
         return [mapping[k] for k in keys]
 
 
+# a compiled wave: the points it assigns first (a branch point, or the
+# seed's pinned and constrained points), its forcing steps (q, lookup,
+# getter, colour of q), its checks (a relation's members, the getter of its
+# completed tuples' points, flattened, and its arity) and every point it
+# assigns, in order
+_Wave = tuple[tuple[int, ...], tuple, tuple, tuple[int, ...]]
+
+
+class _Plan:
+    """The propagation schedule of one search key (pinned set, constrained
+    points, lead points), compiled wave by wave: the seed, the branch order,
+    and per depth reached so far its branch position in the order, the
+    branch point's cell and its wave (None at the leaf).
+
+    It keeps the structural state of the search, the points assigned and,
+    per tuple, its distinct points still open, and advances it by one wave
+    per depth.  A wave's points and steps depend on the points assigned
+    before it, never on their images, so one compiled wave serves every
+    node at its depth, and every search of the key."""
+
+    __slots__ = ("space", "color", "cells", "open", "assigned", "seed", "order", "depths")
+
+    def __init__(self, space: _SearchSpace, partition: _Partition,
+                 keys: list[int], lead_points: list[int]):
+        self.space = space
+        self.color, self.cells = color, cells = partition
+        self.open = list(space.n_distinct)
+        self.assigned = assigned = bytearray(space.n_points)
+        self.seed = self._compile(keys)
+        self.order = lead_points + sorted(
+            (p for p in range(space.n_points) if not assigned[p] and p not in lead_points),
+            key=lambda p: (len(cells[color[p]]), p),
+        )
+        self.depths: list[tuple[int, tuple[int, ...], Optional[_Wave]]] = []
+
+    def extend(self) -> None:
+        """Compile the next depth: its branch point is the first open point
+        in the order after the last depth's."""
+        depths, order = self.depths, self.order
+        pos = depths[-1][0] + 1 if depths else 0
+        while pos < len(order) and self.assigned[order[pos]]:
+            pos += 1
+        if pos == len(order):
+            depths.append((pos, (), None))
+            self.open = None  # every point is assigned: nothing left to compile
+        else:
+            x = order[pos]
+            depths.append((pos, self.cells[self.color[x]], self._compile([x])))
+
+    def _compile(self, initial: list[int]) -> _Wave:
+        """Compile the wave assigning the initial points (none of them
+        assigned yet) and every point they force, by the counting
+        propagation run on assignedness alone.  A tuple left with one open
+        point that sits once in it at a functional position forces that
+        point: a step reads the image through the tuple's lookup.  Every
+        other tuple the wave completes becomes a check."""
+        space, open_, assigned = self.space, self.open, self.assigned
+        incident, tuple_points, tuple_rel = space.incident, space.tuple_points, space.tuple_rel
+        color = self.color
+        for p in initial:
+            assigned[p] = 1
+        points = list(initial)
+        steps: list[tuple] = []
+        completed: list[int] = []
+        forcing: list[int] = []
+        # points are marked when queued and counted off their tuples in
+        # queue order, so a step's other points are all assigned before it
+        for p in points:
+            for tid in incident[p]:
+                left = open_[tid] - 1
+                open_[tid] = left
+                if left == 0:
+                    completed.append(tid)
+                if left != 1:
+                    continue
+                t = tuple_points[tid]
+                for q in t:
+                    if not assigned[q]:
+                        break
+                else:
+                    continue  # its open point is queued already
+                r = t.index(q)
+                lookup = tuple_rel[tid].lookups.get(r)
+                if lookup is None or t.count(q) > 1:
+                    continue  # nothing forces q here
+                steps.append((q, lookup, itemgetter(*(t[:r] + t[r + 1:])), color[q]))
+                forcing.append(tid)
+                assigned[q] = 1
+                points.append(q)
+        # a forcing tuple holds by its lookup; every other completed tuple
+        # is checked once, its relation's tuples read at C level together
+        checks = []
+        checked = sorted(set(completed).difference(forcing))
+        for rel, tids in groupby(checked, tuple_rel.__getitem__):
+            flat = tuple(chain.from_iterable(map(tuple_points.__getitem__, tids)))
+            checks.append((rel.members, itemgetter(*flat), len(rel.columns)))
+        return tuple(initial), tuple(steps), tuple(checks), tuple(points)
+
+
+def _wave(wave: _Wave, values: Iterable[int], img: list[int], pre: list[int],
+          color: list[int]) -> bool:
+    """Run a compiled wave on the image arrays: assign its initial points to
+    values, each forced point to the image its lookup gives, each checked for
+    injectivity and colour, then check the tuples it completes.  A lookup
+    miss reads ``pre[-1]``, which is taken.  On failure the images it
+    assigned are released; after a success the caller releases them."""
+    initial, steps, checks, points = wave
+    done = 0
+    for p, v in zip(initial, values):
+        if pre[v] != -1 or color[v] != color[p]:
+            break
+        img[p] = v
+        pre[v] = p
+        done += 1
+    else:
+        for q, lookup, getter, c in steps:
+            v = lookup.get(getter(img), -1)
+            if pre[v] != -1 or color[v] != c:
+                break
+            img[q] = v
+            pre[v] = q
+            done += 1
+        else:
+            for members, getter, arity in checks:
+                # the images of the flattened tuples, read arity at a time
+                if not members.issuperset(zip(*[iter(getter(img))] * arity)):
+                    break
+            else:
+                return True
+    for p in points[:done]:
+        pre[img[p]] = -1
+    return False
+
+
 def _solutions(
     s: MultiSortedStructure,
     base: tuple[Element, ...],
@@ -360,86 +503,44 @@ def _solutions(
     space = s.search_space
     n = space.n_points
     pinned = space.pinned(base)
-    color, cells = space.partition(pinned)
+    run = _wave
 
-    img = [-1] * n
-    pre = [-1] * n
-    open_points = list(space.n_distinct)  # per tuple, its unassigned points
-    incident = space.incident
-    image_of, members_of, forcers_of = space.image_of, space.members_of, space.forcers_of
-    determined = space.determined
-
-    def try_assign(x: int, y: int, trail: list[int]) -> bool:
-        stack = [(x, y)]
-        while stack:
-            a, b = stack.pop()
-            cur = img[a]
-            if cur != -1:
-                if cur != b:
-                    return False
-                continue
-            if pre[b] != -1 or color[a] != color[b]:
-                return False
-            img[a] = b
-            pre[b] = a
-            trail.append(a)
-            through_a = incident[a]
-            for k, tid in enumerate(through_a):
-                left = open_points[tid] - 1
-                open_points[tid] = left
-                if left == 0:
-                    if determined[tid] or image_of[tid](img) in members_of[tid]:
-                        continue
-                elif left > 1 or not forcers_of[tid]:
-                    continue
-                else:
-                    for q, lookup in forcers_of[tid]:
-                        if img[q] == -1:
-                            image_q = lookup.get(image_of[tid](img))
-                            break
-                    else:
-                        continue  # the open point sits twice: nothing forced
-                    if image_q is not None:
-                        stack.append((q, image_q))
-                        continue
-                # a's assignment fails; count it off its other tuples too,
-                # since undo restores every tuple through a
-                for tid in through_a[k + 1:]:
-                    open_points[tid] -= 1
-                return False
-        return True
-
-    def undo(trail: list[int]) -> None:
-        for a in reversed(trail):
-            pre[img[a]] = -1
-            img[a] = -1
-            for tid in incident[a]:
-                open_points[tid] += 1
-
-    seed: list[int] = []
-    for p in pinned:
-        if not try_assign(p, p, seed):
-            undo(seed)
+    keys = sorted(pinned)
+    values = list(keys)
+    for ex, ey in sorted(constraints.items()) if constraints else ():
+        x, y = space.point(ex), space.point(ey)
+        if x not in pinned:
+            keys.append(x)
+            values.append(y)
+        elif y != x:
             return
-    if constraints:
-        for ex, ey in sorted(constraints.items()):
-            if not try_assign(space.point(ex), space.point(ey), seed):
-                undo(seed)
-                return
-
     lead_points = list(space.lead_points(lead))
-    n_lead = len(lead_points)
-    order = lead_points + sorted(
-        (p for p in range(n) if img[p] == -1 and p not in lead_points),
-        key=lambda p: (len(cells[color[p]]), p),
-    )
+    # constrained searches ask whether points go to given targets, again
+    # and again over the same points: their plans are kept
+    key = (pinned, tuple(keys), tuple(lead_points))
+    plan = space.plans.get(key)
+    if plan is None:
+        plan = _Plan(space, space.partition(pinned), keys, lead_points)
+        if constraints:
+            space.plans[key] = plan
+    color = plan.color
+    # a released point keeps its stale image, as a wave reads only points
+    # assigned before it and pre alone says which images are free; the
+    # extra entry pre[-1] is never free
+    img = [-1] * n
+    pre = [-1] * n + [n]
+    if not run(plan.seed, values, img, pre, color):
+        return
 
-    def gen(pos: int, lead_open: bool) -> Iterator[tuple[int, ...]]:
-        while pos < len(order) and img[order[pos]] != -1:
-            pos += 1
+    depths, n_lead = plan.depths, len(lead_points)
+
+    def gen(d: int, lead_open: bool) -> Iterator[tuple[int, ...]]:
+        if d == len(depths):
+            plan.extend()
+        pos, cell, wave = depths[d]
         if lead_open and pos >= n_lead:
             # the lead's image is fixed: keep its first completion only
-            rest = gen(pos, False)
+            rest = gen(d, False)
             try:
                 for flat in rest:
                     yield flat
@@ -447,22 +548,19 @@ def _solutions(
             finally:
                 rest.close()
             return
-        if pos == len(order):
+        if wave is None:
             yield tuple(img)
             return
-        x = order[pos]
-        for y in cells[color[x]]:
-            if pre[y] != -1:
-                continue
-            trail: list[int] = []
-            try:
-                if try_assign(x, y, trail):
-                    yield from gen(pos + 1, lead_open)
-            finally:
-                undo(trail)
+        points = wave[3]
+        for y in cell:
+            if pre[y] == -1 and run(wave, (y,), img, pre, color):
+                try:
+                    yield from gen(d + 1, lead_open)
+                finally:
+                    for p in points:
+                        pre[img[p]] = -1
 
     yield from gen(0, n_lead > 0)
-    undo(seed)
 
 
 def _to_automorphism(s: MultiSortedStructure, images: tuple[int, ...]) -> Automorphism:

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import random
 from operator import itemgetter
 
@@ -1351,3 +1352,381 @@ def test_no_suite_enumerates_a_group(group, n, cover, monkeypatch):
     monkeypatch.setattr(automorphisms, "_solutions", spy)
     assert run_suites(s, group, "all", "no-enumeration").passed
     assert unled == []
+
+
+# --- compiled propagation against the counting kernel -----------------------
+
+
+def _counting_arrays(space):
+    """The counting kernel's per-tuple arrays, built from the relations'
+    tuples alone: per tuple its count of distinct points, its image getter,
+    its relation's members, its forcers (q, lookup keyed by the tuple's image
+    with -1 at q's position) and whether every point is a forcer; per point
+    the tuples through it."""
+    n_distinct, image_of, members_of, forcers_of, determined = [], [], [], [], []
+    incident = [[] for _ in range(space.n_points)]
+    for rel in space.rels:
+        arity = len(rel.tuples[0]) if rel.tuples else 0
+        members = {t[0] for t in rel.tuples} if arity == 1 else set(rel.tuples)
+        lookups = {}
+        for r in range(arity) if arity > 1 else ():
+            table = {}
+            for t in rel.tuples:
+                if table.setdefault(t[:r] + (-1,) + t[r + 1:], t[r]) != t[r]:
+                    break
+            else:
+                lookups[r] = table
+        for t in rel.tuples:
+            if not t:
+                continue
+            points = set(t)
+            for p in points:
+                incident[p].append(len(n_distinct))
+            n_distinct.append(len(points))
+            image_of.append(itemgetter(*t))
+            members_of.append(members)
+            forcers = tuple(
+                (q, lookups[i]) for i, q in enumerate(t) if i in lookups and t.count(q) == 1
+            )
+            forcers_of.append(forcers)
+            determined.append(len(points) > 1 and len(forcers) == len(t))
+    return n_distinct, image_of, members_of, forcers_of, determined, incident
+
+
+def _counting_solutions(s, base, constraints=None, lead=(), counts=None):
+    """The counting kernel that compiled propagation replaced, the oracle for
+    ``_solutions``: per tuple a count of its open points, lowered by each
+    assignment and raised by ``undo``; a tuple is read when its count reaches
+    one (a forcer's image) or zero (a member, unless determined).  counts
+    tallies the branch images tried and accepted."""
+    space = s.search_space
+    n = space.n_points
+    pinned = space.pinned(base)
+    color, cells = space.partition(pinned)
+    n_distinct, image_of, members_of, forcers_of, determined, incident = (
+        _counting_arrays(space)
+    )
+    img, pre, open_points = [-1] * n, [-1] * n, list(n_distinct)
+    counts = {"tried": 0, "accepted": 0} if counts is None else counts
+
+    def try_assign(x, y, trail):
+        stack = [(x, y)]
+        while stack:
+            a, b = stack.pop()
+            cur = img[a]
+            if cur != -1:
+                if cur != b:
+                    return False
+                continue
+            if pre[b] != -1 or color[a] != color[b]:
+                return False
+            img[a] = b
+            pre[b] = a
+            trail.append(a)
+            through_a = incident[a]
+            for k, tid in enumerate(through_a):
+                left = open_points[tid] - 1
+                open_points[tid] = left
+                if left == 0:
+                    if determined[tid] or image_of[tid](img) in members_of[tid]:
+                        continue
+                elif left > 1 or not forcers_of[tid]:
+                    continue
+                else:
+                    for q, lookup in forcers_of[tid]:
+                        if img[q] == -1:
+                            image_q = lookup.get(image_of[tid](img))
+                            break
+                    else:
+                        continue
+                    if image_q is not None:
+                        stack.append((q, image_q))
+                        continue
+                for tid in through_a[k + 1:]:
+                    open_points[tid] -= 1
+                return False
+        return True
+
+    def undo(trail):
+        for a in reversed(trail):
+            pre[img[a]] = -1
+            img[a] = -1
+            for tid in incident[a]:
+                open_points[tid] += 1
+
+    seed = []
+    for p in pinned:
+        if not try_assign(p, p, seed):
+            return
+    for ex, ey in sorted((constraints or {}).items()):
+        if not try_assign(space.point(ex), space.point(ey), seed):
+            return
+    lead_points = list(space.lead_points(lead))
+    n_lead = len(lead_points)
+    order = lead_points + sorted(
+        (p for p in range(n) if img[p] == -1 and p not in lead_points),
+        key=lambda p: (len(cells[color[p]]), p),
+    )
+
+    def gen(pos, lead_open):
+        while pos < len(order) and img[order[pos]] != -1:
+            pos += 1
+        if lead_open and pos >= n_lead:
+            rest = gen(pos, False)
+            try:
+                for flat in rest:
+                    yield flat
+                    break
+            finally:
+                rest.close()
+            return
+        if pos == len(order):
+            yield tuple(img)
+            return
+        x = order[pos]
+        for y in cells[color[x]]:
+            if pre[y] != -1:
+                continue
+            trail = []
+            counts["tried"] += 1
+            try:
+                if try_assign(x, y, trail):
+                    counts["accepted"] += 1
+                    yield from gen(pos + 1, lead_open)
+            finally:
+                undo(trail)
+
+    yield from gen(0, n_lead > 0)
+
+
+class _CountedWaves:
+    """Counts the branch images the compiled kernel tries and accepts: every
+    run of a wave but the first on a search's image array, which is its
+    seed."""
+
+    def __init__(self, monkeypatch):
+        from groupoidlab import automorphisms
+
+        self.tried = self.accepted = 0
+        self.arrays = []
+        run = automorphisms._wave
+
+        def counted(wave, values, img, pre, color):
+            ok = run(wave, values, img, pre, color)
+            if any(img is seen for seen in self.arrays):
+                self.tried += 1
+                self.accepted += ok
+            else:
+                self.arrays.append(img)
+            return ok
+
+        monkeypatch.setattr(automorphisms, "_wave", counted)
+
+    def take(self):
+        counts = {"tried": self.tried, "accepted": self.accepted}
+        self.tried = self.accepted = 0
+        return counts
+
+
+def _stopped(search, stop):
+    """The arrays a search yields before stop of them (all when None), the
+    search closed after them."""
+    try:
+        return list(search if stop is None else itertools.islice(search, stop))
+    finally:
+        search.close()
+
+
+def _assert_kernels_agree(s, searches, waves):
+    # each search on the compiled kernel and on the counting kernel: the
+    # same arrays in the same order from the same branch counts
+    from groupoidlab.automorphisms import _solutions
+
+    for base, constraints, lead, stop in searches:
+        arrays = _stopped(_solutions(s, base, constraints, lead), stop)
+        counts = waves.take()
+        expected = {"tried": 0, "accepted": 0}
+        oracle = _stopped(_counting_solutions(s, base, constraints, lead, expected), stop)
+        assert (arrays, counts) == (oracle, expected), (base, constraints, lead, stop)
+
+
+def _kernel_searches(s):
+    """(base, constraints, lead, stop) on a standard groupoid: unconstrained,
+    constrained, lead and stopped searches, among them contradictory
+    constraints, a lead with a repeated element and one the seed forces, and
+    after each stopped search a fresh search of the same key."""
+    mor01, mor12 = morphisms_between(s, 0, 1), morphisms_between(s, 1, 2)
+    f, g = morphism_tuple(s, mor01[0]), morphism_tuple(s, mor01[-1])
+    h = morphism_tuple(s, mor12[0])
+    source, pbase = object_closure(s, 0), pair_base(s, 0, 1)
+    m0, m1 = Element("M", mor01[0]), Element("M", mor01[1])
+    return [
+        (source, None, (), None),
+        (pbase, None, (), None),
+        (source, dict(zip(f, g)), (), None),
+        (source, {m0: m1}, (), 1),                      # carries
+        (source, {m0: m1}, (), None),
+        (pbase, {e: e for e in h}, (), 2),              # orbit_certificate
+        (pbase, {e: e for e in h}, (), None),
+        (source, {Element("O", 0): Element("O", 1)}, (), None),  # against the pinned set
+        (source, {m0: m1, m1: m1}, (), None),           # against each other
+        ((), None, f, None),
+        ((), None, f, 1),                               # a lead search closed mid-way
+        ((), None, f, None),
+        (source, None, f + f[:1] + h, None),            # a repeated lead element
+        (pbase, None, (m0,) + h, None),                 # a lead the seed forces
+    ]
+
+
+@pytest.mark.parametrize("case", sorted(REFINEMENT_CASES))
+def test_compiled_propagation_matches_the_counting_kernel(case, monkeypatch):
+    waves = _CountedWaves(monkeypatch)
+    s = REFINEMENT_CASES[case]()
+    _assert_kernels_agree(s, _kernel_searches(s), waves)
+
+
+def test_stopped_searches_keep_their_answers(monkeypatch):
+    # carries and orbit_certificate stop their searches early, on plans kept
+    # by earlier searches of the same key or not; their answers equal the
+    # counting kernel's, and so do the full searches after them
+    from groupoidlab.automorphisms import orbit_certificate
+
+    waves = _CountedWaves(monkeypatch)
+    s = _standard("quaternion8", True)
+    source, pbase = object_closure(s, 0), pair_base(s, 0, 1)
+    mor01 = morphisms_between(s, 0, 1)
+    x = (Element("M", mor01[0]),)
+    h = morphism_tuple(s, morphisms_between(s, 1, 2)[0])
+    for m in mor01[:6]:
+        y = (Element("M", m),)
+        expected = next(_counting_solutions(s, source, dict(zip(x, y))), None) is not None
+        assert carries(s, source, x, y) == expected
+    fixing = list(itertools.islice(_counting_solutions(s, pbase, {e: e for e in h}), 2))
+    assert orbit_certificate(s, pbase, h)[1] == (len(fixing) == 1)
+    waves.take()
+    _assert_kernels_agree(s, [
+        (source, dict(zip(x, (Element("M", mor01[5]),))), (), None),
+        (pbase, {e: e for e in h}, (), None),
+    ], waves)
+
+
+def _one_sort(size, **relations):
+    """One sort A of the given size and the named relations on it."""
+    from groupoidlab.structures import MultiSortedStructure, Relation
+
+    return MultiSortedStructure(
+        sorts=(("A", size),),
+        functions=(),
+        relations=tuple(
+            Relation(name, ("A",) * len(tuples[0]), tuples) for name, tuples in relations.items()
+        ),
+    )
+
+
+# structures on which one check of the compiled kernel decides a branch
+PROPAGATION_CASES = {
+    # R's last position is functional, so b -> b2 forces c to c2, whose
+    # colour differs; S is not functional, so only the colour says so
+    "forced-colour": lambda: _one_sort(
+        10,
+        R=((0, 2, 4), (0, 3, 6), (1, 2, 7), (1, 3, 5)),
+        S=((4, 8), (4, 9), (5, 8), (5, 9)),
+    ),
+    # over 5, a branch completes a single edge, which fails
+    "single-tuple": lambda: _one_sort(6, edge=((0, 1), (0, 2), (1, 0), (1, 3), (5, 4))),
+    # nothing to propagate: only the seed's own checks reject constraints
+    "bare": lambda: _one_sort(3),
+    # one cell, no functional direction: every tuple is read at completion
+    "circulant": lambda: _one_sort(
+        7,
+        edge=tuple(sorted((i, (i + d) % 7) for i in range(7) for d in (1, 3))),
+        meet=tuple(sorted((i, (i + 1) % 7, (i + 5) % 7) for i in range(7))),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PROPAGATION_CASES))
+def test_compiled_propagation_matches_the_counting_kernel_on_small_structures(case, monkeypatch):
+    waves = _CountedWaves(monkeypatch)
+    s = PROPAGATION_CASES[case]()
+    points = s.search_space.elements
+    # unconstrained, lead and stopped searches, then constraints sending
+    # one or two points to each target, each with two leads of one key
+    first, last = points[0], points[-1]
+    searches = [((), None, (), None), ((), None, points[:2], None), ((), None, (last, last), 1)]
+    searches += [((p,), None, (), None) for p in points]
+    for p in points:
+        for constraints in ({first: p}, {first: p, last: p}):
+            searches += [((), constraints, lead, None) for lead in ((), (last,))]
+    _assert_kernels_agree(s, searches, waves)
+
+
+@st.composite
+def _drawn_propagation_cases(draw):
+    """A small structure with a function, a binary function, unary, binary
+    and ternary relations whose tuples may hold a point twice, a nullary
+    relation that holds and one that does not, an empty relation and maybe
+    a constant, with drawn searches on it: a base, constraints that may
+    contradict the pinned set or each other, a lead that may repeat an
+    element or be forced by the seed, and where to stop.  Half the
+    structures are closed under the shift i -> i + 1 of sort A, so their
+    stable colourings have few cells and the search reads many tuples."""
+    from groupoidlab.structures import Constant, Function, MultiSortedStructure, Relation
+
+    a, b = draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    shifted = draw(st.booleans())
+    cell = {"A": st.integers(0, a - 1), "B": st.integers(0, b - 1)}
+
+    def shifts(t, sorts):
+        steps = range(a) if shifted else (0,)
+        return {tuple((v + k) % a if s == "A" else v for v, s in zip(t, sorts)) for k in steps}
+
+    def tuples(*sorts):
+        drawn = draw(st.lists(st.tuples(*(cell[s] for s in sorts)), unique=True, max_size=6))
+        return tuple(sorted(set().union(*(shifts(t, sorts) for t in drawn))))
+
+    def rows(*args):
+        # a total function into A: one drawn value per shift orbit of arguments
+        table = {}
+        for t in itertools.product(*(range(a if s == "A" else b) for s in args)):
+            if t not in table:
+                v = draw(cell["A"])
+                for k in range(a) if shifted else (0,):
+                    u = tuple((x + k) % a if s == "A" else x for x, s in zip(t, args))
+                    table[u] = (v + k) % a
+        return tuple(sorted(t + (v,) for t, v in table.items()))
+
+    constants = (Constant("c", "B", draw(cell["B"])),) if draw(st.booleans()) else ()
+    s = MultiSortedStructure(
+        sorts=(("A", a), ("B", b)),
+        functions=(Function("f", ("A",), "A", rows("A")), Function("g", ("A", "B"), "A", rows("A", "B"))),
+        relations=(
+            Relation("flag", (), ((),)),
+            Relation("never", (), ()),
+            Relation("none", ("A", "B"), ()),
+            Relation("red", ("A",), tuples("A")),
+            Relation("edge", ("A", "A"), tuples("A", "A")),
+            Relation("meet", ("A", "B", "A"), tuples("A", "B", "A")),
+        ),
+        constants=constants,
+    )
+    elements = st.sampled_from(s.search_space.elements)
+    searches = []
+    for _ in range(draw(st.integers(1, 4))):
+        base = tuple(draw(st.lists(elements, unique=True, max_size=2)))
+        constraints = draw(st.none() | st.dictionaries(elements, elements, max_size=3))
+        lead = tuple(draw(st.lists(elements, max_size=4))) if constraints is None else ()
+        stop = draw(st.none() | st.integers(1, 3))
+        searches.append((base, constraints, lead, stop))
+    return s, searches
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(case=_drawn_propagation_cases())
+def test_compiled_propagation_matches_the_counting_kernel_on_drawn_structures(case):
+    # each search twice, the second time on the plans the first one kept;
+    # monkeypatch is function-scoped, so the counter is installed per draw
+    s, searches = case
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        waves = _CountedWaves(monkeypatch)
+        _assert_kernels_agree(s, searches + searches, waves)

@@ -3,7 +3,7 @@
 ``perfbench/`` lies outside the test paths, and the tracer reports a layer
 whose entry points are missing as absent instead of failing; a deleted or
 renamed function would silently zero that layer's figures.  The tracer's
-work counters are deterministic, so three configurations pin them exactly.
+work counters are deterministic, so five configurations pin them exactly.
 """
 
 import json
@@ -34,17 +34,19 @@ COUNTED = ("search.runs", "search.solutions", "find.calls", "refine.calls",
            "witness.ysets", "automorphisms.materialised", "group.calls",
            "refine.compress")
 
-# the tracer's deterministic work counters on three benchmark configurations,
-# one of them from enumerate-plain, in the order of COUNTED; they do not
+# the tracer's deterministic work counters on five benchmark configurations,
+# at least one from each workload, in the order of COUNTED; they do not
 # depend on the machine, so a change in the number of searches, solutions,
 # refinements, refinement rounds or enumerated groups shows here.  No suite
-# enumerates a group: group.calls is 0 on all three.  refine.compress counts
+# enumerates a group: group.calls is 0 on all five.  refine.compress counts
 # the relabellings, one per refinement for the sort colouring and one per
 # round, so it less refine.calls is the refinement rounds.
 COUNTER_GATES = [
     ("verify --suite all --group cyclic:3 --objects 4", (60, 138, 23, 17, 4, 38, 0, 54)),
     ("verify --suite section3 --group cyclic:2 --objects 5 --cover", (39, 107, 21, 8, 2, 27, 0, 23)),
     ("verify --suite section2 --group dihedral:4 --objects 3", (4, 21, 0, 3, 0, 10, 0, 9)),
+    ("verify --suite all --group cyclic:2 --objects 4 --cover", (55, 117, 23, 18, 3, 35, 0, 54)),
+    ("verify --suite fgroupoid --group cyclic:2 --objects 5 --cover", (43, 60, 38, 4, 1, 42, 0, 11)),
 ]
 
 

@@ -38,7 +38,6 @@ from .errors import (
 )
 from .groups import (
     FiniteGroup,
-    GroupAction,
     Subgroup,
     center,
     cyclic_group,

@@ -79,29 +79,19 @@ point alone in its cell is fixed.  A point of the tuple in the moved store
 is not fixed; otherwise the tuple's lead search, kept or run until an image
 moves the tuple, decides.
 
-Every restriction group comes from one such lead search (``_restricted``).
-The lead fixes the restriction: by default it is the carrier's points; the
-Y-set groups lead with the Y-set's reference, with which every member is
-interdefinable over the base.  Each image of the lead gives one
-automorphism and so one restriction.
+A searched restriction group comes from one such lead search
+(``_restricted``).  The lead fixes the restriction: by default it is the
+carrier's points; the Y-set groups lead with the Y-set's reference, with
+which every member is interdefinable over the base.  Each image of the lead
+gives one automorphism and so one restriction.  Searched here or translated
+by the Y-set system, every restriction group is assembled by
+``_restriction_group`` from its restrictions and their reps.
 
-One translation primitive spares searches (Seress, *Permutation Group
-Algorithms*, 2003): the group over a translated base is a conjugate,
-psi Aut(s/B) psi^-1 = Aut(s/psi(B)).  ``_translated_restriction``
-conjugates a restriction group over B into one over B' = psi(B), on the
-images of its carrier, by relabelling its carrier permutations
-(``_relabelled``).  The Y-set system builds its groups at one object pair
-and translates them to the others through its psi (``YSystem.translation``).
-Section3's ``composite-membership`` reads orbits the same way: the orbit
-of x over psi(B) is psi applied to the orbit of psi^-1(x) over B.  The
-automorphisms sending points S to given targets are likewise a coset
+The automorphisms sending points S to given targets are a coset
 psi0 . Aut(s/S), psi0 the first of them (``find_automorphism``, called by
 the Y-set system only); ``carries`` asks only whether psi0 exists, and
-stops the search at it.  ``YSystem.transports`` reads such a coset, the
-binding classes among its constraints: a transport reads only what a
-member does to a lead, so psi0 after one member of Aut(s/S) per image of
-the lead, from one lead search over S that serves every target, gives
-every transport, moving the reference F-group by ``_relabelled`` too.
+stops the search at it.  The Y-set system translates along such a psi
+(``groupoidlab.witness``).
 
 An ``Automorphism`` is the search's image array, each sort's points after
 those of the sorts before it; ``_restriction`` reads a restriction off such
@@ -120,7 +110,7 @@ from operator import itemgetter, ne
 from typing import Iterable, Iterator, Optional
 
 from .errors import BudgetExceeded, InvalidInput, NotInvariant
-from .groups import FiniteGroup, GroupAction, _perm_group
+from .groups import FiniteGroup, _perm_group
 from .structures import Element, MultiSortedStructure
 
 CARRIER_BUDGET = 300
@@ -672,7 +662,9 @@ def _images(
     order.  The search runs once per pinned set and lead points: each array
     it yields has its moved points noted, and the arrays are kept on the
     search space once the search runs to the end.  A caller may stop early;
-    the search then stops with it and is not kept."""
+    the search then stops with it and is not kept.  A lead without points
+    has one image, so its search stops at the first completion (a search
+    with no lead, ``_solutions(lead=())``, yields every automorphism)."""
     check_budget(s)
     space = s.search_space
     pinned = space.pinned(base)
@@ -688,6 +680,8 @@ def _images(
             space.note_moved(pinned, images)
             arrays.append(images)
             yield images
+            if not key[1]:
+                break
     finally:
         search.close()
     space.leads[key] = tuple(arrays)
@@ -799,11 +793,6 @@ class RestrictedAutGroup:
     def order(self) -> int:
         return self.group.order
 
-    def action(self) -> GroupAction:
-        return GroupAction(
-            group=self.group, domain_size=len(self.carrier), moves=self.perms
-        )
-
     @cached_property
     def perm_positions(self) -> dict[tuple[int, ...], int]:
         """Each perm to its group element."""
@@ -815,7 +804,10 @@ class RestrictedAutGroup:
         return _carrier_index(self.structure, self.carrier)
 
     def is_regular(self) -> bool:
-        return self.action().is_regular()
+        """As many perms as carrier tuples, sending member 0 to every
+        member: a transitive action with |G| = |X| has trivial stabilisers."""
+        size = len(self.carrier)
+        return len(self.perms) == size and len({p[0] for p in self.perms}) == size
 
 
 def _carrier_index(s: MultiSortedStructure, carrier: tuple) -> dict[tuple[int, ...], int]:
@@ -872,37 +864,20 @@ def _restricted(
                 raise NotInvariant(_to_automorphism(s, images), carrier[perm.index(-1)])
         elif perm not in found:
             found[perm] = _to_automorphism(s, images)
+    return _restriction_group(s, base_t, carrier, found)
+
+
+def _restriction_group(
+    s: MultiSortedStructure,
+    base: Iterable[Element],
+    carrier: tuple[tuple[Element, ...], ...],
+    found: dict[tuple[int, ...], Automorphism],
+) -> RestrictedAutGroup:
+    """The restriction group of the perms found, each with its rep: the
+    perms sorted, the group they form and the reps in the same order."""
     perms = tuple(sorted(found))
     return RestrictedAutGroup(
         structure=s,
-        base=base_t,
-        carrier=carrier,
-        group=_perm_group(perms),
-        perms=perms,
-        reps=tuple(found[p] for p in perms),
-    )
-
-
-def _translated_restriction(
-    rg: RestrictedAutGroup, psi: Automorphism, base: tuple[Element, ...]
-) -> RestrictedAutGroup:
-    """The restriction group psi rg psi^-1 over base, on the carrier's images.
-
-    psi must map rg's base onto base as a set (``YSystem.translation``), so the
-    conjugates psi . rep . psi^-1 are the reps.  Member i of rg's carrier
-    becomes member sigma[i] of the image carrier, which relabels the perms
-    (``_relabelled``)."""
-    carrier = tuple(sorted(map(psi.apply_tuple, rg.carrier)))
-    index = {t: k for k, t in enumerate(carrier)}
-    sigma = [index[psi.apply_tuple(t)] for t in rg.carrier]
-    psi_inv = psi.inverse()
-    found = dict(zip(
-        _relabelled(rg.perms, sigma),
-        (psi.compose(rep).compose(psi_inv) for rep in rg.reps),
-    ))
-    perms = tuple(sorted(found))
-    return RestrictedAutGroup(
-        structure=rg.structure,
         base=tuple(sorted(set(base))),
         carrier=carrier,
         group=_perm_group(perms),

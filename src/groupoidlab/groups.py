@@ -83,29 +83,6 @@ class Subgroup:
         return validate_group(table, pos[g.identity])
 
 
-@dataclass(frozen=True)
-class GroupAction:
-    """A left action: ``moves[g][x]`` is the image of point ``x`` under ``g``."""
-
-    group: FiniteGroup
-    domain_size: int
-    moves: tuple[tuple[int, ...], ...]
-
-    def orbit(self, x: int) -> tuple[int, ...]:
-        return tuple(sorted({self.moves[g][x] for g in self.group.elements}))
-
-    def stabilizer(self, x: int) -> tuple[int, ...]:
-        return tuple(g for g in self.group.elements if self.moves[g][x] == x)
-
-    def is_regular(self) -> bool:
-        if self.group.order != self.domain_size:
-            return False
-        return all(
-            len(self.orbit(x)) == self.domain_size and len(self.stabilizer(x)) == 1
-            for x in range(self.domain_size)
-        )
-
-
 def validate_group(
     table: Sequence[Sequence[int]],
     identity: int,

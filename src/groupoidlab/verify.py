@@ -38,6 +38,7 @@ from .limits import (
     validate_system,
 )
 from .paths import (
+    ExtendedGroupoid,
     all_paths,
     build_extended_groupoid,
     class_key,
@@ -521,25 +522,12 @@ def verify_section3(s: MultiSortedStructure) -> Report:
         # fixes object_tuple(c) and g_raw, sends object_tuple(b) to the
         # middle of f, and keeps the comp relation, which decode_groupoid
         # checks is a function, so m(g_raw . raw(ref)) = g_raw . raw(f).
-        #
-        # Where the Y-set system's psi_ca is accepted, it carries pinned
-        # pair_closure(0, 1) onto pinned pair_closure(c, a) (see
-        # YSystem.translation), so the orbit is psi applied to the orbit of
-        # psi^-1(ref) over pair_closure(0, 1), and every such search shares
-        # one pinned set.  At (0, 1) and without a psi, pair_closure(c, a) is
-        # searched itself.
-        template = pair_closure(s, 0, 1)
         for c, a in itertools.permutations(objects_of(s), 2):
-            psi = ys.translation(c, a)
             for b in objects_of(s):
                 if b in (c, a):
                     continue
                 y_ab = ys.y_set(a, b)
-                if psi is None:
-                    orbit = set(orbit_of(s, pair_closure(s, c, a), y_ab.reference))
-                else:
-                    lead = psi.inverse().apply_tuple(y_ab.reference)
-                    orbit = set(map(psi.apply_tuple, orbit_of(s, template, lead)))
+                orbit = set(ys.pair_orbit(c, a, y_ab.reference))
                 y_cb = set(ys.y_set(c, b).members)
                 for g_raw in morphisms_between(s, c, a):
                     for f in y_ab.members:
@@ -642,10 +630,15 @@ def verify_fgroupoid(s: MultiSortedStructure) -> Report:
 
     report.add("unique-divisor", "each composite has a unique divisor", divisors)
 
-    ext_box: list = []
+    # the cache keeps no exception, so each quotient claim fails with the
+    # quotient's own witness when it cannot be built; the path claims run
+    # on their own
+    @functools.cache
+    def quotient() -> ExtendedGroupoid:
+        return build_extended_groupoid(ys)
 
     def builds() -> Optional[object]:
-        ext_box.append(build_extended_groupoid(ys))
+        quotient()
         return None
 
     report.add(
@@ -653,12 +646,9 @@ def verify_fgroupoid(s: MultiSortedStructure) -> Report:
         "the two-step path classes assemble into a valid groupoid",
         builds,
     )
-    if not ext_box:
-        return report
-    ext = ext_box[0]
 
     def vertex_iso() -> Optional[object]:
-        vg = vertex_group(ext.groupoid, 0)
+        vg = vertex_group(quotient().groupoid, 0)
         fg = ys.f_group(0, 1)
         if not _isomorphic(vg.group, fg.group):
             return {"vertex_order": vg.group.order, "f_order": fg.group.order}
@@ -671,7 +661,7 @@ def verify_fgroupoid(s: MultiSortedStructure) -> Report:
     )
 
     def injection() -> Optional[object]:
-        gpd = ys.gpd
+        gpd, ext = ys.gpd, quotient()
         inj = [ext.inject_standard(m) for m in range(gpd.n_morphisms)]
         for m1 in range(gpd.n_morphisms):
             for m2 in range(gpd.n_morphisms):
@@ -689,6 +679,7 @@ def verify_fgroupoid(s: MultiSortedStructure) -> Report:
     )
 
     def sizes() -> Optional[object]:
+        ext = quotient()
         for a in range(n):
             for b in range(n):
                 if a == b:

@@ -6,15 +6,25 @@ source closure; their restriction groups act regularly; composition of
 Y-elements is defined through decompositions into translated standard
 morphisms, transported along a shared abstract group.
 
-The Y-set, its F-group and its G-subgroup are searched at the reference
-pair (0, 1) only; every other pair reads them off through one accepted
-automorphism psi_ab carrying (0, 1) to it (``YSystem.translation``), the
-only such translation: section3's ``composite-membership`` reads its orbits
-over a pair closure through it too.  A pair with no accepted psi is searched.
+One translation spares searches (Seress, *Permutation Group Algorithms*,
+2003): the group over a translated base is a conjugate,
+psi Aut(s/B) psi^-1 = Aut(s/psi(B)).  The Y-set, its F-group and its
+G-subgroup are searched at the reference pair (0, 1) only; every other pair
+reads them off through one accepted automorphism psi_ab carrying (0, 1) to
+it (``YSystem.translation``), relabelling the carrier permutations along
+psi (``_carried``).  The orbits over a pair closure that section3's
+``composite-membership`` reads come the same way
+(``YSystem.pair_orbit``): the orbit of x over psi(B) is psi applied to the
+orbit of psi^-1(x) over B.  This module is the only one that translates; a
+pair with no accepted psi is searched.
 
 Transports move the reference F-group along the automorphisms carrying
-(0, 1) to (a, b) that keep every binding class: a coset that search
-constraints fix (``YSystem.transports``).
+(0, 1) to (a, b) that keep every binding class: a coset psi0 . Aut(s/S)
+that search constraints fix (``YSystem.transports``).  A transport reads
+only what a member does to a lead, so psi0 after one member of Aut(s/S) per
+image of the lead, from one lead search over S that serves every target,
+gives every transport, relabelling the reference F-group by ``_carried``
+too.
 
 A Y-element is its member index in its Y-set: ``YSystem.compose`` and
 ``YSystem.divisor`` take and return member indices and read one composition
@@ -29,11 +39,12 @@ from typing import Callable, Optional, TypeVar
 from .automorphisms import (
     Automorphism,
     RestrictedAutGroup,
+    _carrier_index,
     _fixed,
     _images,
     _relabelled,
     _restricted,
-    _translated_restriction,
+    _restriction_group,
     find_automorphism,
     is_automorphism,
     orbit_of,
@@ -55,6 +66,7 @@ from .structures import (
     object_closure,
     object_tuple,
     pair_base,
+    pair_closure,
 )
 
 YTuple = tuple[Element, ...]
@@ -63,8 +75,6 @@ _T = TypeVar("_T")
 
 @dataclass(frozen=True)
 class YSet:
-    source: tuple[Element, ...]
-    target: tuple[Element, ...]
     base: tuple[Element, ...]
     members: tuple[YTuple, ...]
     reference: YTuple
@@ -134,13 +144,21 @@ def compute_Y(
     for t in orbit_of(s, pair_base(s, a, b), f):
         if t not in members:
             raise AxiomViolation("y-missing-standard-coset", t)
-    return YSet(
-        source=object_tuple(s, a),
-        target=object_tuple(s, b),
-        base=tuple(base),
-        members=members,
-        reference=f,
-    )
+    return YSet(base=tuple(base), members=members, reference=f)
+
+
+def _carried(
+    psi: Automorphism, rg: RestrictedAutGroup, index: dict[tuple[int, ...], int]
+) -> Optional[list[tuple[int, ...]]]:
+    """rg's perms read on the carrier that index numbers by point tuples
+    (``_carrier_index``), each of rg's carrier tuples replaced by its image
+    under psi (``_relabelled``); None when psi does not map rg's carrier
+    onto that carrier."""
+    image_of = psi.images.__getitem__
+    sigma = [index.get(tuple(map(image_of, t))) for t in rg.carrier_index]
+    if len(sigma) != len(index) or None in sigma:
+        return None
+    return _relabelled(rg.perms, sigma)
 
 
 class YSystem:
@@ -154,7 +172,8 @@ class YSystem:
     source closure and the pair base of (0, 1) onto those of (a, b): it then
     conjugates every base-fixing group of the one onto the other.  A pair
     with no accepted psi is searched, which an asymmetric ``--structure``
-    input may need.
+    input may need.  Orbits over a pair closure are read the same way
+    (``pair_orbit``).
 
     The group at the reference pair plays the role of the shared abstract
     group; transports to other pairs conjugate along object-tuple-matched
@@ -194,9 +213,9 @@ class YSystem:
         connected) and where no psi is accepted.
 
         An accepted psi also carries the pinned points of pair_closure(0, 1)
-        onto those of pair_closure(a, b), which ``composite-membership``
-        reads: it sends object 0 to a and 1 to b and keeps init and ter, so
-        it maps Mor(0, 1) onto Mor(a, b), and it fixes every constant."""
+        onto those of pair_closure(a, b), which ``pair_orbit`` reads: it
+        sends object 0 to a and 1 to b and keeps init and ter, so it maps
+        Mor(0, 1) onto Mor(a, b), and it fixes every constant."""
         if (a, b) not in self._psis:
             s, ref = self.structure, self.ref_pair
             f_ref, f_ab = x_tuples(s, *ref), x_tuples(s, a, b)
@@ -215,6 +234,19 @@ class YSystem:
                     psi = None
             self._psis[(a, b)] = psi
         return self._psis[(a, b)]
+
+    def pair_orbit(self, c: int, a: int, x: YTuple) -> tuple[YTuple, ...]:
+        """The orbit of x over pair_closure(c, a), sorted as ``orbit_of``
+        returns it.  Where psi_ca is accepted it is psi_ca applied to the
+        orbit of psi_ca^-1(x) over the reference pair's closure, which it
+        carries onto pair_closure(c, a) (``translation``), so every such
+        search shares one pinned set; elsewhere it is searched over
+        pair_closure(c, a) itself."""
+        s, psi = self.structure, self.translation(c, a)
+        if psi is None:
+            return orbit_of(s, pair_closure(s, c, a), x)
+        orbit = orbit_of(s, pair_closure(s, *self.ref_pair), psi.inverse().apply_tuple(x))
+        return tuple(sorted(map(psi.apply_tuple, orbit)))
 
     def _translated(
         self, a: int, b: int, build: Callable[[int, int], _T]
@@ -249,8 +281,6 @@ class YSystem:
             else:
                 psi, y_ref = hit
                 y = YSet(
-                    source=object_tuple(s, a),
-                    target=object_tuple(s, b),
                     base=object_closure(s, a),
                     members=tuple(sorted(map(psi.apply_tuple, y_ref.members))),
                     reference=psi.apply_tuple(y_ref.reference),
@@ -300,15 +330,21 @@ class YSystem:
         invariant: bool,
         build: Callable[[int, int], RestrictedAutGroup],
     ) -> RestrictedAutGroup:
-        """The restrictions of Aut(s/base) to Y(a, b), led by its reference:
-        conjugated by psi_ab from the reference pair's group, which build
-        returns, or searched."""
-        y = self.y_set(a, b)
+        """The restrictions of Aut(s/base) to Y(a, b), led by its reference,
+        or the reference pair's group, which build returns, conjugated by
+        psi_ab: psi maps the reference pair's base onto base, so the
+        conjugates psi . rep . psi^-1 are the reps, and their restrictions
+        are the reference pair's perms relabelled along psi onto Y(a, b),
+        which ``y_set`` translated by the same psi."""
+        s, y = self.structure, self.y_set(a, b)
         hit = self._translated(a, b, build)
         if hit is None:
-            return _restricted(self.structure, base, y.members, invariant, y.reference)
+            return _restricted(s, base, y.members, invariant, y.reference)
         psi, ref_group = hit
-        return _translated_restriction(ref_group, psi, base)
+        psi_inv = psi.inverse()
+        reps = (psi.compose(rep).compose(psi_inv) for rep in ref_group.reps)
+        perms = _carried(psi, ref_group, _carrier_index(s, y.members))
+        return _restriction_group(s, base, y.members, dict(zip(perms, reps)))
 
     def binding(self) -> BindingGroup:
         if self._binding is None:
@@ -386,16 +422,12 @@ class YSystem:
     ) -> tuple[int, ...]:
         """The transport along psi: element k of f_ref goes to the element of
         f_ab restricting psi . rep_k . psi^-1, that is f_ref's perm k
-        relabelled by psi (``_relabelled``).  Hypothesis: psi maps f_ref's
+        relabelled along psi (``_carried``).  Hypothesis: psi maps f_ref's
         carrier onto f_ab's.  A psi that does not, or a relabelled perm
         outside f_ab, is a transport image escaping the target group."""
-        image_of, index = psi.images.__getitem__, f_ab.carrier_index
-        sigma = [index.get(tuple(map(image_of, t))) for t in f_ref.carrier_index]
-        if len(sigma) != len(index) or None in sigma:
-            raise DecompositionFailure("transport image escapes target group")
-        positions = f_ab.perm_positions
-        mapping = tuple(map(positions.get, _relabelled(f_ref.perms, sigma)))
-        if None in mapping:
+        perms = _carried(psi, f_ref, f_ab.carrier_index)
+        mapping = None if perms is None else tuple(map(f_ab.perm_positions.get, perms))
+        if mapping is None or None in mapping:
             raise DecompositionFailure("transport image escapes target group")
         return mapping
 

@@ -185,6 +185,54 @@ def test_restricted_group_raises_when_not_invariant():
         restricted_group(s, base, mor)  # an object swap moves Mor(0,1)
 
 
+def test_an_empty_lead_has_one_image():
+    # the empty tuple's orbit is itself, read off one completion of the
+    # search; the lead store keeps that one array, and restricting to the
+    # empty carrier gives the trivial group without walking Aut(s/base)
+    s = plain(cyclic_group(2), 3)
+    assert automorphism_group(s).order == 24
+    space = s.search_space
+    for base in ((), object_closure(s, 0)):
+        assert orbit_of(s, base, ()) == ((),)
+        assert len(space.leads[(space.pinned(base), ())]) == 1
+        rg = restricted_group(s, base, ())
+        assert rg.carrier == () and rg.order == 1 and len(rg.reps) == 1
+
+
+def _regular_by_stabilisers(perms, size):
+    # the oracle: as many elements as points, every orbit the whole carrier
+    # and every stabiliser trivial
+    return len(perms) == size and all(
+        len({p[x] for p in perms}) == size and sum(p[x] == x for p in perms) == 1
+        for x in range(size)
+    )
+
+
+@pytest.mark.parametrize(
+    "perms,regular",
+    [
+        # Z/4 by rotation
+        ([(0, 1, 2, 3), (1, 2, 3, 0), (2, 3, 0, 1), (3, 0, 1, 2)], True),
+        # Klein four by swaps inside {0, 1} and {2, 3}: as many elements as
+        # points, but two orbits
+        ([(0, 1, 2, 3), (1, 0, 2, 3), (0, 1, 3, 2), (1, 0, 3, 2)], False),
+        # S3 on three points: transitive, six elements
+        (sorted(itertools.permutations(range(3))), False),
+        # the trivial group on one point
+        ([(0,)], True),
+    ],
+    ids=["rotations", "intransitive", "larger-than-carrier", "trivial"],
+)
+def test_is_regular_on_permutation_groups(perms, regular):
+    from groupoidlab.automorphisms import _restriction_group
+
+    s = plain(cyclic_group(2), 4)
+    identity = Automorphism(tuple(range(s.carrier_size)), s)
+    carrier = tuple((Element("O", i),) for i in range(len(perms[0])))
+    rg = _restriction_group(s, (), carrier, dict.fromkeys(perms, identity))
+    assert rg.is_regular() == _regular_by_stabilisers(rg.perms, len(carrier)) == regular
+
+
 def test_budget_guard():
     s = encode_double_cover(build_standard_groupoid(cyclic_group(8), 6))
     assert s.carrier_size == 306
@@ -1266,30 +1314,88 @@ def test_translated_groups_match_enumeration(head_case):
             assert conjugates == expect, (c, a)
 
 
-def test_translation_falls_back_when_the_base_is_not_an_image(monkeypatch):
-    # composite-membership searches over pair_closure(0, 1) and, at any other
-    # pair, over its own pair closure only where the Y-set system has no
-    # translation.  A constant pinning object 2 leaves the pairs through it
-    # without a translation.
+PAIR_ORBIT_CASES = [
+    ("plain", ("symmetric:3", 3, False)),
+    ("plain", ("cyclic:3", 4, False)),
+    ("cover", ("cyclic:2", 4, True)),
+    ("cover", ("quaternion8", 3, True)),
+    ("relabelled", ("cyclic:2", 4, True)),
+    ("relabelled", ("symmetric:3", 3, False)),
+    ("pinned", ("cyclic:2", 4, True)),
+]
+
+
+def _pair_orbit_structure(kind, group, n, cover):
+    # a fresh copy each call, so the oracle shares no kept search with the
+    # Y-set system under test
     from dataclasses import replace
 
-    from groupoidlab import pair_closure, verify, verify_section3
+    from groupoidlab.structures import Constant
+
+    s = _standard(group, cover, n)
+    if kind == "relabelled":
+        s, _ = _relabelled(s, 20150)
+    elif kind == "pinned":
+        s = replace(s, constants=(Constant("mark", "O", 2),))
+    return s
+
+
+@pytest.mark.parametrize(
+    "kind,case", PAIR_ORBIT_CASES, ids=[f"{k}-{_case_id(c)}" for k, c in PAIR_ORBIT_CASES]
+)
+def test_pair_orbit_matches_the_search_at_every_pair(kind, case):
+    # YSystem.pair_orbit reads orbits over pair_closure(c, a) through psi_ca
+    # where it is accepted: at every ordered pair it must equal orbit_of
+    # over that pair's own closure, for every member of every Y-set out of
+    # a.  Pinning object 2 leaves the pairs through it without a psi, and
+    # they are searched.
+    from groupoidlab import pair_closure
+
+    s, oracle = _pair_orbit_structure(kind, *case), _pair_orbit_structure(kind, *case)
+    ys, n = s.y_system, s.sort_size("O")
+    translated = set()
+    for c, a in itertools.permutations(range(n), 2):
+        if ys.translation(c, a) is not None:
+            translated.add((c, a))
+        for b in range(n):
+            if b in (c, a):
+                continue
+            for x in ys.y_set(a, b).members:
+                expect = orbit_of(oracle, pair_closure(oracle, c, a), x)
+                assert ys.pair_orbit(c, a, x) == expect, (c, a, x)
+    others = {p for p in itertools.permutations(range(n), 2) if p != ys.ref_pair}
+    if kind == "pinned":
+        others = {p for p in others if 2 not in p}
+    assert translated == others
+
+
+def test_translation_falls_back_when_the_base_is_not_an_image(monkeypatch):
+    # composite-membership's orbits (YSystem.pair_orbit) are searched over
+    # pair_closure(0, 1) and, at any other pair, over its own pair closure
+    # only where the Y-set system has no translation.  A constant pinning
+    # object 2 leaves the pairs through it without a translation.  The spy
+    # sits where pair_orbit reads orbits, and skips compute_Y's own orbit
+    # searches there (over source closures and pair bases).
+    import sys
+    from dataclasses import replace
+
+    from groupoidlab import pair_closure, verify_section3, witness
     from groupoidlab.structures import Constant
 
     s = replace(_standard("cyclic:2", True, 4), constants=(Constant("mark", "O", 2),))
     pinned = s.search_space.pinned
-    orbit, searched = verify.orbit_of, []
+    orbit, compute_y, searched = witness.orbit_of, witness.compute_Y.__code__, []
 
     def spy(structure, base, x):
-        searched.append(pinned(base))
+        if sys._getframe(1).f_code is not compute_y:
+            searched.append(pinned(base))
         return orbit(structure, base, x)
 
-    monkeypatch.setattr(verify, "orbit_of", spy)
+    monkeypatch.setattr(witness, "orbit_of", spy)
     status = {e.claim_id: e.status for e in verify_section3(s).entries}
     assert status["composite-membership"] == "pass"
-    uniform = tuple(e for u in range(4) for e in object_closure(s, u))
     through_2 = [(c, a) for c in range(4) for a in range(4) if c != a and 2 in (c, a)]
-    assert set(searched) - {pinned(uniform)} == {
+    assert set(searched) == {
         pinned(pair_closure(s, c, a)) for c, a in [(0, 1), *through_2]
     }
 

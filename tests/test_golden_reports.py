@@ -122,8 +122,9 @@ STRUCTURE_DIGEST = "3773fdd7fc73ca2bd69cf375986efc40a86c0ad9b6baa300a3548d886edd
 # no translation.  Pins composite-membership's orbits over those pairs' own
 # closures, the "no transport automorphism" witnesses of
 # transport-independence (target (2, 3)) and of fgroupoid's
-# DecompositionFailure.
-PINNED_DIGEST = "66273e9379f3dffebafb6e30e3f90cb141dff716faadaf1da5baed6e1f55f393"
+# DecompositionFailure, with which all eight fgroupoid claims fail: the
+# quotient claims with the quotient's own, the path claims on their own.
+PINNED_DIGEST = "b2b87143b04e7dc7aa8d1b449b6586ac61bf48e76b33f4d86d17dffb46ab86fc"
 
 # the plain n=3 structure with a constant pinning one morphism (exit 1), per
 # suite.  section3 with morphism 5: the only golden where composite-membership

@@ -2,7 +2,6 @@ import pytest
 
 from groupoidlab import (
     AxiomViolation,
-    GroupAction,
     OrderMismatch,
     UnsupportedSize,
     center,
@@ -101,20 +100,6 @@ def test_isomorphism_s3_d3():
 def test_isomorphism_order_mismatch():
     with pytest.raises(OrderMismatch):
         isomorphism_search(cyclic_group(2), cyclic_group(3))
-
-
-def test_regular_action_examples():
-    # left translation of the group on itself, from its Cayley table
-    def regular(g):
-        return GroupAction(group=g, domain_size=g.order, moves=g.table)
-
-    act = regular(cyclic_group(1))
-    assert act.domain_size == 1 and act.is_regular()
-    z3 = regular(cyclic_group(3))
-    assert all(z3.stabilizer(x) == (0,) for x in range(3))
-    s3 = regular(symmetric_group(3))
-    assert s3.orbit(0) == tuple(range(6))
-    assert s3.is_regular()
 
 
 def test_constructors():

@@ -4,6 +4,9 @@ Each module may import only modules on a lower layer; ``paths`` and
 ``limits`` share a layer and import neither each other.  Imports at any
 depth count, ``TYPE_CHECKING`` blocks and function bodies included.
 ``__init__.py`` re-exports every layer and is exempt.
+
+Two decisions are kept in place the same way: one function assembles every
+restriction group, and only the Y-set system translates along psi.
 """
 
 import ast
@@ -71,3 +74,40 @@ def test_every_module_has_a_layer():
 
 def test_no_module_imports_upward():
     assert _violations() == []
+
+
+def _calls(attribute):
+    # (module, enclosing function, line) of every call whose callee is a
+    # name or an attribute called attribute
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        functions = [
+            node for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        ]
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            callee = node.func
+            name = callee.id if isinstance(callee, ast.Name) else getattr(callee, "attr", None)
+            if name != attribute:
+                continue
+            # the innermost function holding the call
+            holders = [f for f in functions if f.lineno <= node.lineno <= f.end_lineno]
+            holder = max(holders, key=lambda f: f.lineno).name if holders else None
+            found.append((path.stem, holder, node.lineno))
+    return found
+
+
+def test_restriction_groups_are_constructed_in_one_function():
+    # searched or translated, a restriction group is assembled by one helper
+    sites = [(module, holder) for module, holder, _ in _calls("RestrictedAutGroup")]
+    assert sites == [("automorphisms", "_restriction_group")]
+
+
+def test_only_the_y_set_system_translates():
+    # psi_ab is read inside the Y-set system alone; the suites ask it for
+    # groups and orbits instead
+    assert _calls("translation")
+    assert {module for module, _, _ in _calls("translation")} == {"witness"}

@@ -112,6 +112,25 @@ def test_fgroupoid_reuses_the_y_sets_of_section3(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("group", ["dihedral:4", "quaternion8"])
+def test_fgroupoid_lists_every_claim_when_the_quotient_fails(group):
+    # a quotient that cannot be built fails quotient-valid and, with its
+    # witness, every claim that reads it; the path claims run on their own.
+    # The report lists the same eight claims as an abelian run.
+    from groupoidlab import group_from_spec
+    from groupoidlab.verify import verify_fgroupoid
+
+    abelian = verify_fgroupoid(encode_groupoid(build_standard_groupoid(cyclic_group(2), 4)))
+    assert abelian.passed
+    s = encode_groupoid(build_standard_groupoid(group_from_spec(group), 4))
+    rep = verify_fgroupoid(s)
+    assert [e.claim_id for e in rep.entries] == [e.claim_id for e in abelian.entries]
+    witness = {e.claim_id: e.witness for e in rep.entries}
+    assert witness["quotient-valid"].startswith("NonAbelianVertex")
+    for claim in ("vertex-is-f-group", "injection-preserves-composition", "classes-match-y"):
+        assert witness[claim] == witness["quotient-valid"], claim
+
+
 def _count_compute_Y(monkeypatch, calls):
     # compute_Y is imported by name into the modules that call it
     from groupoidlab import limits, verify, witness

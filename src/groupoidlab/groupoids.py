@@ -8,6 +8,8 @@ labelled triples this reads ``(a,x,b) then (b,y,c) = (a, y*x, c)``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
+from typing import Callable
 
 from .errors import AxiomViolation, InvalidInput, NonAbelianVertex, TransportAmbiguity
 from .groups import FiniteGroup, validate_group
@@ -139,20 +141,31 @@ def validate_groupoid(gpd: FiniteGroupoid) -> FiniteGroupoid:
             raise AxiomViolation("composability", (f, g))
         if gpd.init[h] != gpd.init[f] or gpd.ter[h] != gpd.ter[g]:
             raise AxiomViolation("endpoint", (f, g, h))
-    for f in range(n_mor):
-        for g in range(n_mor):
-            if gpd.ter[f] == gpd.init[g] and (f, g) not in comp:
-                raise AxiomViolation("composability", ("missing pair", f, g))
-
     by_init: list[list[int]] = [[] for _ in range(n_obj)]
     for m in range(n_mor):
         by_init[gpd.init[m]].append(m)
+    rows = []  # f's row: f.g for every g composable after f, in order
     for f in range(n_mor):
+        row = tuple(comp.get((f, g)) for g in by_init[gpd.ter[f]])
+        if None in row:
+            missing = by_init[gpd.ter[f]][row.index(None)]
+            raise AxiomViolation("composability", ("missing pair", f, missing))
+        rows.append(row)
+
+    # associativity row by row: the row of f.g, over the h composable after
+    # g, is the row of g read through f's row, since (f.g).h = f.(g.h)
+    position = [0] * n_mor  # m's place in by_init[init m], so in f's row
+    for ms in by_init:
+        for i, m in enumerate(ms):
+            position[m] = i
+    readers = [_reader([position[gh] for gh in row]) for row in rows]
+    for f in range(n_mor):
+        f_row = rows[f]
         for g in by_init[gpd.ter[f]]:
-            fg = comp[(f, g)]
-            for h in by_init[gpd.ter[g]]:
-                if comp[(fg, h)] != comp[(f, comp[(g, h)])]:
-                    raise AxiomViolation("associativity", (f, g, h))
+            through, fg_row = readers[g](f_row), rows[f_row[position[g]]]
+            if through != fg_row:
+                j = next(j for j, (x, y) in enumerate(zip(through, fg_row)) if x != y)
+                raise AxiomViolation("associativity", (f, g, by_init[gpd.ter[g]][j]))
 
     for a in range(n_obj):
         e = gpd.identities[a]
@@ -173,6 +186,14 @@ def validate_groupoid(gpd: FiniteGroupoid) -> FiniteGroupoid:
         if comp[(m, mi)] != gpd.identities[gpd.init[m]]:
             raise AxiomViolation("inverse", ("right", m))
     return gpd
+
+
+def _reader(places: list[int]) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
+    """Reads a row at the places, as a tuple (``itemgetter`` of one place
+    returns the entry alone)."""
+    if len(places) > 1:
+        return itemgetter(*places)
+    return lambda row: tuple(row[i] for i in places)
 
 
 def vertex_group(gpd: FiniteGroupoid, a: int) -> VertexGroup:

@@ -9,12 +9,24 @@ groupoid; composition is concatenation followed by reduction.
 
 Every Y-element here, in path steps, probes, fold terminals and class keys,
 is its member index in the Y-set of its endpoints; only reports decode
-members back to tuples.
+members back to tuples.  Folding and contraction read one row of the
+triple's composition table (``YSystem.table``) per step.
+
+Contraction is leftmost first, so it can run as steps are appended
+(``_push``): a prefix's contraction is shared by every path that extends
+it.  The quotient contracts each representative once for all its
+partners; ``reductions_hold`` walks paths depth first over shared
+prefixes, each keeping its fold terminals per probe; and
+``classes_match_folds`` compares, probe by probe, the partition of the
+paths by fold terminal with their partition by class key.  Both walks
+decide what the path-by-path ``verify_reduction`` and ``probe_verdict``
+decide.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
@@ -77,8 +89,22 @@ def fold(ys: YSystem, path: DirectedPath, probe: Probe) -> int:
     acc = g_star
     objs = path.objects
     for b, c, g in zip(objs, objs[1:], path.steps):
-        acc = ys.compose(c_star, b, c, acc, g)
+        row = ys.table(c_star, b, c)[acc]
+        if not 0 <= g < len(row):  # a negative step would wrap
+            raise InvalidInput(f"member {g} outside Y({b}, {c}), which has {len(row)}")
+        acc = row[g]
     return acc
+
+
+def _terms(
+    ys: YSystem, objs: tuple[int, ...], steps: tuple[int, ...], c_star: int
+) -> tuple[int, ...]:
+    """The fold of the path (objs, steps) at every probe (c_star, g*), by g*."""
+    terms: Iterable[int] = range(ys.y_set(c_star, objs[0]).size)
+    for b, c, g in zip(objs, objs[1:], steps):
+        table = ys.table(c_star, b, c)
+        terms = [table[a][g] for a in terms]
+    return tuple(terms)
 
 
 def fold_vector(ys: YSystem, path: DirectedPath, probes: Iterable[Probe]) -> dict[Probe, int]:
@@ -132,20 +158,46 @@ def contraction_positions(path: DirectedPath) -> list[int]:
     ]
 
 
+Stack = tuple[tuple[int, ...], tuple[int, ...]]  # (objects, steps) of a contracted prefix
+
+
+def _push(
+    ys: YSystem, objs: tuple[int, ...], steps: tuple[int, ...], o: int, g: int, left: int
+) -> Stack:
+    """The contracted prefix (objs, steps) extended by step g into o, then
+    contracted as ``contract_to_two_steps`` contracts the whole path, with
+    ``left`` steps still to come: leftmost first, while the path keeps more
+    than two steps.  The prefix has no distinct triple left, so the first
+    one is the triple ending at o, and after a contraction the next is."""
+    objs, steps = objs + (o,), steps + (g,)
+    while len(steps) + left > 2 and len(objs) > 2 and objs[-3] != objs[-2] != o != objs[-3]:
+        steps = steps[:-2] + (ys.compose(objs[-3], objs[-2], o, steps[-2], steps[-1]),)
+        objs = objs[:-2] + (o,)
+    return objs, steps
+
+
+def _settle(ys: YSystem, objs: tuple[int, ...], steps: tuple[int, ...]) -> Stack:
+    """A contracted path as one of at most two steps: one that still has
+    more alternates between two objects, and is replaced by the 2-step path
+    through a fresh object with the same fold at a fresh probe."""
+    if len(steps) <= 2:
+        return objs, steps
+    c, d = objs[0], objs[-1]
+    p = _fresh(ys, set(objs))
+    e = _fresh(ys, {c, d, p})
+    q = _two_step(ys, p, c, e, d, fold(ys, DirectedPath(objs, steps), (p, 0)))
+    return q.objects, q.steps
+
+
 def contract_to_two_steps(ys: YSystem, path: DirectedPath) -> DirectedPath:
-    """Reduce to a 2-step path by contractions, introducing a fresh object
-    only when the path alternates between two objects."""
-    q = path
-    while q.n_steps > 2:
-        positions = contraction_positions(q)
-        if positions:
-            q = contract_path(ys, q, positions[0])
-            continue
-        c, d = q.start, q.end
-        p = _fresh(ys, set(q.objects))
-        e = _fresh(ys, {c, d, p})
-        q = _two_step(ys, p, c, e, d, fold(ys, q, (p, 0)))
-    return q
+    """Reduce to a 2-step path by contractions, leftmost first, introducing
+    a fresh object only when the path alternates between two objects."""
+    if path.n_steps <= 2:
+        return path
+    stack: Stack = (path.objects[:1], ())
+    for i, (o, g) in enumerate(zip(path.objects[1:], path.steps)):
+        stack = _push(ys, *stack, o, g, path.n_steps - 1 - i)
+    return DirectedPath(*_settle(ys, *stack))
 
 
 def _fresh(ys: YSystem, banned: set[int]) -> int:
@@ -182,23 +234,32 @@ def class_key(ys: YSystem, path: DirectedPath) -> tuple:
     in Y(c, d); vertex classes by the fold terminal at the canonical probe,
     in Y(c0v, c).
     """
-    q = contract_to_two_steps(ys, path) if path.n_steps > 2 else path
-    c, d = q.start, q.end
+    q = contract_to_two_steps(ys, path)
+    return _key(ys, q.objects, q.steps)
+
+
+def _key(ys: YSystem, objs: tuple[int, ...], steps: tuple[int, ...]) -> tuple:
+    """``class_key`` of a path of at most two steps."""
+    c, d = objs[0], objs[-1]
     if c != d:
-        y = q.steps[0] if q.n_steps == 1 else ys.compose(c, q.objects[1], d, *q.steps)
+        y = steps[0] if len(steps) == 1 else ys.compose(c, objs[1], d, *steps)
         return ("edge", c, d, y)
-    return ("vertex", c, d, _vertex_terminal(ys, q))
+    return ("vertex", c, d, _vertex_terminal(ys, DirectedPath(objs, steps)))
 
 
 def canonical_rep(ys: YSystem, key: tuple) -> DirectedPath:
     """The class's 2-step representative c -> e -> d: its first step is
     member 0, and its fold at the canonical probe (p, 0) is the fold of the
-    1-step path (c, idx, d) for an edge class, idx itself for a vertex class."""
-    kind, c, d, idx = key
-    p = _fresh(ys, {c, d})
-    e = _fresh(ys, {c, d, p})
-    t = ys.compose(p, c, d, 0, idx) if kind == "edge" else idx
-    return _two_step(ys, p, c, e, d, t)
+    1-step path (c, idx, d) for an edge class, idx itself for a vertex
+    class.  Kept per key on the Y-set system."""
+    rep = ys.path_reps.get(key)
+    if rep is None:
+        kind, c, d, idx = key
+        p = _fresh(ys, {c, d})
+        e = _fresh(ys, {c, d, p})
+        t = ys.compose(p, c, d, 0, idx) if kind == "edge" else idx
+        rep = ys.path_reps[key] = _two_step(ys, p, c, e, d, t)
+    return rep
 
 
 def reduce_path(ys: YSystem, q: DirectedPath) -> DirectedPath:
@@ -254,6 +315,104 @@ def all_paths(ys: YSystem, c: int, d: int, n_steps: int) -> Iterator[DirectedPat
             yield DirectedPath(objects=tuple(chain), steps=steps)
 
 
+def _prefixes(
+    ys: YSystem, c: int, d: int, n_steps: int
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], Stack, dict[int, list[int]]]]:
+    """The (n-1)-step prefixes of the n-step paths c -> d, depth first, each
+    extending its own prefix by one step: its objects, its steps, its
+    contraction as the beginning of an n-step path (``_push``) and its fold
+    terminals, per probe object off it and off d, per probe member."""
+    objs = tuple(objects_of(ys.structure))
+
+    def extend(objects, steps, stack, folds):
+        depth = len(steps)
+        if depth == n_steps - 1:
+            yield objects, steps, stack, folds
+            return
+        b = objects[-1]
+        for o in objs:
+            if o == b or (o == d and depth == n_steps - 2):
+                continue
+            tables = {p: ys.table(p, b, o) for p in folds if p != o}
+            for g in range(ys.y_set(b, o).size):
+                yield from extend(
+                    objects + (o,),
+                    steps + (g,),
+                    _push(ys, *stack, o, g, n_steps - 1 - depth),
+                    {p: [t[a][g] for a in folds[p]] for p, t in tables.items()},
+                )
+
+    start = {p: list(range(ys.y_set(p, c).size)) for p in objs if p not in (c, d)}
+    yield from extend((c,), (), ((c,), ()), start)
+
+
+def reductions_hold(ys: YSystem, c: int, d: int, n_steps: int) -> bool:
+    """Whether every n-step path c -> d (n >= 3) has a 2-step
+    ``reduce_path`` that ``verify_reduction`` certifies, decided as they
+    decide it path by path, over shared prefixes (``_prefixes``): the last
+    step finishes the contraction its prefix began and extends the prefix's
+    fold terminals, and each representative is folded once per probe
+    object.  A representative has two steps and q's endpoints by
+    construction.  A split probe verdict, for which ``path_equivalent``
+    raises, is False here."""
+    objs = tuple(objects_of(ys.structure))
+    rep_terms: dict[tuple[tuple, int], tuple[int, ...]] = {}
+
+    def r_terms(key: tuple, p: int) -> tuple[int, ...]:
+        if (key, p) not in rep_terms:
+            r = canonical_rep(ys, key)
+            rep_terms[(key, p)] = _terms(ys, r.objects, r.steps, p)
+        return rep_terms[(key, p)]
+
+    for objects, steps, stack, folds in _prefixes(ys, c, d, n_steps):
+        b = objects[-1]
+        subs = [_settle(ys, *_push(ys, *stack, d, g, 0)) for g in range(ys.y_set(b, d).size)]
+        keys = [_key(ys, *q_sub) for q_sub in subs]
+        reps = [canonical_rep(ys, key) for key in keys]
+        # the objects of the contraction and of the representative, so the
+        # probes verify_reduction folds at, do not depend on the last step
+        sub_objs, r_objs = subs[0][0], reps[0].objects
+        # per probe object, per last step, the path's terminals by probe member
+        terms = {p: list(zip(*map(ys.table(p, b, d).__getitem__, t))) for p, t in folds.items()}
+        direct = [p for p in folds if p not in r_objs]
+        via = [p for p in folds if p not in sub_objs]
+        on = [p for p in objs if p not in sub_objs and p not in r_objs]
+        for g, (q_sub, key) in enumerate(zip(subs, keys)):
+            if direct:
+                ok = all(terms[p][g] == r_terms(key, p) for p in direct)
+            elif via and on:
+                ok = all(terms[p][g] == _terms(ys, *q_sub, p) for p in via) and all(
+                    _terms(ys, *q_sub, p) == r_terms(key, p) for p in on
+                )
+            else:
+                q = DirectedPath(objects=objects + (d,), steps=steps + (g,))
+                ok = class_key(ys, reps[g]) == key and all(
+                    class_key(ys, contract_path(ys, q, i)) == key
+                    for i in contraction_positions(q)
+                )
+            if not ok:
+                return False
+    return True
+
+
+def classes_match_folds(ys: YSystem, c: int, d: int) -> bool:
+    """Whether at every probe the 2-step paths c -> d that have it fall into
+    the same classes by fold terminal as by ``class_key``.  That is the
+    pairwise statement read probe by probe: two paths with a common probe
+    get one verdict at all of them (``probe_verdict``), and it is whether
+    their class keys are equal."""
+    seen: dict[Probe, set[tuple[tuple, int]]] = defaultdict(set)
+    for q in all_paths(ys, c, d, 2):
+        key = class_key(ys, q)
+        for p in objects_of(ys.structure):
+            if p not in q.objects:
+                for g_star, t in enumerate(_terms(ys, q.objects, q.steps, p)):
+                    seen[(p, g_star)].add((key, t))
+    return all(
+        len(pairs) == len(dict(pairs)) == len({t for _, t in pairs}) for pairs in seen.values()
+    )
+
+
 @dataclass
 class ExtendedGroupoid:
     """The quotient groupoid built from 2-step path classes, plus the maps
@@ -262,6 +421,7 @@ class ExtendedGroupoid:
     ys: YSystem
     groupoid: FiniteGroupoid
     keys: tuple[tuple, ...]  # morphism id -> class key
+    index: dict[tuple, int]  # class key -> morphism id
 
     def inject_standard(self, m: int) -> int:
         """The canonical injection of a standard morphism into the quotient."""
@@ -278,13 +438,16 @@ class ExtendedGroupoid:
             t1 = ys.y_set(c, e).index_of(morphism_tuple(s, k))
             t2 = ys.y_set(e, c).index_of(morphism_tuple(s, k2))
             key = class_key(ys, DirectedPath(objects=(c, e, c), steps=(t1, t2)))
-        return self.keys.index(key)
+        return self.index[key]
 
 
 def build_extended_groupoid(ys: YSystem) -> ExtendedGroupoid:
     """Assemble the quotient groupoid: objects are the structure's objects,
     morphisms are 2-step path classes, composition is concatenation followed
-    by reduction.  The result passes full groupoid validation."""
+    by reduction.  The result passes full groupoid validation.
+
+    A representative's contraction (``_push``) is shared by every partner
+    it joins, and so is each partner's first step."""
     s = ys.structure
     n = s.sort_size("O")
     if n < 4:
@@ -310,16 +473,18 @@ def build_extended_groupoid(ys: YSystem) -> ExtendedGroupoid:
     init = tuple(k[1] for k in keys)
     ter = tuple(k[2] for k in keys)
 
+    starting = [[m for m, k in enumerate(keys) if k[1] == c] for c in objects_of(s)]
     composition = []
-    for m1, k1 in enumerate(keys):
-        for m2, k2 in enumerate(keys):
-            if k1[2] != k2[1]:
-                continue
-            joined = DirectedPath(
-                objects=reps[m1].objects + reps[m2].objects[1:],
-                steps=reps[m1].steps + reps[m2].steps,
-            )
-            composition.append((m1, m2, index[class_key(ys, joined)]))
+    for m1, rep in enumerate(reps):
+        (c, e1, d), (g1, h1) = rep.objects, rep.steps
+        head = _push(ys, *_push(ys, (c,), (), e1, g1, 3), d, h1, 2)
+        heads: dict[tuple[int, int], Stack] = {}
+        for m2 in starting[d]:
+            (_, e2, d2), (g2, h2) = reps[m2].objects, reps[m2].steps
+            if (e2, g2) not in heads:
+                heads[(e2, g2)] = _push(ys, *head, e2, g2, 1)
+            joined = _settle(ys, *_push(ys, *heads[(e2, g2)], d2, h2, 0))
+            composition.append((m1, m2, index[_key(ys, *joined)]))
 
     # the identity at c is the vertex class whose fold at the canonical
     # probe is the probe itself; the inverse of m is the m2 whose composite
@@ -340,4 +505,4 @@ def build_extended_groupoid(ys: YSystem) -> ExtendedGroupoid:
         composition=tuple(sorted(composition)),
     )
     validate_groupoid(gpd)
-    return ExtendedGroupoid(ys=ys, groupoid=gpd, keys=tuple(keys))
+    return ExtendedGroupoid(ys=ys, groupoid=gpd, keys=tuple(keys), index=index)

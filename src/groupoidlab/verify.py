@@ -42,10 +42,12 @@ from .paths import (
     all_paths,
     build_extended_groupoid,
     class_key,
+    classes_match_folds,
     fold_vector,
     probe_candidates,
     probe_verdict,
     reduce_path,
+    reductions_hold,
     verify_reduction,
 )
 from .report import FAIL, SKIPPED, ClaimEntry, Report
@@ -590,6 +592,23 @@ def verify_section3(s: MultiSortedStructure) -> Report:
     return report
 
 
+def _walked(
+    walk: Callable[[], bool], reference: Callable[[], Optional[object]]
+) -> Optional[object]:
+    """None when the path walk passes; otherwise the path-by-path reference
+    check's own witness or exception, so a failing report is the reference's.
+    The walk folds at probes the reference may skip, so an error it raises
+    defers to the reference too."""
+    try:
+        if walk():
+            return None
+    except BudgetExceeded:
+        raise
+    except GroupoidLabError:
+        pass
+    return reference()
+
+
 def verify_fgroupoid(s: MultiSortedStructure) -> Report:
     """Claims about the quotient groupoid of two-step path classes on the
     first objects of an instance with at least four objects."""
@@ -666,7 +685,7 @@ def verify_fgroupoid(s: MultiSortedStructure) -> Report:
         for m1 in range(gpd.n_morphisms):
             for m2 in range(gpd.n_morphisms):
                 if gpd.ter[m1] == gpd.init[m2]:
-                    lhs = ext.inject_standard(gpd.compose(m1, m2))
+                    lhs = inj[gpd.compose(m1, m2)]
                     rhs = ext.groupoid.compose(inj[m1], inj[m2])
                     if lhs != rhs:
                         return {"pair": (m1, m2)}
@@ -691,7 +710,7 @@ def verify_fgroupoid(s: MultiSortedStructure) -> Report:
 
     report.add("classes-match-y", "morphism counts equal Y-set sizes", sizes)
 
-    def equivalence() -> Optional[object]:
+    def pairwise() -> Optional[object]:
         d2 = list(all_paths(ys, 0, 1, 2))
         keys = [class_key(ys, q) for q in d2]
         # each path folded once at each of its probes; a pair compares the
@@ -708,7 +727,7 @@ def verify_fgroupoid(s: MultiSortedStructure) -> Report:
         "path-equivalence-consistent",
         "probe folding agrees with canonical class keys on every two-step "
         "path pair that admits a probe",
-        equivalence,
+        lambda: _walked(lambda: classes_match_folds(ys, 0, 1), pairwise),
     )
 
     def reductions() -> Optional[object]:
@@ -723,7 +742,7 @@ def verify_fgroupoid(s: MultiSortedStructure) -> Report:
     report.add(
         "three-step-reduction",
         "every three-step path reduces to an equivalent two-step path",
-        reductions,
+        lambda: _walked(lambda: reductions_hold(ys, 0, 1, 3), reductions),
     )
     return report
 

@@ -28,13 +28,14 @@ too.
 
 A Y-element is its member index in its Y-set: ``YSystem.compose`` and
 ``YSystem.divisor`` take and return member indices and read one composition
-table per object triple.  Member tuples are decoded only for reports.
+table per object triple (``YSystem.table``).  Member tuples are decoded
+only for reports.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, TypeVar
+from typing import Any, Callable, Optional, TypeVar
 
 from .automorphisms import (
     Automorphism,
@@ -197,7 +198,9 @@ class YSystem:
         self._heads: dict[tuple[int, int], Optional[Automorphism]] = {}
         self._transports: dict[tuple[int, int], tuple[int, ...]] = {}
         self._tables: dict[tuple[int, int, int], tuple[tuple[int, ...], ...]] = {}
+        self._composers: dict[tuple[int, ...], Callable[[int, int], int]] = {}
         self._mover_cache: dict[tuple[int, int, int], tuple[int, ...]] = {}
+        self.path_reps: dict[tuple, Any] = {}  # class key -> ``paths.canonical_rep``
         self._binding: Optional[BindingGroup] = None
 
     # -- cached building blocks ------------------------------------------
@@ -468,36 +471,46 @@ class YSystem:
             self._mover_cache[key] = tuple(movers)
         return self._mover_cache[key]
 
-    def _table(self, a: int, b: int, c: int) -> tuple[tuple[int, ...], ...]:
-        """Composition on Y(a,b) x Y(b,c), built once through the first
-        standard members."""
-        key = (a, b, c)
-        if key not in self._tables:
+    def table(self, a: int, b: int, c: int) -> tuple[tuple[int, ...], ...]:
+        """Composition on Y(a,b) x Y(b,c): row g holds h.g at column h.
+        Built once per triple through the first standard members."""
+        table = self._tables.get((a, b, c))
+        if table is None:
             g0, h0 = self.standard(a, b)[0], self.standard(b, c)[0]
-            self._tables[key] = tuple(
-                tuple(
-                    self._composite(a, b, c, g, h, g0, h0)
-                    for h in range(self.y_set(b, c).size)
-                )
+            through = self._composer(a, b, c, g0, h0)
+            table = tuple(
+                tuple(through(g, h) for h in range(self.y_set(b, c).size))
                 for g in range(self.y_set(a, b).size)
             )
-        return self._tables[key]
+            self._tables[(a, b, c)] = table
+        return table
 
-    def _composite(self, a: int, b: int, c: int, g: int, h: int, g0: int, h0: int) -> int:
-        """h.g through the standard members g0 of Y(a,b) and h0 of Y(b,c)."""
-        tau = self._movers(a, b, g0)[g]
-        sigma = self._movers(b, c, h0)[h]
-        f_ref = self.f_group(*self.ref_pair)
-        tau_ref = self.transport(a, b).index(tau)
-        sigma_ref = self.transport(b, c).index(sigma)
-        z_ref = f_ref.group.mul(sigma_ref, tau_ref)  # sigma after tau
-        z_ac = self.transport(a, c)[z_ref]
-        y_ac = self.y_set(a, c)
-        m = self.gpd.compose(
-            raw_morphism(self.y_set(a, b).members[g0]), raw_morphism(self.y_set(b, c).members[h0])
-        )
-        t0 = y_ac.index_of(morphism_tuple(self.structure, m))
-        return self.f_group(a, c).perms[z_ac][t0]
+    def _composer(self, a: int, b: int, c: int, g0: int, h0: int) -> Callable[[int, int], int]:
+        """(g, h) -> h.g through the standard members g0 of Y(a,b) and h0 of
+        Y(b,c): the F(a,b) element tau moving g0 to g and the F(b,c) element
+        sigma moving h0 to h, read back in the reference F-group, give sigma
+        after tau, which transport(a, c) carries to the F(a,c) element
+        applied to the composite t0 of g0 and h0.  Built once per
+        decomposition."""
+        key = (a, b, c, g0, h0)
+        if key not in self._composers:
+            movers_ab, movers_bc = self._movers(a, b, g0), self._movers(b, c, h0)
+            mul = self.f_group(*self.ref_pair).group.mul
+            back_ab = {x: k for k, x in enumerate(self.transport(a, b))}
+            back_bc = {x: k for k, x in enumerate(self.transport(b, c))}
+            z_ac = self.transport(a, c)
+            y_ac = self.y_set(a, c)
+            m = self.gpd.compose(
+                raw_morphism(self.y_set(a, b).members[g0]),
+                raw_morphism(self.y_set(b, c).members[h0]),
+            )
+            t0 = y_ac.index_of(morphism_tuple(self.structure, m))
+            perms = self.f_group(a, c).perms
+            image = [perms[z][t0] for z in z_ac]
+            taus = [back_ab[x] for x in movers_ab]
+            sigmas = [back_bc[x] for x in movers_bc]
+            self._composers[key] = lambda g, h: image[mul(sigmas[h], taus[g])]
+        return self._composers[key]
 
     def compose(
         self,
@@ -517,7 +530,7 @@ class YSystem:
         table answers.  A member index outside its Y-set raises InvalidInput.
         """
         if decomposition is None:
-            table = self._tables.get((a, b, c)) or self._table(a, b, c)
+            table = self.table(a, b, c)
             if 0 <= g < len(table) and 0 <= h < len(table[0]):
                 return table[g][h]
             self._check_members(a, b, g)
@@ -525,13 +538,13 @@ class YSystem:
         g0, h0 = decomposition
         self._check_members(a, b, g, g0)
         self._check_members(b, c, h, h0)
-        return self._composite(a, b, c, g, h, g0, h0)
+        return self._composer(a, b, c, g0, h0)(g, h)
 
     def divisor(self, a: int, b: int, c: int, f: int, g: int) -> int:
         """The unique h in Y(b,c) with f = h.g (f in Y(a,c), g in Y(a,b))."""
         self._check_members(a, b, g)
         self._check_members(a, c, f)
-        hits = [h for h, out in enumerate(self._table(a, b, c)[g]) if out == f]
+        hits = [h for h, out in enumerate(self.table(a, b, c)[g]) if out == f]
         if len(hits) != 1:
             raise DecompositionFailure("unique divisor failed", (a, b, c, f, g, len(hits)))
         return hits[0]

@@ -23,6 +23,20 @@ def subprocess_env() -> dict:
     return env
 
 
+def count_calls(monkeypatch, cls, names):
+    """Count the calls of the named methods of cls for the rest of the test."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        method = getattr(cls, name)
+
+        def counted(self, *args, _name=name, _method=method, **kwargs):
+            calls[_name] += 1
+            return _method(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
 def _relabelled(s, seed):
     """s with every sort's indices permuted at random, and the object map."""
     from groupoidlab import structure_from_json, structure_to_json

@@ -25,7 +25,8 @@ def test_standard_sizes():
 
 
 def test_standard_validates_and_is_connected():
-    for group, n in ((cyclic_group(2), 3), (symmetric_group(3), 2)):
+    # one object with one morphism: every associativity row has one entry
+    for group, n in ((cyclic_group(2), 3), (symmetric_group(3), 2), (cyclic_group(1), 1)):
         g = build_standard_groupoid(group, n)
         validate_groupoid(g)
         assert g.is_connected()
@@ -127,3 +128,49 @@ def test_connected_groupoid_vertex_groups_pairwise_isomorphic():
     for x in groups:
         for y in groups:
             assert isomorphism_search(x, y) is not None
+
+
+def _first_associativity_failure(gpd):
+    """The first (f, g, h) with (f.g).h != f.(g.h), f, g and h in morphism
+    order, by four dictionary reads per triple."""
+    for f in range(gpd.n_morphisms):
+        for g in range(gpd.n_morphisms):
+            if gpd.ter[f] != gpd.init[g]:
+                continue
+            for h in range(gpd.n_morphisms):
+                if gpd.ter[g] == gpd.init[h]:
+                    fg, gh = gpd.compose(f, g), gpd.compose(g, h)
+                    if gpd.compose(fg, h) != gpd.compose(f, gh):
+                        return (f, g, h)
+    return None
+
+
+def _with_entry(gpd, pair, result):
+    return FiniteGroupoid(
+        n_objects=gpd.n_objects,
+        init=gpd.init,
+        ter=gpd.ter,
+        inverse=gpd.inverse,
+        identities=gpd.identities,
+        composition=tuple((f, g, result if (f, g) == pair else h) for f, g, h in gpd.composition),
+    )
+
+
+def test_associativity_is_checked_row_by_row_on_the_first_triple():
+    # one composition entry moved inside its hom-set: the row-wise check
+    # raises on the triple the triple-by-triple loop meets first
+    g = build_standard_groupoid(cyclic_group(3), 3)
+    assert g.compose(13, 17) == 15
+    with pytest.raises(AxiomViolation) as exc:
+        validate_groupoid(_with_entry(g, (13, 17), 16))
+    assert (exc.value.kind, exc.value.witness) == ("associativity", (3, 13, 17))
+    for f, h, fh in g.composition[::7]:
+        for other in g.morphisms_between(g.init[fh], g.ter[fh]):
+            if other == fh:
+                continue
+            bad = _with_entry(g, (f, h), other)
+            triple = _first_associativity_failure(bad)
+            with pytest.raises(AxiomViolation) as exc:
+                validate_groupoid(bad)
+            if triple is not None:
+                assert (exc.value.kind, exc.value.witness) == ("associativity", triple)

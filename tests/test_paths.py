@@ -3,6 +3,7 @@ import itertools
 
 import pytest
 
+from conftest import _relabelled, count_calls
 from groupoidlab import (
     DirectedPath,
     InvalidInput,
@@ -13,6 +14,7 @@ from groupoidlab import (
     build_standard_groupoid,
     class_key,
     contract_path,
+    contract_to_two_steps,
     cyclic_group,
     encode_double_cover,
     encode_groupoid,
@@ -22,9 +24,28 @@ from groupoidlab import (
     path_equivalent,
     probe_candidates,
     reduce_path,
+    structure_from_json,
+    structure_to_json,
     verify_reduction,
     vertex_group,
 )
+from groupoidlab.errors import GroupoidLabError
+from groupoidlab.groupoids import FiniteGroupoid, validate_groupoid
+from groupoidlab.paths import (
+    _fresh,
+    _key,
+    _prefixes,
+    _push,
+    _settle,
+    _two_step,
+    canonical_rep,
+    classes_match_folds,
+    contraction_positions,
+    fold_vector,
+    probe_verdict,
+    reductions_hold,
+)
+from groupoidlab.verify import verify_fgroupoid
 
 
 @pytest.fixture(scope="module")
@@ -65,6 +86,15 @@ def test_fold_rejects_invalid_probes(ys_cover4):
     for probe in ((1, 0), (2, -1), (2, ys.y_set(2, 0).size), (9, 0)):
         with pytest.raises(InvalidInput):
             fold(ys, q, probe)
+
+
+def test_fold_and_contraction_reject_negative_steps(ys_cover4):
+    # table rows are tuples, so an unchecked negative step would wrap
+    ys = ys_cover4
+    with pytest.raises(InvalidInput):
+        fold(ys, DirectedPath(objects=(0, 1), steps=(-1,)), (2, 0))
+    with pytest.raises(InvalidInput):
+        contract_path(ys, DirectedPath(objects=(0, 1, 2), steps=(0, -1)), 0)
 
 
 def test_path_equivalence_reflexive(ys_cover4):
@@ -320,3 +350,245 @@ def test_composition_and_path_classes_golden(order, n, cover, digest):
     encode = encode_double_cover if cover else encode_groupoid
     ys = YSystem(encode(build_standard_groupoid(cyclic_group(order), n)))
     assert _composition_digest(ys) == digest
+
+
+# -- the shared-prefix walks against the path-by-path functions ---------------
+
+
+def _cover(order, n):
+    return encode_double_cover(build_standard_groupoid(cyclic_group(order), n))
+
+
+def _pinned_cover4():
+    # no automorphism carries (0, 1) to a pair through object 2, so every
+    # table of a triple through it raises DecompositionFailure
+    data = structure_to_json(_cover(2, 4))
+    data["constants"] = [{"name": "mark", "sort": "O", "index": 2}]
+    return structure_from_json(data)
+
+
+DIFFERENTIAL = {
+    "cyclic:2-n4-cover": lambda: _cover(2, 4),
+    "cyclic:3-n4-plain": lambda: encode_groupoid(build_standard_groupoid(cyclic_group(3), 4)),
+    "relabelled-cyclic:2-n4-cover": lambda: _relabelled(_cover(2, 4), 5)[0],
+    "object-2-pinned": _pinned_cover4,
+}
+PAIRS = ((0, 1), (2, 0), (1, 1))
+
+
+def _outcome(check):
+    """A check's result, or its error as the report would show it."""
+    try:
+        return check()
+    except GroupoidLabError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _leftmost(ys, path):
+    """contract_to_two_steps as a loop over whole paths: contract at the
+    first distinct triple, and take the fresh-object detour when none is
+    left."""
+    q = path
+    while q.n_steps > 2:
+        positions = contraction_positions(q)
+        if positions:
+            q = contract_path(ys, q, positions[0])
+            continue
+        c, d = q.start, q.end
+        p = _fresh(ys, set(q.objects))
+        e = _fresh(ys, {c, d, p})
+        q = _two_step(ys, p, c, e, d, fold(ys, q, (p, 0)))
+    return q
+
+
+def _reduces_path_by_path(ys, c, d, n_steps):
+    for q in all_paths(ys, c, d, n_steps):
+        r = reduce_path(ys, q)
+        if r.n_steps != 2 or not verify_reduction(ys, q, r):
+            return False
+    return True
+
+
+def _pairwise(ys, c, d):
+    """path-equivalence-consistent's pairwise loop over the 2-step paths c -> d."""
+    d2 = list(all_paths(ys, c, d, 2))
+    keys = [class_key(ys, q) for q in d2]
+    folds = [fold_vector(ys, q, probe_candidates(ys, q)) for q in d2]
+    for i, q in enumerate(d2):
+        for j, r in enumerate(d2):
+            verdict = probe_verdict(q, r, folds[i], folds[j])
+            if verdict is not None and verdict != (keys[i] == keys[j]):
+                return {"q": i, "r": j}
+    return None
+
+
+def _reductions(ys):
+    """three-step-reduction's path-by-path loop."""
+    for q in all_paths(ys, 0, 1, 3):
+        r = reduce_path(ys, q)
+        if r.n_steps != 2 or not verify_reduction(ys, q, r):
+            objs = q.objects
+            steps = [ys.y_set(*objs[i: i + 2]).members[g] for i, g in enumerate(q.steps)]
+            return {"objects": objs, "steps": steps}
+    return None
+
+
+@pytest.mark.parametrize("name", DIFFERENTIAL)
+def test_prefix_walk_matches_fold_and_verify_reduction(name):
+    ys = YSystem(DIFFERENTIAL[name]())
+    for c, d in PAIRS:
+        walked = _outcome(lambda: reductions_hold(ys, c, d, 3))
+        reference = _outcome(lambda: _reduces_path_by_path(ys, c, d, 3))
+        assert (walked is True) == (reference is True)
+        if walked is not True:
+            continue
+        n = 0
+        for objects, steps, stack, folds in _prefixes(ys, c, d, 3):
+            prefix = DirectedPath(objects, steps)
+            banned = set(objects) | {d}
+            assert set(folds) == {p for p in range(ys.structure.sort_size("O")) if p not in banned}
+            for p, terms in folds.items():
+                assert terms == [fold(ys, prefix, (p, g)) for g in range(ys.y_set(p, c).size)]
+            for g in range(ys.y_set(objects[-1], d).size):
+                q = DirectedPath(objects + (d,), steps + (g,))
+                settled = _settle(ys, *_push(ys, *stack, d, g, 0))
+                assert DirectedPath(*settled) == _leftmost(ys, q)
+                assert _key(ys, *settled) == class_key(ys, q)
+                n += 1
+        assert n == sum(1 for _ in all_paths(ys, c, d, 3))
+
+
+def test_contraction_is_leftmost_first_on_four_step_paths():
+    ys = YSystem(_cover(2, 4))
+    for c, d in PAIRS:
+        for q in all_paths(ys, c, d, 4):
+            assert contract_to_two_steps(ys, q) == _leftmost(ys, q)
+    # a repeated object is no distinct triple, on a path not built by make_path
+    q = DirectedPath(objects=(0, 0, 1, 2), steps=(0, 0, 0))
+    assert contract_to_two_steps(ys, q) == _leftmost(ys, q)
+
+
+@pytest.mark.parametrize("name", DIFFERENTIAL)
+def test_probe_partitions_match_the_pairwise_loop(name):
+    ys = YSystem(DIFFERENTIAL[name]())
+    for c, d in PAIRS:
+        walked = _outcome(lambda: classes_match_folds(ys, c, d))
+        reference = _outcome(lambda: _pairwise(ys, c, d))
+        assert (walked is True) == (reference is None)
+
+
+def _perturbed(n, key, how):
+    """The cyclic:2 cover on n objects with the table of the object triple
+    key changed: entries 0 and 1 swapped in its first row ("row") or in
+    every row ("column"), or member 1 read as member 0 throughout
+    ("collapse"), which keeps the fold a function of the class but not
+    one-to-one."""
+    s = _cover(2, n)
+    ys = s.y_system
+    table = [list(row) for row in ys.table(*key)]
+    for row in table[:1] if how == "row" else table:
+        if how == "collapse":
+            row[:] = [0 if t == 1 else t for t in row]
+        else:
+            row[0], row[1] = row[1], row[0]
+    ys._tables[key] = tuple(map(tuple, table))
+    return s
+
+
+@pytest.mark.parametrize(
+    "n,key,how,pairwise,reduction",
+    [
+        (4, (3, 0, 2), "column", dict, None),  # probe 3 relabelled: pairs disagree
+        (4, (3, 0, 2), "row", str, None),  # split at one probe: probe-independence
+        (4, (3, 2, 1), "collapse", str, dict),
+        (4, (2, 0, 3), "row", str, str),
+        (4, (0, 2, 1), "column", dict, dict),  # class keys move
+        (5, (4, 1, 0), "column", None, str),  # the second of two probe objects
+    ],
+)
+def test_failing_walk_reports_the_path_by_path_witness(n, key, how, pairwise, reduction):
+    # a failing walk defers to the path-by-path loop, so the claim's
+    # witness is that loop's
+    s = _perturbed(n, key, how)
+    ys = s.y_system
+    assert classes_match_folds(ys, 0, 1) is (pairwise is None)
+    assert (_outcome(lambda: reductions_hold(ys, 0, 1, 3)) is True) == (reduction is None)
+    entries = {e.claim_id: e.witness for e in verify_fgroupoid(s).entries}
+    for claim, expected, loop in (
+        ("path-equivalence-consistent", pairwise, lambda: _pairwise(ys, 0, 1)),
+        ("three-step-reduction", reduction, lambda: _reductions(ys)),
+    ):
+        witness = entries[claim]
+        assert witness == _outcome(loop)
+        assert witness is None if expected is None else isinstance(witness, expected)
+        if isinstance(witness, str):
+            assert witness.startswith("ClaimFailure: claim probe-independence failed")
+
+
+def _quotient_by_whole_joins(ys):
+    """The quotient's composition with each join's class key computed on the
+    whole 4-step path, every representative built anew."""
+    n = ys.structure.sort_size("O")
+    keys = []
+    for c in range(n):
+        for d in range(n):
+            size = ys.y_set(c, d).size if c != d else ys.y_set(_fresh(ys, {c}), c).size
+            keys += [("edge" if c != d else "vertex", c, d, idx) for idx in range(size)]
+    reps = [canonical_rep(ys, k) for k in keys]
+    index = {k: i for i, k in enumerate(keys)}
+    composition = []
+    for m1, r1 in enumerate(reps):
+        for m2, r2 in enumerate(reps):
+            if r1.end == r2.start:
+                joined = DirectedPath(r1.objects + r2.objects[1:], r1.steps + r2.steps)
+                composition.append((m1, m2, index[class_key(ys, joined)]))
+    return keys, composition
+
+
+@pytest.mark.parametrize("name", DIFFERENTIAL)
+def test_quotient_composition_is_the_class_key_of_each_join(name):
+    ys = YSystem(DIFFERENTIAL[name]())
+    built = _outcome(lambda: build_extended_groupoid(ys))
+    if isinstance(built, str):
+        # the same first failing table as the join-by-join construction
+        assert built == _outcome(lambda: _quotient_by_whole_joins(ys))
+        return
+    keys, composition = _quotient_by_whole_joins(ys)
+    assert built.keys == tuple(keys)
+    assert built.groupoid.composition == tuple(sorted(composition))
+    assert all(built.index[k] == m for m, k in enumerate(keys))
+
+
+def test_validation_failure_of_a_perturbed_quotient_is_the_first_bad_triple():
+    s = _perturbed(4, (0, 2, 1), "column")
+    ys = s.y_system
+    built = _outcome(lambda: build_extended_groupoid(ys))
+    keys, composition = _quotient_by_whole_joins(ys)
+    identities = [keys.index(("vertex", c, c, 0)) for c in range(4)]
+    inverse = [-1] * len(keys)
+    for m1, m2, m in composition:
+        if m == identities[keys[m1][1]]:
+            inverse[m1] = m2
+    gpd = FiniteGroupoid(
+        n_objects=4,
+        init=tuple(k[1] for k in keys),
+        ter=tuple(k[2] for k in keys),
+        inverse=tuple(inverse),
+        identities=tuple(identities),
+        composition=tuple(sorted(composition)),
+    )
+    assert built.startswith("AxiomViolation: associativity")
+    assert built == _outcome(lambda: validate_groupoid(gpd))
+
+
+# the YSystem.compose and YSystem.table calls of verify_fgroupoid on the
+# cyclic:2 n=5 cover: they do not depend on the machine, so a walk that
+# composes per path again, or a claim that refolds, shows here
+FGROUPOID_CALLS = {"compose": 4238, "table": 7249}
+
+
+def test_fgroupoid_composition_calls_are_pinned(monkeypatch):
+    calls = count_calls(monkeypatch, YSystem, FGROUPOID_CALLS)
+    report = verify_fgroupoid(_cover(2, 5))
+    assert report.passed
+    assert calls == FGROUPOID_CALLS

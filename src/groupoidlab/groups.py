@@ -201,6 +201,11 @@ def isomorphism_search(g: FiniteGroup, h: FiniteGroup) -> Optional[tuple[int, ..
     return tuple(img) if search() else None
 
 
+def _isomorphic(g: FiniteGroup, h: FiniteGroup) -> bool:
+    """Orders first: ``isomorphism_search`` raises OrderMismatch on unequal ones."""
+    return g.order == h.order and isomorphism_search(g, h) is not None
+
+
 def cyclic_group(n: int) -> FiniteGroup:
     if not 1 <= n <= MAX_GROUP_ORDER:
         raise UnsupportedSize(f"cyclic order {n} outside 1..{MAX_GROUP_ORDER}")
@@ -345,6 +350,8 @@ def group_to_json(g: FiniteGroup) -> dict:
 
 
 def group_from_json(data: dict) -> FiniteGroup:
+    if not isinstance(data, dict):
+        raise InvalidInput("group JSON must be an object with table and identity fields")
     try:
         table = data["table"]
         identity = data["identity"]

@@ -23,6 +23,12 @@ FAIL = "fail"
 SURROGATE_PASS = "surrogate-pass"
 SKIPPED = "skipped"
 
+# the finite surrogates a claim names in its report entry
+INDEPENDENCE_SURROGATE = "independence-as-distinct-objects"
+TYPE_SURROGATE = "type-equality-as-orbit"
+DCL_SURROGATE = "dcl-as-fixed-points"
+ACL_SURROGATE = "acl-as-explicit-closure-sets"
+
 
 @dataclass
 class ClaimEntry:

@@ -375,8 +375,17 @@ def _str_tuple(values) -> tuple[str, ...]:
 
 
 def structure_from_json(data: dict) -> MultiSortedStructure:
+    if not isinstance(data, dict):
+        raise InvalidInput("structure JSON must be an object with a sorts field")
     try:
         raw_sorts = data["sorts"]
+        if not isinstance(raw_sorts, dict) and not (
+            isinstance(raw_sorts, list)
+            and all(isinstance(p, list) and len(p) == 2 for p in raw_sorts)
+        ):
+            raise InvalidInput(
+                "structure JSON sorts must be an object or a list of [name, size] pairs"
+            )
         pairs = raw_sorts.items() if isinstance(raw_sorts, dict) else raw_sorts
         sorts = tuple((str(k), v) for k, v in pairs)
         _int_tuple([size for _, size in sorts])

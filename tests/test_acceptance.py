@@ -39,7 +39,7 @@ from groupoidlab import (
 )
 from groupoidlab.paths import classes_match_folds, reductions_hold
 from groupoidlab.report import dumps_canonical
-from groupoidlab.verify import verify_limits
+from groupoidlab.suite_limits import verify_limits
 
 GROUPS = {
     "Z/2": cyclic_group(2),

@@ -1,9 +1,10 @@
 """The package's modules form layers, and no module imports one above it.
 
 Each module may import only modules on a lower layer; ``paths`` and
-``limits`` share a layer and import neither each other.  Imports at any
-depth count, ``TYPE_CHECKING`` blocks and function bodies included.
-``__init__.py`` re-exports every layer and is exempt.
+``limits`` share a layer and import neither each other, and so do the four
+suite modules above ``suite_witness``.  Imports at any depth count,
+``TYPE_CHECKING`` blocks and function bodies included.  ``__init__.py``
+exports names of every layer and is exempt.
 
 Two decisions are kept in place the same way: one function assembles every
 restriction group, and only the Y-set system translates along psi.
@@ -25,6 +26,8 @@ LAYERS = (
     ("witness",),
     ("paths", "limits"),
     ("report",),
+    ("suite_witness",),
+    ("suite_section2", "suite_section3", "suite_fgroupoid", "suite_limits"),
     ("verify",),
     ("cli",),
 )

@@ -21,7 +21,7 @@ from groupoidlab import (
     restriction_epimorphism,
     validate_system,
 )
-from groupoidlab.verify import verify_limits
+from groupoidlab.suite_limits import verify_limits
 
 
 def chain_z8():

@@ -45,7 +45,7 @@ from groupoidlab.paths import (
     probe_verdict,
     reductions_hold,
 )
-from groupoidlab.verify import verify_fgroupoid
+from groupoidlab.suite_fgroupoid import verify_fgroupoid
 
 
 @pytest.fixture(scope="module")

@@ -350,6 +350,39 @@ def test_malformed_json_input_exits_two(kind, doc, tmp_path, capsys):
     assert captured.err.startswith("error: ") and captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "kind,doc,expected",
+    [
+        ("group", [1, 2], "group JSON must be an object with table and identity fields"),
+        ("group", None, "group JSON must be an object with table and identity fields"),
+        ("group", "x", "group JSON must be an object with table and identity fields"),
+        ("structure", {"sorts": 5},
+         "structure JSON sorts must be an object or a list of [name, size] pairs"),
+    ],
+    ids=["group-array", "group-null", "group-string", "sorts-number"],
+)
+def test_json_of_the_wrong_shape_says_which_shape_it_expected(
+    kind, doc, expected, tmp_path, capsys
+):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    if kind == "group":
+        argv = ["build", "--group", f"file:{path}", "--objects", "2"]
+    else:
+        argv = ["verify", "--suite", "section2", "--group", "cyclic:2", "--structure", str(path)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {expected}\n" and captured.out == ""
+
+
+def test_verify_unknown_suite_exits_two_naming_every_suite(capsys):
+    assert main(["verify", "--suite", "bogus", "--group", "cyclic:2", "--objects", "3"]) == 2
+    captured = capsys.readouterr()
+    assert "bogus" in captured.err and captured.out == ""
+    for name in (*SUITES, "all"):
+        assert name in captured.err, name
+
+
 def _with_sort_size(size):
     data = _built_structure()
     data["sorts"][0][1] = size

@@ -95,7 +95,7 @@ def test_fgroupoid_reuses_the_y_sets_of_section3(monkeypatch):
     # both suites read the structure's one Y-set system, so after section3
     # the fgroupoid suite computes no Y-set of its own
     from groupoidlab import witness
-    from groupoidlab.verify import verify_fgroupoid
+    from groupoidlab.suite_fgroupoid import verify_fgroupoid
 
     s = encode_double_cover(build_standard_groupoid(cyclic_group(2), 4))
     assert verify_section3(s).passed
@@ -118,7 +118,7 @@ def test_fgroupoid_lists_every_claim_when_the_quotient_fails(group):
     # witness, every claim that reads it; the path claims run on their own.
     # The report lists the same eight claims as an abelian run.
     from groupoidlab import group_from_spec
-    from groupoidlab.verify import verify_fgroupoid
+    from groupoidlab.suite_fgroupoid import verify_fgroupoid
 
     abelian = verify_fgroupoid(encode_groupoid(build_standard_groupoid(cyclic_group(2), 4)))
     assert abelian.passed
@@ -133,7 +133,7 @@ def test_fgroupoid_lists_every_claim_when_the_quotient_fails(group):
 
 def _count_compute_Y(monkeypatch, calls):
     # compute_Y is imported by name into the modules that call it
-    from groupoidlab import limits, verify, witness
+    from groupoidlab import limits, suite_section3, witness
 
     compute_Y = witness.compute_Y
 
@@ -141,7 +141,7 @@ def _count_compute_Y(monkeypatch, calls):
         calls.append(kwargs.get("f"))
         return compute_Y(*args, **kwargs)
 
-    for module in (witness, verify, limits):
+    for module in (witness, suite_section3, limits):
         monkeypatch.setattr(module, "compute_Y", counted)
 
 
@@ -161,7 +161,7 @@ def test_limits_builds_one_restriction_epimorphism(monkeypatch):
     # the restriction-epimorphism claim and the tower's two-stage limit share
     # one epimorphism, built from the structure's Y-sets Y(0, 1) and raw Y(0, 1)
     from groupoidlab import limits
-    from groupoidlab.verify import verify_limits
+    from groupoidlab.suite_limits import verify_limits
 
     s = encode_double_cover(build_standard_groupoid(cyclic_group(2), 4))
     calls, built = [], []
@@ -181,7 +181,7 @@ def test_limits_builds_one_restriction_epimorphism(monkeypatch):
 
 def test_limits_epimorphism_failure_lands_in_each_claim(monkeypatch):
     from groupoidlab import NotWellDefined, limits
-    from groupoidlab.verify import verify_limits
+    from groupoidlab.suite_limits import verify_limits
 
     def broken(*args):
         raise NotWellDefined(("not a homomorphism", 0, 1))
@@ -196,8 +196,8 @@ def test_limits_epimorphism_failure_lands_in_each_claim(monkeypatch):
 
 
 def test_run_suites_rejects_an_unknown_suite():
-    # the CLI's choices hide this; a library caller gets an input error
-    # naming the known suites, not a KeyError
+    # a library caller gets an input error naming the known suites, not a
+    # KeyError; the CLI reports it the same way
     from groupoidlab.verify import run_suites
 
     s = encode_groupoid(build_standard_groupoid(cyclic_group(2), 3))
@@ -400,7 +400,7 @@ def _walked_choice_family(s, a, base):
     first family whose map is not in Aut(s/base), with its problem, and the
     distinct maps that are."""
     from groupoidlab.structures import objects_of, vertex_morphisms
-    from groupoidlab.verify import choice_family_map
+    from groupoidlab.suite_section2 import choice_family_map
 
     first, members = None, set()
     base_points = [s.search_space.point(e) for e in base]
@@ -474,7 +474,7 @@ def _assert_generator_rule(s, failed, first, stabiliser):
     otherwise a failing single-coordinate family, one exactly when the walk
     fails."""
     from groupoidlab.structures import decode_groupoid, objects_of
-    from groupoidlab.verify import choice_family_map
+    from groupoidlab.suite_section2 import choice_family_map
 
     identities = {u: decode_groupoid(s).identities[u] for u in objects_of(s) if u != 0}
     if all(x == min(vertex_morphisms(s, u)) for u, x in identities.items()):
@@ -503,16 +503,16 @@ def test_stabilizer_certificate_matches_enumeration(
     # generators and reads the stabiliser of all objects and the vertex
     # group at 0 off an orbit-stabiliser certificate; the walk and the
     # enumerated stabiliser are the oracles
-    from groupoidlab import automorphism_group, verify
+    from groupoidlab import automorphism_group, suite_section2
 
     s, g = _standard_section2(group, objects, constant, seed)
-    certify, certificates = verify.orbit_certificate, []
+    certify, certificates = suite_section2.orbit_certificate, []
 
     def spy(structure, base, lead):
         certificates.append((base, certify(structure, base, lead)))
         return certificates[-1][1]
 
-    monkeypatch.setattr(verify, "orbit_certificate", spy)
+    monkeypatch.setattr(suite_section2, "orbit_certificate", spy)
     entries = {e.claim_id: e for e in verify_section2(s, g).entries}
     [(base, (cell_product, alone))] = certificates
     oracle = automorphism_group(s, base)
@@ -527,7 +527,7 @@ def test_stabilizer_certificate_matches_enumeration(
     # realise the whole stabiliser
     first, members = _walked_choice_family(s, 0, base)
     assert members == set(oracle.members)
-    failed = verify._failing_generator(s, 0, base)
+    failed = suite_section2._failing_generator(s, 0, base)
     _assert_generator_rule(s, failed, first, members)
     maps = entries["choice-family-maps"]
     assert maps.witness == (failed or (
@@ -546,7 +546,7 @@ def test_failing_generator_on_drawn_instances(group, objects, seed, data):
     # a drawn standard groupoid with an optional constant on a morphism and
     # an optional relabelling: the generator rule against the walk, and the
     # stabiliser-order status against the enumerated stabiliser
-    from groupoidlab import automorphism_group, verify
+    from groupoidlab import automorphism_group, suite_section2
 
     s, g = _standard_section2(group, objects)
     mark = data.draw(st.none() | st.integers(0, s.sort_size("M") - 1))
@@ -556,22 +556,22 @@ def test_failing_generator_on_drawn_instances(group, objects, seed, data):
     base = _stabiliser_base(s)
     oracle = automorphism_group(s, base)
     first, members = _walked_choice_family(s, 0, base)
-    _assert_generator_rule(s, verify._failing_generator(s, 0, base), first, members)
+    _assert_generator_rule(s, suite_section2._failing_generator(s, 0, base), first, members)
     order_entry = entries["stabilizer-order"]
     assert (order_entry.status == "pass") == (oracle.order == g.order ** (objects - 1))
 
 
 def _counted_is_automorphism(monkeypatch):
     """The list that section2's is_automorphism calls are appended to."""
-    from groupoidlab import verify
+    from groupoidlab import suite_section2
 
-    check, calls = verify.is_automorphism, []
+    check, calls = suite_section2.is_automorphism, []
 
     def spy(structure, aut):
         calls.append(aut)
         return check(structure, aut)
 
-    monkeypatch.setattr(verify, "is_automorphism", spy)
+    monkeypatch.setattr(suite_section2, "is_automorphism", spy)
     return calls
 
 
@@ -610,14 +610,14 @@ def test_failing_generator_on_dihedral4_five_objects(monkeypatch):
     # a constant on min Mor(1, 2) = 56: the 7 generators at each of objects
     # 4 and 3 pass and the first at object 2 fails, where the product walk
     # made 8^4 = 4096 checks for the same witness
-    from groupoidlab import verify
+    from groupoidlab import suite_section2
     from groupoidlab.structures import morphisms_between
 
     s, _ = _standard_section2("dihedral:4", 5, ("M", 56))
     assert min(morphisms_between(s, 1, 2)) == 56
     base = _stabiliser_base(s)
     calls = _counted_is_automorphism(monkeypatch)
-    failed = verify._failing_generator(s, 0, base)
+    failed = suite_section2._failing_generator(s, 0, base)
     assert len(calls) == 7 + 7 + 1
     assert failed == _walked_choice_family(s, 0, base)[0]
 

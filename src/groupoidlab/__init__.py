@@ -87,10 +87,6 @@ _EXPORTS = {
         "contract_to_two_steps",
         "fold",
         "make_path",
-        "path_equivalent",
-        "probe_candidates",
-        "reduce_path",
-        "verify_reduction",
     ),
     "report": (
         "Report",

@@ -18,9 +18,9 @@ it.  The quotient contracts each representative once for all its
 partners; ``reductions_hold`` walks paths depth first over shared
 prefixes, each keeping its fold terminals per probe; and
 ``classes_match_folds`` compares, probe by probe, the partition of the
-paths by fold terminal with their partition by class key.  Both walks
-decide what the path-by-path ``verify_reduction`` and ``probe_verdict``
-decide.
+paths by fold terminal with their partition by class key.  Each walk
+returns None or its first counterexample, so it is the whole check of its
+fgroupoid claim.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
-from .errors import ClaimFailure, InvalidInput, NoProbeAvailable
+from .errors import InvalidInput, NoProbeAvailable
 from .groupoids import FiniteGroupoid, validate_groupoid
 from .structures import morphism_tuple, morphisms_between, objects_of
 from .witness import YSystem
@@ -48,10 +48,6 @@ class DirectedPath:
         return self.objects[0]
 
     @property
-    def end(self) -> int:
-        return self.objects[-1]
-
-    @property
     def n_steps(self) -> int:
         return len(self.steps)
 
@@ -66,16 +62,6 @@ def make_path(ys: YSystem, objects: tuple[int, ...], steps: tuple[int, ...]) -> 
         if not 0 <= g < ys.y_set(a, b).size:
             raise InvalidInput(f"step {i} is not a member of Y({a}, {b})")
     return DirectedPath(objects=tuple(objects), steps=tuple(steps))
-
-
-def probe_candidates(ys: YSystem, *paths: DirectedPath) -> Iterator[Probe]:
-    used = set().union(*(p.objects for p in paths))
-    start = paths[0].start
-    for c_star in objects_of(ys.structure):
-        if c_star in used:
-            continue
-        for g_star in range(ys.y_set(c_star, start).size):
-            yield (c_star, g_star)
 
 
 def fold(ys: YSystem, path: DirectedPath, probe: Probe) -> int:
@@ -105,35 +91,6 @@ def _terms(
         table = ys.table(c_star, b, c)
         terms = [table[a][g] for a in terms]
     return tuple(terms)
-
-
-def fold_vector(ys: YSystem, path: DirectedPath, probes: Iterable[Probe]) -> dict[Probe, int]:
-    """The path's fold terminal at each probe."""
-    return {p: fold(ys, path, p) for p in probes}
-
-
-def probe_verdict(
-    q: DirectedPath, r: DirectedPath, q_folds: dict[Probe, int], r_folds: dict[Probe, int]
-) -> Optional[bool]:
-    """Whether q and r fold to the same terminal at the probes of both fold
-    vectors; None when they share no probe.  Unanimity is demanded, and
-    disagreement would mean the instance is mismodelled."""
-    answers = {t == r_folds[p] for p, t in q_folds.items() if p in r_folds}
-    if len(answers) > 1:
-        raise ClaimFailure("probe-independence", (q, r))
-    return answers.pop() if answers else None
-
-
-def path_equivalent(ys: YSystem, q: DirectedPath, r: DirectedPath) -> bool:
-    """Terminal comparison after folding both paths against every valid
-    probe (``probe_verdict``)."""
-    if (q.start, q.end) != (r.start, r.end):
-        return False
-    probes = list(probe_candidates(ys, q, r))
-    verdict = probe_verdict(q, r, fold_vector(ys, q, probes), fold_vector(ys, r, probes))
-    if verdict is None:
-        raise NoProbeAvailable(f"no probe disjoint from objects {set(q.objects) | set(r.objects)}")
-    return verdict
 
 
 def contract_path(ys: YSystem, path: DirectedPath, i: int) -> DirectedPath:
@@ -262,36 +219,6 @@ def canonical_rep(ys: YSystem, key: tuple) -> DirectedPath:
     return rep
 
 
-def reduce_path(ys: YSystem, q: DirectedPath) -> DirectedPath:
-    """The canonical 2-step path equivalent to q."""
-    return canonical_rep(ys, class_key(ys, q))
-
-
-def verify_reduction(ys: YSystem, q: DirectedPath, r: DirectedPath) -> bool:
-    """Certify q ~ r as strongly as the object supply allows.
-
-    Preferred: fold both against every common probe.  When the paths jointly
-    exhaust too many objects, go through a contraction-only intermediate that
-    stays inside q's own objects.  When even q admits no probe, fall back to
-    contraction-order confluence: every first contraction leads to the same
-    class.
-    """
-    if (q.start, q.end) != (r.start, r.end):
-        return False
-    if any(True for _ in probe_candidates(ys, q, r)):
-        return path_equivalent(ys, q, r)
-    q_sub = contract_to_two_steps(ys, q)
-    if any(True for _ in probe_candidates(ys, q, q_sub)) and any(
-        True for _ in probe_candidates(ys, q_sub, r)
-    ):
-        return path_equivalent(ys, q, q_sub) and path_equivalent(ys, q_sub, r)
-    key = class_key(ys, q)
-    return class_key(ys, r) == key and all(
-        class_key(ys, contract_path(ys, q, i)) == key
-        for i in contraction_positions(q)
-    )
-
-
 def all_paths(ys: YSystem, c: int, d: int, n_steps: int) -> Iterator[DirectedPath]:
     """Every n-step directed path from c to d (consecutive objects distinct)."""
     if n_steps < 1:
@@ -346,15 +273,19 @@ def _prefixes(
     yield from extend((c,), (), ((c,), ()), start)
 
 
-def reductions_hold(ys: YSystem, c: int, d: int, n_steps: int) -> bool:
-    """Whether every n-step path c -> d (n >= 3) has a 2-step
-    ``reduce_path`` that ``verify_reduction`` certifies, decided as they
-    decide it path by path, over shared prefixes (``_prefixes``): the last
-    step finishes the contraction its prefix began and extends the prefix's
-    fold terminals, and each representative is folded once per probe
-    object.  A representative has two steps and q's endpoints by
-    construction.  A split probe verdict, for which ``path_equivalent``
-    raises, is False here."""
+def reductions_hold(ys: YSystem, c: int, d: int, n_steps: int) -> Optional[dict]:
+    """None when every n-step path c -> d (n >= 3) is equivalent to its
+    class's 2-step representative r (``canonical_rep``); otherwise the
+    first path, depth first, that is not, with its steps as members.
+
+    A path q is compared with r by their fold terminals at every probe off
+    both; with no such probe, through q's contraction, at the probes off q
+    and it and at those off it and r; and with neither, by confluence: r
+    and every first contraction of q have q's class key.  Terminals that
+    agree at one probe and not at another fail q as well.  The walk runs
+    over shared prefixes (``_prefixes``): the last step finishes the
+    contraction its prefix began and extends the prefix's fold terminals,
+    and each representative is folded once per probe object."""
     objs = tuple(objects_of(ys.structure))
     rep_terms: dict[tuple[tuple, int], tuple[int, ...]] = {}
 
@@ -370,13 +301,14 @@ def reductions_hold(ys: YSystem, c: int, d: int, n_steps: int) -> bool:
         keys = [_key(ys, *q_sub) for q_sub in subs]
         reps = [canonical_rep(ys, key) for key in keys]
         # the objects of the contraction and of the representative, so the
-        # probes verify_reduction folds at, do not depend on the last step
+        # probes the comparison folds at, do not depend on the last step
         sub_objs, r_objs = subs[0][0], reps[0].objects
         # per probe object, per last step, the path's terminals by probe member
         terms = {p: list(zip(*map(ys.table(p, b, d).__getitem__, t))) for p, t in folds.items()}
         direct = [p for p in folds if p not in r_objs]
         via = [p for p in folds if p not in sub_objs]
         on = [p for p in objs if p not in sub_objs and p not in r_objs]
+        q_objs = objects + (d,)
         for g, (q_sub, key) in enumerate(zip(subs, keys)):
             if direct:
                 ok = all(terms[p][g] == r_terms(key, p) for p in direct)
@@ -385,32 +317,41 @@ def reductions_hold(ys: YSystem, c: int, d: int, n_steps: int) -> bool:
                     _terms(ys, *q_sub, p) == r_terms(key, p) for p in on
                 )
             else:
-                q = DirectedPath(objects=objects + (d,), steps=steps + (g,))
+                q = DirectedPath(objects=q_objs, steps=steps + (g,))
                 ok = class_key(ys, reps[g]) == key and all(
                     class_key(ys, contract_path(ys, q, i)) == key
                     for i in contraction_positions(q)
                 )
             if not ok:
-                return False
-    return True
+                ends = zip(q_objs, q_objs[1:], steps + (g,))
+                members = [ys.y_set(a, o).members[h] for a, o, h in ends]
+                return {"objects": q_objs, "steps": members}
+    return None
 
 
-def classes_match_folds(ys: YSystem, c: int, d: int) -> bool:
-    """Whether at every probe the 2-step paths c -> d that have it fall into
-    the same classes by fold terminal as by ``class_key``.  That is the
+def classes_match_folds(ys: YSystem, c: int, d: int) -> Optional[dict]:
+    """None when at every probe the 2-step paths c -> d off it fall into the
+    same classes by fold terminal as by ``class_key``; otherwise the first
+    probe and paths q < r off it, as indices into ``all_paths``, with one
+    terminal and two keys or two terminals and one key there.  That is the
     pairwise statement read probe by probe: two paths with a common probe
-    get one verdict at all of them (``probe_verdict``), and it is whether
-    their class keys are equal."""
-    seen: dict[Probe, set[tuple[tuple, int]]] = defaultdict(set)
-    for q in all_paths(ys, c, d, 2):
+    get one verdict at all of them, and it is whether their class keys are
+    equal."""
+    # per probe, the first path with each class key and with each terminal
+    by_key: dict[Probe, dict[tuple, tuple[int, int]]] = defaultdict(dict)
+    by_term: dict[Probe, dict[int, tuple[int, tuple]]] = defaultdict(dict)
+    for j, q in enumerate(all_paths(ys, c, d, 2)):
         key = class_key(ys, q)
         for p in objects_of(ys.structure):
             if p not in q.objects:
                 for g_star, t in enumerate(_terms(ys, q.objects, q.steps, p)):
-                    seen[(p, g_star)].add((key, t))
-    return all(
-        len(pairs) == len(dict(pairs)) == len({t for _, t in pairs}) for pairs in seen.values()
-    )
+                    i, t_i = by_key[(p, g_star)].setdefault(key, (j, t))
+                    if t_i == t:
+                        i, key_i = by_term[(p, g_star)].setdefault(t, (j, key))
+                        if key_i == key:
+                            continue
+                    return {"probe": [p, g_star], "q": i, "r": j}
+    return None
 
 
 @dataclass

@@ -199,16 +199,33 @@ def encode_double_cover(gpd: FiniteGroupoid) -> MultiSortedStructure:
     return validate_structure(s)
 
 
+# the signature of each symbol the view and ``_decode`` read; proj is read
+# on the double cover only
+_SIGNATURES = {
+    "init": "M -> O", "ter": "M -> O", "inverse": "M -> M", "comp": "M x M x M", "proj": "I -> O",
+}
+
+
+def _signature(symbol: Function | Relation) -> str:
+    result = getattr(symbol, "result_sort", None)
+    return " x ".join(symbol.arg_sorts) + ("" if result is None else f" -> {result}")
+
+
 class GroupoidView:
     """The groupoid inside an encoded structure, indexed once: the init and
     ter arrays, Mor(a, b) in increasing order, whether the structure is the
     double cover and, on the cover, the fiber over each object.  Indexing
-    reads the functions and checks nothing more; the groupoid axioms are
-    checked by ``groupoid``."""
+    checks the signature of every symbol it or ``groupoid`` reads, and
+    nothing more; the groupoid axioms are checked by ``groupoid``."""
 
     def __init__(self, s: MultiSortedStructure):
         self.structure = s
         self.cover = has_cover(s)
+        for name, expected in _SIGNATURES.items():
+            if name != "proj" or self.cover:
+                symbol = s.function(name) if "->" in expected else s.relation(name)
+                if _signature(symbol) != expected:
+                    raise InvalidInput(f"{name!r} must be {expected}, not {_signature(symbol)}")
         n_mor = s.sort_size("M")
         init = {row[0]: row[1] for row in s.function("init").rows}
         ter = {row[0]: row[1] for row in s.function("ter").rows}

@@ -184,15 +184,16 @@ def test_criterion_07_path_machinery(cover_z2_5, monkeypatch):
     # pair of two-step paths a common probe.
     for a in range(5):
         for b in range(5):
-            if not classes_match_folds(ys, a, b):
+            if classes_match_folds(ys, a, b) is not None:
                 bad.append(("pairwise", a, b))
     t1 = time.perf_counter()
     # every 3- and 4-step path reduces to an equivalent 2-step path, as
-    # reduce_path and verify_reduction decide it, over shared prefixes
+    # the oracle's reduce_path and verify_reduction decide it, over shared
+    # prefixes
     for steps in (3, 4):
         for a in range(5):
             for b in range(5):
-                if not reductions_hold(ys, a, b, steps):
+                if reductions_hold(ys, a, b, steps) is not None:
                     bad.append(("equiv", steps, a, b))
     t2 = time.perf_counter()
     conclude(

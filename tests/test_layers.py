@@ -6,8 +6,10 @@ suite modules above ``suite_witness``.  Imports at any depth count,
 ``TYPE_CHECKING`` blocks and function bodies included.  ``__init__.py``
 exports names of every layer and is exempt.
 
-Two decisions are kept in place the same way: one function assembles every
-restriction group, and only the Y-set system translates along psi.
+Three decisions are kept in place the same way: one function assembles
+every restriction group, only the Y-set system translates along psi, and
+each fgroupoid path claim is decided by its walk alone, with the
+path-by-path checkers kept in ``tests/oracle.py``.
 """
 
 import ast
@@ -114,3 +116,30 @@ def test_only_the_y_set_system_translates():
     # groups and orbits instead
     assert _calls("translation")
     assert {module for module, _, _ in _calls("translation")} == {"witness"}
+
+
+# the path-by-path checkers, which only the tests' oracle defines
+ORACLE_ONLY = {
+    "fold_vector", "path_equivalent", "probe_candidates", "probe_verdict", "reduce_path",
+    "verify_reduction",
+}
+
+
+def test_the_path_by_path_checkers_live_in_the_oracle():
+    # no module defines, imports or names them, the export map included
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = {getattr(node, field, None) for field in ("name", "id", "attr", "value")}
+            if isinstance(node, ast.ImportFrom):
+                names |= {n for alias in node.names for n in (alias.name, alias.asname)}
+            found += [(path.stem, node.lineno, name) for name in names & ORACLE_ONLY]
+    assert found == []
+
+
+def test_no_fgroupoid_claim_reruns_a_second_check():
+    # a claim that caught its walk's error could rerun another check for
+    # its witness; none catches anything, so Report.add records the walk's
+    # counterexample or error
+    tree = ast.parse((PACKAGE / "suite_fgroupoid.py").read_text())
+    assert not [node for node in ast.walk(tree) if isinstance(node, ast.ExceptHandler)]

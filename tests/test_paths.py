@@ -4,6 +4,14 @@ import itertools
 import pytest
 
 from conftest import _relabelled, count_calls
+from oracle import (
+    fold_vector,
+    path_equivalent,
+    probe_candidates,
+    probe_verdict,
+    reduce_path,
+    verify_reduction,
+)
 from groupoidlab import (
     DirectedPath,
     InvalidInput,
@@ -21,15 +29,11 @@ from groupoidlab import (
     fold,
     isomorphism_search,
     make_path,
-    path_equivalent,
-    probe_candidates,
-    reduce_path,
     structure_from_json,
     structure_to_json,
-    verify_reduction,
     vertex_group,
 )
-from groupoidlab.errors import GroupoidLabError
+from groupoidlab.errors import ClaimFailure, GroupoidLabError
 from groupoidlab.groupoids import FiniteGroupoid, validate_groupoid
 from groupoidlab.paths import (
     _fresh,
@@ -41,8 +45,6 @@ from groupoidlab.paths import (
     canonical_rep,
     classes_match_folds,
     contraction_positions,
-    fold_vector,
-    probe_verdict,
     reductions_hold,
 )
 from groupoidlab.suite_fgroupoid import verify_fgroupoid
@@ -130,9 +132,6 @@ def test_probe_verdict_reads_fold_vectors(ys_cover4):
     # each path folded once at each of its probes: a pair with a common
     # probe gets path_equivalent's verdict, a pair without gets None, and
     # fold vectors that agree at one probe and not another raise
-    from groupoidlab.errors import ClaimFailure
-    from groupoidlab.paths import fold_vector, probe_verdict
-
     ys = ys_cover4
     paths = list(all_paths(ys, 0, 1, 2))
     folds = [fold_vector(ys, q, probe_candidates(ys, q)) for q in paths]
@@ -178,7 +177,7 @@ def test_vertex_paths_reduce(ys_cover4):
     count = 0
     for q in all_paths(ys_cover4, 0, 0, 2):
         r = reduce_path(ys_cover4, q)
-        assert (r.start, r.end) == (0, 0)
+        assert (r.start, r.objects[-1]) == (0, 0)
         assert verify_reduction(ys_cover4, q, r)
         count += 1
     assert count > 0
@@ -276,7 +275,7 @@ def test_four_step_reduction_with_all_probes_at_six_objects():
         (1, 3, 2, 0),
     )
     r = reduce_path(ys, q)
-    assert r.n_steps == 2 and (r.start, r.end) == (0, 1)
+    assert r.n_steps == 2 and (r.start, r.objects[-1]) == (0, 1)
     assert path_equivalent(ys, q, r)
 
 
@@ -359,11 +358,11 @@ def _cover(order, n):
     return encode_double_cover(build_standard_groupoid(cyclic_group(order), n))
 
 
-def _pinned_cover4():
-    # no automorphism carries (0, 1) to a pair through object 2, so every
-    # table of a triple through it raises DecompositionFailure
+def _pinned_cover4(obj):
+    # no automorphism carries (0, 1) to a pair through obj, so every table
+    # of a triple through it raises DecompositionFailure
     data = structure_to_json(_cover(2, 4))
-    data["constants"] = [{"name": "mark", "sort": "O", "index": 2}]
+    data["constants"] = [{"name": "mark", "sort": "O", "index": obj}]
     return structure_from_json(data)
 
 
@@ -371,7 +370,10 @@ DIFFERENTIAL = {
     "cyclic:2-n4-cover": lambda: _cover(2, 4),
     "cyclic:3-n4-plain": lambda: encode_groupoid(build_standard_groupoid(cyclic_group(3), 4)),
     "relabelled-cyclic:2-n4-cover": lambda: _relabelled(_cover(2, 4), 5)[0],
-    "object-2-pinned": _pinned_cover4,
+    "object-2-pinned": lambda: _pinned_cover4(2),
+    # the walks and the loops raise naming different triples here, so
+    # only their statuses agree
+    "object-3-pinned": lambda: _pinned_cover4(3),
 }
 PAIRS = ((0, 1), (2, 0), (1, 1))
 
@@ -394,19 +396,11 @@ def _leftmost(ys, path):
         if positions:
             q = contract_path(ys, q, positions[0])
             continue
-        c, d = q.start, q.end
+        c, d = q.start, q.objects[-1]
         p = _fresh(ys, set(q.objects))
         e = _fresh(ys, {c, d, p})
         q = _two_step(ys, p, c, e, d, fold(ys, q, (p, 0)))
     return q
-
-
-def _reduces_path_by_path(ys, c, d, n_steps):
-    for q in all_paths(ys, c, d, n_steps):
-        r = reduce_path(ys, q)
-        if r.n_steps != 2 or not verify_reduction(ys, q, r):
-            return False
-    return True
 
 
 def _pairwise(ys, c, d):
@@ -422,14 +416,24 @@ def _pairwise(ys, c, d):
     return None
 
 
-def _reductions(ys):
-    """three-step-reduction's path-by-path loop."""
-    for q in all_paths(ys, 0, 1, 3):
+def _walk_order(q):
+    # the depth-first order of _prefixes: each step's object, then its member
+    return tuple(itertools.chain.from_iterable(zip(q.objects[1:], q.steps)))
+
+
+def _reductions(ys, c, d, n_steps):
+    """three-step-reduction's path-by-path loop over the n-step paths c -> d,
+    in the walk's order: the first path that verify_reduction does not
+    certify equivalent to its representative, or None.  A verdict split
+    between probes, for which it raises, fails the path too."""
+    for q in sorted(all_paths(ys, c, d, n_steps), key=_walk_order):
         r = reduce_path(ys, q)
-        if r.n_steps != 2 or not verify_reduction(ys, q, r):
-            objs = q.objects
-            steps = [ys.y_set(*objs[i: i + 2]).members[g] for i, g in enumerate(q.steps)]
-            return {"objects": objs, "steps": steps}
+        try:
+            certified = r.n_steps == 2 and verify_reduction(ys, q, r)
+        except ClaimFailure:
+            certified = False
+        if not certified:
+            return q
     return None
 
 
@@ -438,9 +442,9 @@ def test_prefix_walk_matches_fold_and_verify_reduction(name):
     ys = YSystem(DIFFERENTIAL[name]())
     for c, d in PAIRS:
         walked = _outcome(lambda: reductions_hold(ys, c, d, 3))
-        reference = _outcome(lambda: _reduces_path_by_path(ys, c, d, 3))
-        assert (walked is True) == (reference is True)
-        if walked is not True:
+        reference = _outcome(lambda: _reductions(ys, c, d, 3))
+        assert (walked is None) == (reference is None)
+        if walked is not None:
             continue
         n = 0
         for objects, steps, stack, folds in _prefixes(ys, c, d, 3):
@@ -474,7 +478,7 @@ def test_probe_partitions_match_the_pairwise_loop(name):
     for c, d in PAIRS:
         walked = _outcome(lambda: classes_match_folds(ys, c, d))
         reference = _outcome(lambda: _pairwise(ys, c, d))
-        assert (walked is True) == (reference is None)
+        assert (walked is None) == (reference is None)
 
 
 def _perturbed(n, key, how):
@@ -496,33 +500,50 @@ def _perturbed(n, key, how):
 
 
 @pytest.mark.parametrize(
-    "n,key,how,pairwise,reduction",
+    "n,key,how,pairwise_fails,reduction_fails",
     [
-        (4, (3, 0, 2), "column", dict, None),  # probe 3 relabelled: pairs disagree
-        (4, (3, 0, 2), "row", str, None),  # split at one probe: probe-independence
-        (4, (3, 2, 1), "collapse", str, dict),
-        (4, (2, 0, 3), "row", str, str),
-        (4, (0, 2, 1), "column", dict, dict),  # class keys move
-        (5, (4, 1, 0), "column", None, str),  # the second of two probe objects
+        (4, (3, 0, 2), "column", True, False),  # probe 3 relabelled: pairs disagree
+        (4, (3, 0, 2), "row", True, False),  # split at one probe: probe-independence
+        (4, (3, 2, 1), "collapse", True, True),
+        (4, (2, 0, 3), "row", True, True),
+        (4, (0, 2, 1), "column", True, True),  # class keys move
+        (5, (4, 1, 0), "column", False, True),  # the second of two probe objects
     ],
 )
-def test_failing_walk_reports_the_path_by_path_witness(n, key, how, pairwise, reduction):
-    # a failing walk defers to the path-by-path loop, so the claim's
-    # witness is that loop's
+def test_a_failing_walk_reports_a_counterexample_the_oracle_confirms(
+    n, key, how, pairwise_fails, reduction_fails
+):
+    # each claim fails where the path-by-path loop fails, and its witness
+    # is a counterexample the oracle confirms; a verdict split between
+    # probes, for which the loops raise, is a disagreement at one of them
     s = _perturbed(n, key, how)
     ys = s.y_system
-    assert classes_match_folds(ys, 0, 1) is (pairwise is None)
-    assert (_outcome(lambda: reductions_hold(ys, 0, 1, 3)) is True) == (reduction is None)
-    entries = {e.claim_id: e.witness for e in verify_fgroupoid(s).entries}
-    for claim, expected, loop in (
-        ("path-equivalence-consistent", pairwise, lambda: _pairwise(ys, 0, 1)),
-        ("three-step-reduction", reduction, lambda: _reductions(ys)),
-    ):
-        witness = entries[claim]
-        assert witness == _outcome(loop)
-        assert witness is None if expected is None else isinstance(witness, expected)
-        if isinstance(witness, str):
-            assert witness.startswith("ClaimFailure: claim probe-independence failed")
+    entries = {e.claim_id: e for e in verify_fgroupoid(s).entries}
+    equivalence = entries["path-equivalence-consistent"]
+    reduction = entries["three-step-reduction"]
+    assert (equivalence.status == "fail") is pairwise_fails
+    assert (_outcome(lambda: _pairwise(ys, 0, 1)) is not None) is pairwise_fails
+    assert (reduction.status == "fail") is reduction_fails
+    assert (_reductions(ys, 0, 1, 3) is not None) is reduction_fails
+    if pairwise_fails:
+        witness = equivalence.witness
+        assert set(witness) == {"probe", "q", "r"} and witness["q"] < witness["r"]
+        d2 = list(all_paths(ys, 0, 1, 2))
+        probe, q, r = tuple(witness["probe"]), d2[witness["q"]], d2[witness["r"]]
+        assert probe[0] not in q.objects + r.objects
+        same_terminal = fold(ys, q, probe) == fold(ys, r, probe)
+        assert same_terminal is not (class_key(ys, q) == class_key(ys, r))
+    else:
+        assert equivalence.witness is None
+    if reduction_fails:
+        witness = reduction.witness
+        objs = witness["objects"]
+        steps = zip(objs, objs[1:], witness["steps"])
+        q = DirectedPath(objs, tuple(ys.y_set(a, b).index_of(m) for a, b, m in steps))
+        # the first path, depth first, whose representative fails
+        assert q == _reductions(ys, 0, 1, 3)
+    else:
+        assert reduction.witness is None
 
 
 def _quotient_by_whole_joins(ys):
@@ -539,7 +560,7 @@ def _quotient_by_whole_joins(ys):
     composition = []
     for m1, r1 in enumerate(reps):
         for m2, r2 in enumerate(reps):
-            if r1.end == r2.start:
+            if r1.objects[-1] == r2.start:
                 joined = DirectedPath(r1.objects + r2.objects[1:], r1.steps + r2.steps)
                 composition.append((m1, m2, index[class_key(ys, joined)]))
     return keys, composition

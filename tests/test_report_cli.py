@@ -134,6 +134,44 @@ def test_verify_corrupted_structure_exits_one(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "name,cover,change,expected",
+    [
+        ("init", False, lambda t: t.update(args=["O"], rows=[[o, o] for o in range(3)]),
+         "'init' must be M -> O, not O -> O"),
+        ("ter", False, lambda t: t.update(args=["O"], rows=[[o, o] for o in range(3)]),
+         "'ter' must be M -> O, not O -> O"),
+        ("inverse", False, lambda t: t.update(result="O", rows=[[m, 0] for m, _ in t["rows"]]),
+         "'inverse' must be M -> M, not M -> O"),
+        ("comp", False, lambda t: t.update(args=["M", "M"], tuples=[x[:2] for x in t["tuples"]]),
+         "'comp' must be M x M x M, not M x M"),
+        ("proj", True, lambda t: t.update(result="I"), "'proj' must be I -> O, not I -> I"),
+    ],
+    ids=["init", "ter", "inverse", "comp", "proj"],
+)
+def test_verify_structure_with_a_wrong_signature_exits_two(
+    name, cover, change, expected, tmp_path, capsys
+):
+    # each file passes validate_structure, so only the groupoid view can
+    # reject it, before it reads a symbol of the wrong shape
+    built, bad = tmp_path / "s.json", tmp_path / "bad.json"
+    argv = ["build", "--group", "cyclic:2", "--objects", "3", "--out", str(built)]
+    assert main(argv + ["--cover"] * cover) == 0
+    data = json.loads(built.read_text())
+    for table in (*data["functions"], *data["relations"]):
+        if table["name"] == name:
+            change(table)
+    bad.write_text(json.dumps(data))
+    capsys.readouterr()
+    rc = main([
+        "verify", "--suite", "all", "--group", "cyclic:2",
+        "--structure", str(bad), "--out", str(tmp_path / "rep.json"),
+    ])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {expected}\n"
+    assert not (tmp_path / "rep.json").exists()
+
+
+@pytest.mark.parametrize(
     "build_cover,verify_cover,instance",
     [(True, False, "group=cyclic:2 objects=2 cover"), (False, True, "group=cyclic:2 objects=2")],
     ids=["cover-file", "plain-file"],

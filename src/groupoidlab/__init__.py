@@ -111,14 +111,9 @@ _EXPORTS = {
     ),
     "suite_section2": (
         "choice_family_map",
-        "verify_section2",
-    ),
-    "suite_section3": (
-        "verify_section3",
     ),
     "suite_witness": (
         "WitnessInstance",
-        "check_witness",
         "standard_witness",
     ),
     "witness": (

@@ -1,18 +1,20 @@
-"""Claim-by-claim verification reports with JSON and text rendering.
+"""Claims, and claim-by-claim verification reports with JSON and text
+rendering.
 
-The JSON document is the contract: deterministic for identical inputs apart
-from the declared volatile fields ``generated_at`` and per-claim ``wall_ms``.
+A suite states its claims as ``Claim`` records; the runner in ``verify``
+turns each into a ``ClaimEntry`` of a ``Report``.  The JSON document is the
+contract: deterministic for identical inputs apart from the declared
+volatile fields ``generated_at`` and per-claim ``wall_ms``.
 """
 
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import Any, Callable, Optional
 
-from .errors import BudgetExceeded, ReportMergeError
+from .errors import ReportMergeError
 
 TOOL_VERSION = "0.1.0"
 
@@ -28,6 +30,20 @@ INDEPENDENCE_SURROGATE = "independence-as-distinct-objects"
 TYPE_SURROGATE = "type-equality-as-orbit"
 DCL_SURROGATE = "dcl-as-fixed-points"
 ACL_SURROGATE = "acl-as-explicit-closure-sets"
+
+
+@dataclass(frozen=True)
+class Claim:
+    """One claim of a suite: its id, the anchor it states, and a check that
+    returns None when the claim holds or a JSON-able witness when it fails.
+    With ``surrogate_pass`` a claim that holds is recorded as surrogate-pass:
+    its check stands in for the paper's statement."""
+
+    id: str
+    anchor: str
+    check: Callable[[], Optional[Any]]
+    surrogates: tuple[str, ...] = ()
+    surrogate_pass: bool = False
 
 
 @dataclass
@@ -57,45 +73,6 @@ class ClaimEntry:
 class Report:
     instance: str
     entries: list[ClaimEntry] = field(default_factory=list)
-
-    def add(
-        self,
-        claim_id: str,
-        anchor: str,
-        check: Callable[[], Optional[Any]],
-        surrogates: tuple[str, ...] = (),
-        surrogate_status: bool = False,
-    ) -> ClaimEntry:
-        """Run one claim check.
-
-        ``check`` returns None on success or a JSON-able witness on failure;
-        an exception also counts as a failure with the message as witness.
-        """
-        start = time.perf_counter()
-        try:
-            witness = check()
-        except BudgetExceeded:
-            raise
-        except Exception as exc:  # noqa: BLE001 - failures must land in the report
-            witness = f"{type(exc).__name__}: {exc}"
-        wall = (time.perf_counter() - start) * 1000.0
-        if witness is None:
-            status = SURROGATE_PASS if surrogate_status else PASS
-        else:
-            status = FAIL
-        entry = ClaimEntry(
-            claim_id=claim_id,
-            anchor=anchor,
-            status=status,
-            witness=witness,
-            wall_ms=wall,
-            surrogates=surrogates,
-        )
-        self.entries.append(entry)
-        return entry
-
-    def extend(self, other: "Report") -> None:
-        self.entries.extend(other.entries)
 
     @property
     def passed(self) -> bool:

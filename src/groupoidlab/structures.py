@@ -199,11 +199,13 @@ def encode_double_cover(gpd: FiniteGroupoid) -> MultiSortedStructure:
     return validate_structure(s)
 
 
-# the signature of each symbol the view and ``_decode`` read; proj is read
-# on the double cover only
+# the signature of each symbol the view and ``_decode`` read; proj and mate
+# are read on the double cover only
 _SIGNATURES = {
-    "init": "M -> O", "ter": "M -> O", "inverse": "M -> M", "comp": "M x M x M", "proj": "I -> O",
+    "init": "M -> O", "ter": "M -> O", "inverse": "M -> M", "comp": "M x M x M",
+    "proj": "I -> O", "mate": "I x I",
 }
+_COVER_SYMBOLS = ("proj", "mate")
 
 
 def _signature(symbol: Function | Relation) -> str:
@@ -215,14 +217,14 @@ class GroupoidView:
     """The groupoid inside an encoded structure, indexed once: the init and
     ter arrays, Mor(a, b) in increasing order, whether the structure is the
     double cover and, on the cover, the fiber over each object.  Indexing
-    checks the signature of every symbol it or ``groupoid`` reads, and
-    nothing more; the groupoid axioms are checked by ``groupoid``."""
+    checks the signature of every symbol it or ``groupoid`` reads and, on
+    the cover, the fibers; the groupoid axioms are checked by ``groupoid``."""
 
     def __init__(self, s: MultiSortedStructure):
         self.structure = s
         self.cover = has_cover(s)
         for name, expected in _SIGNATURES.items():
-            if name != "proj" or self.cover:
+            if name not in _COVER_SYMBOLS or self.cover:
                 symbol = s.function(name) if "->" in expected else s.relation(name)
                 if _signature(symbol) != expected:
                     raise InvalidInput(f"{name!r} must be {expected}, not {_signature(symbol)}")
@@ -235,21 +237,31 @@ class GroupoidView:
         for m, ends in enumerate(zip(self.init, self.ter)):
             mor.setdefault(ends, []).append(m)
         self.mor = {ends: tuple(ms) for ends, ms in mor.items()}
-
-    @cached_property
-    def fibers(self) -> dict[int, tuple[int, ...]]:
-        s = self.structure
-        proj = {row[0]: row[1] for row in s.function("proj").rows}
-        fibers: dict[int, list[int]] = {}
-        for i in range(s.sort_size("I")):
-            fibers.setdefault(proj[i], []).append(i)
-        return {a: tuple(points) for a, points in fibers.items()}
+        self.fibers = _fibers(s) if self.cover else {}
 
     @cached_property
     def groupoid(self) -> FiniteGroupoid:
         """The decoded groupoid, validated on first use.  A failed
         validation caches nothing: it raises again on every use."""
         return _decode(self)
+
+
+def _fibers(s: MultiSortedStructure) -> dict[int, tuple[int, ...]]:
+    """The two points over each object of a double cover, in increasing
+    order.  proj must be two-to-one onto the objects, and mate must hold
+    exactly the two ordered pairs of each fiber."""
+    fibers: dict[int, list[int]] = {a: [] for a in range(s.sort_size("O"))}
+    for i, a in sorted(s.function("proj").rows):
+        fibers[a].append(i)
+    for a, points in fibers.items():
+        if len(points) != 2:
+            raise InvalidInput(
+                f"'proj' must be two-to-one onto the objects: {len(points)} points over object {a}"
+            )
+    pairs = {t for i, j in fibers.values() for t in ((i, j), (j, i))}
+    if set(s.relation("mate").tuples) != pairs:
+        raise InvalidInput("'mate' must hold exactly the two ordered pairs of each fiber")
+    return {a: tuple(points) for a, points in fibers.items()}
 
 
 def decode_groupoid(s: MultiSortedStructure) -> FiniteGroupoid:

@@ -5,20 +5,19 @@ from __future__ import annotations
 
 import functools
 import itertools
-from typing import Optional
+from typing import Iterator, Optional
 
 from .groups import FiniteGroup, _isomorphic
 from .groupoids import vertex_group
 from .paths import ExtendedGroupoid, build_extended_groupoid, classes_match_folds, reductions_hold
-from .report import Report
+from .report import Claim
 from .structures import MultiSortedStructure
 
 
-def verify_fgroupoid(s: MultiSortedStructure) -> Report:
+def claims(s: MultiSortedStructure, g: FiniteGroup) -> Iterator[Claim]:
     """Claims about the quotient groupoid of two-step path classes on the
     first objects of an instance with at least four objects."""
     n = s.sort_size("O")
-    report = Report(instance=f"quotient groupoid on {n} objects")
     ys = s.y_system
 
     def wdef() -> Optional[object]:
@@ -36,7 +35,7 @@ def verify_fgroupoid(s: MultiSortedStructure) -> Report:
                     }
         return None
 
-    report.add(
+    yield Claim(
         "composition-well-defined",
         "composites agree over every decomposition",
         wdef,
@@ -52,7 +51,7 @@ def verify_fgroupoid(s: MultiSortedStructure) -> Report:
                     return {"f": y_ac.members[f], "g": y_ab.members[g], "divisors": len(hits)}
         return None
 
-    report.add("unique-divisor", "each composite has a unique divisor", divisors)
+    yield Claim("unique-divisor", "each composite has a unique divisor", divisors)
 
     # the cache keeps no exception, so each quotient claim fails with the
     # quotient's own witness when it cannot be built; the path claims run
@@ -65,7 +64,7 @@ def verify_fgroupoid(s: MultiSortedStructure) -> Report:
         quotient()
         return None
 
-    report.add(
+    yield Claim(
         "quotient-valid",
         "the two-step path classes assemble into a valid groupoid",
         builds,
@@ -78,7 +77,7 @@ def verify_fgroupoid(s: MultiSortedStructure) -> Report:
             return {"vertex_order": vg.group.order, "f_order": fg.group.order}
         return None
 
-    report.add(
+    yield Claim(
         "vertex-is-f-group",
         "quotient vertex groups are isomorphic to the Y-set groups",
         vertex_iso,
@@ -96,7 +95,7 @@ def verify_fgroupoid(s: MultiSortedStructure) -> Report:
                         return {"pair": (m1, m2)}
         return None
 
-    report.add(
+    yield Claim(
         "injection-preserves-composition",
         "the standard groupoid embeds compatibly into the quotient",
         injection,
@@ -113,22 +112,17 @@ def verify_fgroupoid(s: MultiSortedStructure) -> Report:
                     return {"pair": (a, b), "classes": count}
         return None
 
-    report.add("classes-match-y", "morphism counts equal Y-set sizes", sizes)
+    yield Claim("classes-match-y", "morphism counts equal Y-set sizes", sizes)
 
-    report.add(
+    yield Claim(
         "path-equivalence-consistent",
         "probe folding agrees with canonical class keys on every two-step "
         "path pair that admits a probe",
         lambda: classes_match_folds(ys, 0, 1),
     )
 
-    report.add(
+    yield Claim(
         "three-step-reduction",
         "every three-step path reduces to an equivalent two-step path",
         lambda: reductions_hold(ys, 0, 1, 3),
     )
-    return report
-
-
-def run(s: MultiSortedStructure, g: FiniteGroup) -> Report:
-    return verify_fgroupoid(s)

@@ -5,7 +5,7 @@ of an instance."""
 from __future__ import annotations
 
 import functools
-from typing import Optional
+from typing import Iterator, Optional
 
 from .automorphisms import _carrier_index, _restriction
 from .groups import FiniteGroup, _isomorphic, compose_perms, cyclic_group
@@ -15,19 +15,17 @@ from .limits import (
     raw_restriction_epimorphism,
     validate_system,
 )
-from .report import Report
+from .report import Claim
 from .structures import MultiSortedStructure
 
 
-def verify_limits(s: MultiSortedStructure) -> Report:
+def claims(s: MultiSortedStructure, g: FiniteGroup) -> Iterator[Claim]:
     """Two fixed directed systems, then the restriction epimorphism and the
     restricted-group tower on the pair (0, 1) of s: the pair-base group sits
     centrally in the interdefinability-preserving group, which sits inside
     the full restriction group; both are normal; the pair-base stage is
     abelian; and the two-stage raw/full system has the full group as its
     limit."""
-    report = Report(instance="directed systems")
-
     def chain() -> Optional[object]:
         z8, z4, z2 = cyclic_group(8), cyclic_group(4), cyclic_group(2)
         sys_chain = validate_system(
@@ -45,7 +43,7 @@ def verify_limits(s: MultiSortedStructure) -> Report:
             return {"limit_order": lim.order}
         return None
 
-    report.add(
+    yield Claim(
         "chain-limit",
         "the mod-tower chain validates and its stage limit is the top group",
         chain,
@@ -64,7 +62,7 @@ def verify_limits(s: MultiSortedStructure) -> Report:
             return {"limit_order": lim.order}
         return None
 
-    report.add(
+    yield Claim(
         "constant-limit",
         "a constant system's stage limit is the constant group",
         constant,
@@ -83,7 +81,7 @@ def verify_limits(s: MultiSortedStructure) -> Report:
             return {"kernel": len(hom.kernel()), "expected": expected_kernel}
         return None
 
-    report.add(
+    yield Claim(
         "restriction-epimorphism",
         "restricting the full-tuple group to the raw morphism is a "
         "surjection with the index-sized kernel",
@@ -113,7 +111,7 @@ def verify_limits(s: MultiSortedStructure) -> Report:
             return {"instance": "instance", "problem": "Pi not inside F"}
         return None
 
-    report.add(
+    yield Claim(
         "instance.tower-containment",
         "instance: pair-base group <= interdefinability-preservers <= full group",
         tower,
@@ -127,7 +125,7 @@ def verify_limits(s: MultiSortedStructure) -> Report:
                     return {"instance": "instance", "noncommuting": (p, q)}
         return None
 
-    report.add(
+    yield Claim(
         "instance.gamma-central-in-pi",
         "instance: the pair-base group is central in the preservers",
         central,
@@ -141,7 +139,7 @@ def verify_limits(s: MultiSortedStructure) -> Report:
                     return {"instance": "instance", "problem": f"{name} not normal in F"}
         return None
 
-    report.add(
+    yield Claim(
         "instance.normal-in-full-group",
         "instance: both subgroups are normal in the full restriction group",
         normal,
@@ -152,7 +150,7 @@ def verify_limits(s: MultiSortedStructure) -> Report:
             return {"instance": "instance", "order": g_sub.group.order}
         return None
 
-    report.add(
+    yield Claim(
         "instance.abelian-stage",
         "instance: the pair-base stage is abelian",
         abelian,
@@ -173,14 +171,9 @@ def verify_limits(s: MultiSortedStructure) -> Report:
             return {"instance": "instance", "limit": lim.order}
         return None
 
-    report.add(
+    yield Claim(
         "instance.two-stage-limit",
         "instance: the raw/full restriction system is a directed system "
         "whose stage limit is the full group",
         two_stage,
     )
-    return report
-
-
-def run(s: MultiSortedStructure, g: FiniteGroup) -> Report:
-    return verify_limits(s)

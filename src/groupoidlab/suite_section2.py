@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import functools
 from math import prod
-from typing import Optional
+from typing import Iterator, Optional
 
 from .automorphisms import (
     Automorphism,
@@ -20,7 +20,7 @@ from .automorphisms import (
 from .errors import ClaimFailure, InvalidInput
 from .groups import FiniteGroup, _isomorphic, center
 from .groupoids import vertex_group
-from .report import ACL_SURROGATE, TYPE_SURROGATE, Report
+from .report import ACL_SURROGATE, TYPE_SURROGATE, Claim
 from .structures import (
     Element,
     MultiSortedStructure,
@@ -87,7 +87,7 @@ def _failing_generator(
     return None
 
 
-def verify_section2(s: MultiSortedStructure, g: FiniteGroup) -> Report:
+def claims(s: MultiSortedStructure, g: FiniteGroup) -> Iterator[Claim]:
     """Claims about the standard connected groupoid with vertex group g:
     the orbit coset is the center translate, its restriction group is the
     center, and the morphism-set restriction group is g itself.  The
@@ -103,7 +103,6 @@ def verify_section2(s: MultiSortedStructure, g: FiniteGroup) -> Report:
     n = s.sort_size("O")
     if n < 2:
         raise InvalidInput("need at least two objects")
-    report = Report(instance=f"standard(|G|={g.order}, n={n}) plain")
     gpd = decode_groupoid(s)
     a, b = 0, 1
     f0 = min(morphisms_between(s, a, b))
@@ -129,7 +128,7 @@ def verify_section2(s: MultiSortedStructure, g: FiniteGroup) -> Report:
                 return {"element": x, "in_orbit": lands, "central": central}
         return None
 
-    report.add(
+    yield Claim(
         "center-coset",
         "the orbit of f0 over the pair base is exactly its translate by the "
         "central vertex morphisms, element by element",
@@ -144,7 +143,7 @@ def verify_section2(s: MultiSortedStructure, g: FiniteGroup) -> Report:
             return {"restricted_order": rg.group.order, "center_order": zg.order}
         return None
 
-    report.add(
+    yield Claim(
         "coset-group-is-center",
         "the restriction group on the coset is isomorphic to the center of g",
         coset_group,
@@ -162,7 +161,7 @@ def verify_section2(s: MultiSortedStructure, g: FiniteGroup) -> Report:
             return {"restricted_order": rg.group.order, "group_order": g.order}
         return None
 
-    report.add(
+    yield Claim(
         "morphism-group-is-g",
         "the restriction group on Mor(a,b) over the source closure is "
         "isomorphic to g",
@@ -177,7 +176,7 @@ def verify_section2(s: MultiSortedStructure, g: FiniteGroup) -> Report:
             return {"center_order": zc.order, "expected": zg.order}
         return None
 
-    report.add(
+    yield Claim(
         "morphism-group-center",
         "the center of that restriction group is isomorphic to the center of g",
         mor_group_center,
@@ -203,7 +202,7 @@ def verify_section2(s: MultiSortedStructure, g: FiniteGroup) -> Report:
             return {"distinct_maps": families}
         return None
 
-    report.add(
+    yield Claim(
         "choice-family-maps",
         "every choice-family map is a structure automorphism and they are "
         "pairwise distinct members of the base stabilizer",
@@ -233,13 +232,9 @@ def verify_section2(s: MultiSortedStructure, g: FiniteGroup) -> Report:
             return {"order": order, "expected": expect}
         return None
 
-    report.add(
+    yield Claim(
         "stabilizer-order",
         "the pointwise stabilizer of all objects and one vertex group has "
         "order |G|^(n-1)",
         stab_order,
     )
-    return report
-
-
-run = verify_section2

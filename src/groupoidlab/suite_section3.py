@@ -4,15 +4,14 @@ its F-groups, their pair-base subgroups, composites and transports."""
 from __future__ import annotations
 
 import itertools
-from typing import Optional
+from typing import Iterator, Optional
 
 from .automorphisms import carries
 from .groups import FiniteGroup, compose_perms
-from .report import INDEPENDENCE_SURROGATE, Report
+from .report import INDEPENDENCE_SURROGATE, Claim
 from .structures import (
     Element,
     MultiSortedStructure,
-    has_cover,
     morphisms_between,
     object_closure,
     object_tuple,
@@ -23,14 +22,11 @@ from .suite_witness import standard_witness
 from .witness import compute_Y, raw_morphism, x_tuples
 
 
-def verify_section3(s: MultiSortedStructure) -> Report:
+def claims(s: MultiSortedStructure, g: FiniteGroup) -> Iterator[Claim]:
     """Claims about the extended groupoid machinery on one instance."""
-    n = s.sort_size("O")
     o0, o1, _ = standard_witness(s).objects
     ys = s.y_system
     gpd = ys.gpd
-    kind = "double-cover" if has_cover(s) else "plain"
-    report = Report(instance=f"{kind} standard(|G|={len(vertex_morphisms(s, 0))}, n={n})")
     all_pairs = [
         (a, b) for a in objects_of(s) for b in objects_of(s) if a != b
     ]
@@ -58,7 +54,7 @@ def verify_section3(s: MultiSortedStructure) -> Report:
                 return {"sigma": sigma, "direction": "in"}
         return None
 
-    report.add(
+    yield Claim(
         "uniform-action",
         "for every vertex morphism there is an automorphism fixing all object "
         "closures that multiplies every designated morphism by it",
@@ -72,7 +68,7 @@ def verify_section3(s: MultiSortedStructure) -> Report:
             ys.f_group(a, b)
         return None
 
-    report.add(
+    yield Claim(
         "f-action-regular",
         "the restriction group of every Y-set acts regularly on it",
         regular_f,
@@ -80,7 +76,7 @@ def verify_section3(s: MultiSortedStructure) -> Report:
 
     f_size = ys.f_group(o0, o1).order
 
-    report.add(
+    yield Claim(
         "f-group-size-recorded",
         f"the Y-set group at the reference pair has order {f_size}",
         lambda: None,
@@ -102,7 +98,7 @@ def verify_section3(s: MultiSortedStructure) -> Report:
                         return {"pair": (a, b), "noncommuting": (p, q)}
         return None
 
-    report.add(
+    yield Claim(
         "binding-central",
         "the pair-base restriction group embeds centrally in every F-group",
         central,
@@ -134,7 +130,7 @@ def verify_section3(s: MultiSortedStructure) -> Report:
                             return {"triple": (c, a, b), "f": f, "problem": "composite leaves Y"}
         return None
 
-    report.add(
+    yield Claim(
         "composite-membership",
         "composing a Y-element with a standard morphism lands in the Y-set "
         "at the composite endpoints, independently of the moving automorphism",
@@ -158,7 +154,7 @@ def verify_section3(s: MultiSortedStructure) -> Report:
                 return {"target": tgt, "distinct_transports": len(transports)}
         return None
 
-    report.add(
+    yield Claim(
         "transport-independence",
         "conjugation transport between F-groups does not depend on which "
         "binding-class-preserving automorphism carries one pair to the other",
@@ -176,13 +172,8 @@ def verify_section3(s: MultiSortedStructure) -> Report:
                 return {"reference": ref}
         return None
 
-    report.add(
+    yield Claim(
         "y-reference-independence",
         "the Y-set does not depend on which standard morphism is the reference",
         reference_independence,
     )
-    return report
-
-
-def run(s: MultiSortedStructure, g: FiniteGroup) -> Report:
-    return verify_section3(s)

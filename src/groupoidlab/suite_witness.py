@@ -6,7 +6,7 @@ the standard one on objects 0, 1 and 2, which the section3 suite reads too.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 from .automorphisms import _fixed, carries, orbit_of
 from .errors import InvalidInput
@@ -16,7 +16,7 @@ from .report import (
     DCL_SURROGATE,
     INDEPENDENCE_SURROGATE,
     TYPE_SURROGATE,
-    Report,
+    Claim,
 )
 from .structures import (
     Element,
@@ -68,24 +68,21 @@ def standard_witness(s: MultiSortedStructure) -> WitnessInstance:
     )
 
 
-def check_witness(w: WitnessInstance) -> Report:
+def instance_claims(w: WitnessInstance) -> Iterator[Claim]:
+    """The claims about a supplied witness instance; when its objects are
+    not pairwise distinct, objects-distinct is the only one."""
     s = w.structure
-    report = Report(instance=f"witness over objects {w.objects}")
     o0, o1, o2 = w.objects
+    distinct = len({o0, o1, o2}) == 3
 
-    def distinct() -> Optional[object]:
-        if len({o0, o1, o2}) != 3:
-            return f"objects must be pairwise distinct, got {w.objects}"
-        return None
-
-    report.add(
+    yield Claim(
         "objects-distinct",
         "the three base objects are pairwise distinct",
-        distinct,
+        lambda: None if distinct else f"objects must be pairwise distinct, got {w.objects}",
         surrogates=(INDEPENDENCE_SURROGATE,),
     )
-    if report.failures():
-        return report
+    if not distinct:
+        return
 
     pairs = (
         ("f01", w.f01, w.b0, w.b1, o0, o1),
@@ -107,7 +104,7 @@ def check_witness(w: WitnessInstance) -> Report:
                 return f"{name} is definable from the separate closures"
         return None
 
-    report.add(
+    yield Claim(
         "endpoints-embedded",
         "morphism tuples embed endpoints, stay in the pair closure, "
         "and are not definable from the separate closures",
@@ -121,7 +118,7 @@ def check_witness(w: WitnessInstance) -> Report:
                 return f"{name} not in the empty-base orbit of f01"
         return None
 
-    report.add(
+    yield Claim(
         "type-equivalence",
         "the three endpoint/morphism tuples lie in one orbit over the empty base",
         equivalent,
@@ -144,7 +141,7 @@ def check_witness(w: WitnessInstance) -> Report:
             return f"slot z solutions {sols_z}"
         return None
 
-    report.add(
+    yield Claim(
         "composition-uniqueness",
         "each morphism tuple is the unique solution of the composition "
         "relation given the other two",
@@ -160,16 +157,15 @@ def check_witness(w: WitnessInstance) -> Report:
                 return f"{name}: endpoint orbit differs from closure orbit"
         return None
 
-    report.add(
+    yield Claim(
         "isolation-surrogate",
         "isolation replaced by orbit determination: the endpoint tuples "
         "already pin the orbit over the full closures",
         isolation,
         surrogates=("isolation-as-orbit-determination",),
-        surrogate_status=True,
+        surrogate_pass=True,
     )
-    return report
 
 
-def run(s: MultiSortedStructure, g: FiniteGroup) -> Report:
-    return check_witness(standard_witness(s))
+def claims(s: MultiSortedStructure, g: FiniteGroup) -> Iterator[Claim]:
+    yield from instance_claims(standard_witness(s))

@@ -55,3 +55,19 @@ def _relabelled(s, seed):
     for c in data["constants"]:
         c["index"] = perms[c["sort"]][c["index"]]
     return structure_from_json(data), perms["O"]
+
+
+def claims_report(claims):
+    """The runner's entries for claims, as a report with unprefixed ids."""
+    from groupoidlab.report import Report
+    from groupoidlab.verify import evaluate
+
+    return Report(instance="", entries=evaluate(claims))
+
+
+def suite_report(suite, s, g=None):
+    """The claims of one suite on s, run by the runner outside the
+    registry; g is read by section2 alone."""
+    from importlib import import_module
+
+    return claims_report(import_module(f"groupoidlab.suite_{suite}").claims(s, g))

@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from conftest import count_calls, subprocess_env
+from conftest import count_calls, subprocess_env, suite_report
 from groupoidlab import (
     Element,
     YSystem,
@@ -33,13 +33,10 @@ from groupoidlab import (
     strip_volatile,
     symmetric_group,
     validate_system,
-    verify_section2,
-    verify_section3,
     vertex_group,
 )
 from groupoidlab.paths import classes_match_folds, reductions_hold
 from groupoidlab.report import dumps_canonical
-from groupoidlab.suite_limits import verify_limits
 
 GROUPS = {
     "Z/2": cyclic_group(2),
@@ -67,7 +64,7 @@ def section2_reports():
         for n in (2, 3):
             t0 = time.perf_counter()
             s = encode_groupoid(build_standard_groupoid(group, n))
-            reports[(name, n)] = (verify_section2(s, group), time.perf_counter() - t0)
+            reports[(name, n)] = (suite_report("section2", s, group), time.perf_counter() - t0)
     return reports
 
 
@@ -80,7 +77,7 @@ def section3_reports():
             s = encode_double_cover(gpd) if cover else encode_groupoid(gpd)
             kind = "cover" if cover else "plain"
             t0 = time.perf_counter()
-            reports[(name, kind)] = (verify_section3(s), time.perf_counter() - t0)
+            reports[(name, kind)] = (suite_report("section3", s), time.perf_counter() - t0)
     return reports
 
 
@@ -293,7 +290,8 @@ def test_criterion_10_limits_and_towers():
     for name, group in SMALL.items():
         gpd = build_standard_groupoid(group, 4)
         for kind, s in (("plain", encode_groupoid(gpd)), ("cover", encode_double_cover(gpd))):
-            tower = [e for e in verify_limits(s).entries if e.claim_id.startswith("instance.")]
+            entries = suite_report("limits", s).entries
+            tower = [e for e in entries if e.claim_id.startswith("instance.")]
             if len(tower) != 5:
                 bad.append((f"{kind} {name}", "tower claims", len(tower)))
             bad.extend(

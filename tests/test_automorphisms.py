@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import _relabelled
+from conftest import _relabelled, suite_report
 
 from groupoidlab import (
     Automorphism,
@@ -710,7 +710,6 @@ def test_refinement_runs_once_per_pinned_set(monkeypatch):
     # section3 reads the partitions of few pinned sets many times: each set
     # is refined once, so the refinement rounds are (distinct pinned sets) x
     # (rounds per set), not (partition reads) x (rounds)
-    from groupoidlab import verify_section3
     from groupoidlab.automorphisms import _SearchSpace
 
     refined, compressed, reads = [], [0], [0]
@@ -734,7 +733,7 @@ def test_refinement_runs_once_per_pinned_set(monkeypatch):
     monkeypatch.setattr(_SearchSpace, "_compress", staticmethod(counted_compress))
     monkeypatch.setattr(_SearchSpace, "partition", counted_partition)
     s = encode_double_cover(build_standard_groupoid(cyclic_group(2), 4))
-    assert verify_section3(s).passed
+    assert suite_report("section3", s).passed
     in_section3 = compressed[0]
 
     assert len(refined) == len(set(refined))
@@ -937,10 +936,8 @@ def _standard(group, cover, n=3):
 @functools.cache
 def _warmed(group, cover):
     # shared by the tests below, which only add to its kept searches
-    from groupoidlab import verify_section3
-
     s = _standard(group, cover)
-    verify_section3(s)
+    suite_report("section3", s)
     return s
 
 
@@ -1057,7 +1054,7 @@ def test_not_invariant_stops_the_lead_search():
 
 
 def test_no_lead_search_runs_to_the_end_twice(monkeypatch):
-    from groupoidlab import automorphisms, verify_section3
+    from groupoidlab import automorphisms
 
     solutions = automorphisms._solutions
     finished = []
@@ -1070,7 +1067,7 @@ def test_no_lead_search_runs_to_the_end_twice(monkeypatch):
 
     monkeypatch.setattr(automorphisms, "_solutions", spy)
     s = encode_double_cover(build_standard_groupoid(cyclic_group(2), 4))
-    assert verify_section3(s).passed
+    assert suite_report("section3", s).passed
     assert finished
     assert len(finished) == len(set(finished))
 
@@ -1251,7 +1248,7 @@ def test_transport_head_is_the_first_class_keeping_leaf(head_case):
     # leaf of the search constrained by the object tuples alone that keeps
     # every binding class, and None exactly when no leaf does.  On the
     # relabelled structures that leaf is often not the first leaf.
-    from conftest import _relabelled
+    from conftest import _relabelled, suite_report
     from groupoidlab.automorphisms import _solutions
 
     (group, n, cover), seed = head_case
@@ -1289,7 +1286,7 @@ def test_translated_groups_match_enumeration(head_case):
     # reference pair, relabelled or not, the Y-set system accepts psi_ca, it
     # carries the pinned pair closures onto each other, and the conjugates of
     # the group at (0, 1) are the group enumerated on a fresh structure
-    from conftest import _relabelled
+    from conftest import _relabelled, suite_report
     from groupoidlab import pair_closure
 
     (group, n, cover), seed = head_case
@@ -1379,7 +1376,7 @@ def test_translation_falls_back_when_the_base_is_not_an_image(monkeypatch):
     import sys
     from dataclasses import replace
 
-    from groupoidlab import pair_closure, verify_section3, witness
+    from groupoidlab import pair_closure, witness
     from groupoidlab.structures import Constant
 
     s = replace(_standard("cyclic:2", True, 4), constants=(Constant("mark", "O", 2),))
@@ -1392,7 +1389,7 @@ def test_translation_falls_back_when_the_base_is_not_an_image(monkeypatch):
         return orbit(structure, base, x)
 
     monkeypatch.setattr(witness, "orbit_of", spy)
-    status = {e.claim_id: e.status for e in verify_section3(s).entries}
+    status = {e.claim_id: e.status for e in suite_report("section3", s).entries}
     assert status["composite-membership"] == "pass"
     through_2 = [(c, a) for c in range(4) for a in range(4) if c != a and 2 in (c, a)]
     assert set(searched) == {
@@ -1411,7 +1408,7 @@ def test_section3_searches_one_translation_per_pair(monkeypatch):
     # out of or into 0.  composite-membership searches none of its own (the
     # code before it read the Y-set system's translations made 25 such
     # searches).
-    from groupoidlab import automorphisms, object_closure, object_tuple, verify_section3
+    from groupoidlab import automorphisms, object_closure, object_tuple
     from groupoidlab.witness import x_tuples
 
     s = encode_double_cover(build_standard_groupoid(cyclic_group(2), 4))
@@ -1423,7 +1420,7 @@ def test_section3_searches_one_translation_per_pair(monkeypatch):
         return solutions(structure, base, constraints, lead=lead)
 
     monkeypatch.setattr(automorphisms, "_solutions", spy)
-    assert verify_section3(s).passed
+    assert suite_report("section3", s).passed
     translations = [c for c in constrained if c == set(x_tuples(s, 0, 1)[0])]
     heads = [c for c in constrained if c == set(object_closure(s, 0) + object_tuple(s, 1))]
     designated = [

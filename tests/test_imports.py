@@ -90,14 +90,13 @@ EXPORTED = """
     Element MultiSortedStructure decode_groupoid encode_double_cover
     encode_groupoid morphism_tuple morphisms_between object_closure object_tuple
     pair_base pair_closure structure_from_json structure_to_json vertex_morphisms
-    WitnessInstance check_witness choice_family_map standard_witness
-    verify_section2 verify_section3
+    WitnessInstance choice_family_map standard_witness
     YSet YSystem compute_Y x_tuples
 """.split()
 
 
 def test_the_surface_exports_the_same_names():
-    assert len(EXPORTED) == len(set(EXPORTED)) == 92
+    assert len(EXPORTED) == len(set(EXPORTED)) == 89
     assert sorted(groupoidlab.__all__) == sorted(EXPORTED)
     assert set(EXPORTED) <= set(dir(groupoidlab))
 

@@ -6,10 +6,11 @@ suite modules above ``suite_witness``.  Imports at any depth count,
 ``TYPE_CHECKING`` blocks and function bodies included.  ``__init__.py``
 exports names of every layer and is exempt.
 
-Three decisions are kept in place the same way: one function assembles
-every restriction group, only the Y-set system translates along psi, and
-each fgroupoid path claim is decided by its walk alone, with the
-path-by-path checkers kept in ``tests/oracle.py``.
+Four decisions are kept in place the same way: one function assembles
+every restriction group, only the Y-set system translates along psi, each
+fgroupoid path claim is decided by its walk alone, with the path-by-path
+checkers kept in ``tests/oracle.py``, and one runner in ``verify`` turns
+the suites' claims into report entries.
 """
 
 import ast
@@ -139,7 +140,29 @@ def test_the_path_by_path_checkers_live_in_the_oracle():
 
 def test_no_fgroupoid_claim_reruns_a_second_check():
     # a claim that caught its walk's error could rerun another check for
-    # its witness; none catches anything, so Report.add records the walk's
+    # its witness; none catches anything, so the runner records the walk's
     # counterexample or error
     tree = ast.parse((PACKAGE / "suite_fgroupoid.py").read_text())
     assert not [node for node in ast.walk(tree) if isinstance(node, ast.ExceptHandler)]
+
+
+def test_report_entries_are_built_in_verify_alone():
+    # the suites yield Claim records; verify's runner times and catches
+    # their checks and builds every entry and the report that holds them
+    assert {module for module, _, _ in _calls("ClaimEntry")} == {"verify"}
+    assert [(module, holder) for module, holder, _ in _calls("Report")] == [
+        ("verify", "run_suites"),
+    ]
+    found = []
+    for path in sorted(PACKAGE.glob("suite_*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = {alias.name for alias in node.names}
+                found += [(path.stem, node.lineno, n) for n in names & {"Report", "ClaimEntry"}]
+                if node.module == "time":
+                    found.append((path.stem, node.lineno, "time"))
+            elif isinstance(node, ast.Import):
+                found += [(path.stem, node.lineno, a.name) for a in node.names if a.name == "time"]
+            elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "add":
+                found.append((path.stem, node.lineno, "add"))
+    assert found == []

@@ -1,5 +1,6 @@
 import pytest
 
+from conftest import suite_report
 from groupoidlab import (
     AxiomViolation,
     Element,
@@ -21,7 +22,6 @@ from groupoidlab import (
     restriction_epimorphism,
     validate_system,
 )
-from groupoidlab.suite_limits import verify_limits
 
 
 def chain_z8():
@@ -196,6 +196,6 @@ def test_pi2_gamma2_instances():
         encode_groupoid(build_standard_groupoid(triv, 4)),
     ]
     for s in instances:
-        tower = [e for e in verify_limits(s).entries if e.claim_id.startswith("instance.")]
+        tower = [e for e in suite_report("limits", s).entries if e.claim_id.startswith("instance.")]
         assert len(tower) == 5
         assert all(e.status == "pass" for e in tower), [(e.claim_id, e.witness) for e in tower]

@@ -3,7 +3,7 @@ import itertools
 
 import pytest
 
-from conftest import _relabelled, count_calls
+from conftest import _relabelled, count_calls, suite_report
 from oracle import (
     fold_vector,
     path_equivalent,
@@ -47,7 +47,6 @@ from groupoidlab.paths import (
     contraction_positions,
     reductions_hold,
 )
-from groupoidlab.suite_fgroupoid import verify_fgroupoid
 
 
 @pytest.fixture(scope="module")
@@ -518,7 +517,7 @@ def test_a_failing_walk_reports_a_counterexample_the_oracle_confirms(
     # probes, for which the loops raise, is a disagreement at one of them
     s = _perturbed(n, key, how)
     ys = s.y_system
-    entries = {e.claim_id: e for e in verify_fgroupoid(s).entries}
+    entries = {e.claim_id: e for e in suite_report("fgroupoid", s).entries}
     equivalence = entries["path-equivalence-consistent"]
     reduction = entries["three-step-reduction"]
     assert (equivalence.status == "fail") is pairwise_fails
@@ -602,7 +601,7 @@ def test_validation_failure_of_a_perturbed_quotient_is_the_first_bad_triple():
     assert built == _outcome(lambda: validate_groupoid(gpd))
 
 
-# the YSystem.compose and YSystem.table calls of verify_fgroupoid on the
+# the YSystem.compose and YSystem.table calls of the fgroupoid suite on the
 # cyclic:2 n=5 cover: they do not depend on the machine, so a walk that
 # composes per path again, or a claim that refolds, shows here
 FGROUPOID_CALLS = {"compose": 4238, "table": 7249}
@@ -610,6 +609,6 @@ FGROUPOID_CALLS = {"compose": 4238, "table": 7249}
 
 def test_fgroupoid_composition_calls_are_pinned(monkeypatch):
     calls = count_calls(monkeypatch, YSystem, FGROUPOID_CALLS)
-    report = verify_fgroupoid(_cover(2, 5))
+    report = suite_report("fgroupoid", _cover(2, 5))
     assert report.passed
     assert calls == FGROUPOID_CALLS

@@ -7,8 +7,8 @@ import pytest
 from conftest import subprocess_env
 from groupoidlab import Report, ReportMergeError, merge_reports, strip_volatile
 from groupoidlab.cli import main
-from groupoidlab.report import dumps_canonical
-from groupoidlab.verify import SUITES
+from groupoidlab.report import Claim, dumps_canonical
+from groupoidlab.verify import SUITES, evaluate
 
 
 def run_cli(*args):
@@ -21,10 +21,11 @@ def run_cli(*args):
 
 
 def test_report_statuses_and_failures():
-    rep = Report(instance="demo")
-    rep.add("good", "always fine", lambda: None)
-    rep.add("soft", "surrogate check", lambda: None, surrogate_status=True)
-    rep.add("bad", "always broken", lambda: {"reason": 1})
+    rep = Report(instance="demo", entries=evaluate([
+        Claim("good", "always fine", lambda: None),
+        Claim("soft", "surrogate check", lambda: None, surrogate_pass=True),
+        Claim("bad", "always broken", lambda: {"reason": 1}),
+    ]))
     assert [e.status for e in rep.entries] == ["pass", "surrogate-pass", "fail"]
     assert not rep.passed
     assert [e.claim_id for e in rep.failures()] == ["bad"]
@@ -33,15 +34,13 @@ def test_report_statuses_and_failures():
 
 
 def test_report_catches_check_exceptions():
-    rep = Report(instance="demo")
-    rep.add("boom", "raises", lambda: 1 / 0)
-    assert rep.entries[0].status == "fail"
-    assert "ZeroDivisionError" in rep.entries[0].witness
+    [entry] = evaluate([Claim("boom", "raises", lambda: 1 / 0)])
+    assert entry.status == "fail"
+    assert "ZeroDivisionError" in entry.witness
 
 
 def test_strip_volatile():
-    rep = Report(instance="demo")
-    rep.add("good", "fine", lambda: None)
+    rep = Report(instance="demo", entries=evaluate([Claim("good", "fine", lambda: None)]))
     doc = rep.to_json()
     stripped = strip_volatile(doc)
     assert "generated_at" not in stripped
@@ -145,14 +144,40 @@ def test_verify_corrupted_structure_exits_one(tmp_path):
         ("comp", False, lambda t: t.update(args=["M", "M"], tuples=[x[:2] for x in t["tuples"]]),
          "'comp' must be M x M x M, not M x M"),
         ("proj", True, lambda t: t.update(result="I"), "'proj' must be I -> O, not I -> I"),
+        ("mate", True, lambda t: t.update(args=["I", "O"], tuples=[[i, i // 2] for i in range(6)]),
+         "'mate' must be I x I, not I x O"),
     ],
-    ids=["init", "ter", "inverse", "comp", "proj"],
+    ids=["init", "ter", "inverse", "comp", "proj", "mate"],
 )
 def test_verify_structure_with_a_wrong_signature_exits_two(
     name, cover, change, expected, tmp_path, capsys
 ):
     # each file passes validate_structure, so only the groupoid view can
     # reject it, before it reads a symbol of the wrong shape
+    _assert_verify_refuses(tmp_path, capsys, cover, name, change, expected)
+
+
+@pytest.mark.parametrize(
+    "name,change,expected",
+    [
+        ("proj", lambda t: t.update(rows=[[i, 0] for i in range(6)]),
+         "'proj' must be two-to-one onto the objects: 6 points over object 0"),
+        ("mate", lambda t: t.update(name="pairs"), "unknown relation 'mate'"),
+        ("mate", lambda t: t.update(tuples=[[0, 2], [2, 0], [1, 3], [3, 1], [4, 5], [5, 4]]),
+         "'mate' must hold exactly the two ordered pairs of each fiber"),
+    ],
+    ids=["proj-not-two-to-one", "mate-missing", "mate-across-fibers"],
+)
+def test_verify_malformed_cover_exits_two(name, change, expected, tmp_path, capsys):
+    # a cover whose fibers are not what the cover defines is an input
+    # error before any suite runs, not a counterexample
+    _assert_verify_refuses(tmp_path, capsys, True, name, change, expected)
+
+
+def _assert_verify_refuses(tmp_path, capsys, cover, name, change, expected):
+    """verify --suite all on the built cyclic:2 n=3 structure, with the
+    table called name changed, exits 2 with the error expected and writes
+    no report."""
     built, bad = tmp_path / "s.json", tmp_path / "bad.json"
     argv = ["build", "--group", "cyclic:2", "--objects", "3", "--out", str(built)]
     assert main(argv + ["--cover"] * cover) == 0
@@ -223,15 +248,19 @@ def test_verify_budget_exit_three():
 
 
 def _spied_suites(monkeypatch) -> list:
-    """Replace every SUITES runner with one that records the suite's name
-    and the carrier size of the structure it runs on."""
-    ran = []
-    for name, (runner, min_objects) in list(SUITES.items()):
-        def spy(s, g, name=name, runner=runner):
-            ran.append((name, s.carrier_size))
-            return runner(s, g)
+    """Replace every suite's claims with a generator that records the
+    suite's name and the carrier size of the structure it runs on."""
+    import importlib
 
-        monkeypatch.setitem(SUITES, name, (spy, min_objects))
+    ran = []
+    for name in SUITES:
+        module = importlib.import_module(f"groupoidlab.suite_{name}")
+
+        def spy(s, g, name=name, claims=module.claims):
+            ran.append((name, s.carrier_size))
+            yield from claims(s, g)
+
+        monkeypatch.setattr(module, "claims", spy)
     return ran
 
 

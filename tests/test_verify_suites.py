@@ -5,29 +5,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import _relabelled
+from conftest import _relabelled, claims_report, suite_report
 from groupoidlab import (
     Element,
     InvalidInput,
     build_standard_groupoid,
-    check_witness,
     cyclic_group,
     encode_double_cover,
     encode_groupoid,
     is_automorphism,
     standard_witness,
     symmetric_group,
-    verify_section2,
-    verify_section3,
     vertex_morphisms,
 )
+from groupoidlab.suite_witness import instance_claims
 
 
 def test_section2_claims_hold_up_to_five_objects():
     z2 = cyclic_group(2)
     for n in (4, 5):
         s = encode_groupoid(build_standard_groupoid(z2, n))
-        rep = verify_section2(s, z2)
+        rep = suite_report("section2", s, z2)
         assert rep.passed, rep.render_text()
 
 
@@ -36,7 +34,7 @@ def test_section2_fails_against_wrong_expected_group():
     s3 = symmetric_group(3)
     z6 = cyclic_group(6)
     s = encode_groupoid(build_standard_groupoid(s3, 2))
-    rep = verify_section2(s, z6)
+    rep = suite_report("section2", s, z6)
     status = {e.claim_id: e.status for e in rep.entries}
     assert status["morphism-group-is-g"] == "fail"
 
@@ -45,13 +43,13 @@ def test_section2_rejects_cover_structures():
     z2 = cyclic_group(2)
     s = encode_double_cover(build_standard_groupoid(z2, 3))
     with pytest.raises(InvalidInput):
-        verify_section2(s, z2)
+        suite_report("section2", s, z2)
 
 
 def test_section3_report_lists_every_claim_once():
     z2 = cyclic_group(2)
     s = encode_double_cover(build_standard_groupoid(z2, 4))
-    rep = verify_section3(s)
+    rep = suite_report("section3", s)
     ids = [e.claim_id for e in rep.entries]
     assert len(ids) == len(set(ids))
     assert rep.passed
@@ -71,7 +69,8 @@ def test_irregular_f_group_fails_f_action_regular(monkeypatch):
         RestrictedAutGroup, "is_regular",
         lambda rg: rg.base == closure_0 and is_regular(rg),
     )
-    entry = next(e for e in verify_section3(s).entries if e.claim_id == "f-action-regular")
+    entries = suite_report("section3", s).entries
+    entry = next(e for e in entries if e.claim_id == "f-action-regular")
     assert entry.status == "fail"
     assert entry.witness.startswith("RegularityFailure: group action is not regular: (1, 0,")
 
@@ -80,25 +79,24 @@ def test_witness_report_is_stable_under_repetition():
     z2 = cyclic_group(2)
     s = encode_double_cover(build_standard_groupoid(z2, 3))
     w = standard_witness(s)
-    first = [(e.claim_id, e.status) for e in check_witness(w).entries]
-    second = [(e.claim_id, e.status) for e in check_witness(w).entries]
+    first = [(e.claim_id, e.status) for e in claims_report(instance_claims(w)).entries]
+    second = [(e.claim_id, e.status) for e in claims_report(instance_claims(w)).entries]
     assert first == second
 
 
 def test_section3_needs_three_objects():
     s = encode_groupoid(build_standard_groupoid(cyclic_group(2), 2))
     with pytest.raises(InvalidInput, match="witness needs at least three objects"):
-        verify_section3(s)
+        suite_report("section3", s)
 
 
 def test_fgroupoid_reuses_the_y_sets_of_section3(monkeypatch):
     # both suites read the structure's one Y-set system, so after section3
     # the fgroupoid suite computes no Y-set of its own
     from groupoidlab import witness
-    from groupoidlab.suite_fgroupoid import verify_fgroupoid
 
     s = encode_double_cover(build_standard_groupoid(cyclic_group(2), 4))
-    assert verify_section3(s).passed
+    assert suite_report("section3", s).passed
     calls = []
     compute_Y = witness.compute_Y
 
@@ -107,7 +105,7 @@ def test_fgroupoid_reuses_the_y_sets_of_section3(monkeypatch):
         return compute_Y(*args, **kwargs)
 
     monkeypatch.setattr(witness, "compute_Y", counted)
-    rep = verify_fgroupoid(s)
+    rep = suite_report("fgroupoid", s)
     assert rep.passed, rep.render_text()
     assert calls == []
 
@@ -118,12 +116,12 @@ def test_fgroupoid_lists_every_claim_when_the_quotient_fails(group):
     # witness, every claim that reads it; the path claims run on their own.
     # The report lists the same eight claims as an abelian run.
     from groupoidlab import group_from_spec
-    from groupoidlab.suite_fgroupoid import verify_fgroupoid
 
-    abelian = verify_fgroupoid(encode_groupoid(build_standard_groupoid(cyclic_group(2), 4)))
+    z2 = cyclic_group(2)
+    abelian = suite_report("fgroupoid", encode_groupoid(build_standard_groupoid(z2, 4)))
     assert abelian.passed
     s = encode_groupoid(build_standard_groupoid(group_from_spec(group), 4))
-    rep = verify_fgroupoid(s)
+    rep = suite_report("fgroupoid", s)
     assert [e.claim_id for e in rep.entries] == [e.claim_id for e in abelian.entries]
     witness = {e.claim_id: e.witness for e in rep.entries}
     assert witness["quotient-valid"].startswith("NonAbelianVertex")
@@ -151,7 +149,7 @@ def test_section3_reference_independence_skips_the_default_reference(monkeypatch
     s = encode_double_cover(build_standard_groupoid(cyclic_group(2), 4))
     calls = []
     _count_compute_Y(monkeypatch, calls)
-    assert verify_section3(s).passed
+    assert suite_report("section3", s).passed
     default, *others = x_tuples(s, 0, 1)
     assert default not in calls
     assert [f for f in calls if f is not None] == others
@@ -161,7 +159,6 @@ def test_limits_builds_one_restriction_epimorphism(monkeypatch):
     # the restriction-epimorphism claim and the tower's two-stage limit share
     # one epimorphism, built from the structure's Y-sets Y(0, 1) and raw Y(0, 1)
     from groupoidlab import limits
-    from groupoidlab.suite_limits import verify_limits
 
     s = encode_double_cover(build_standard_groupoid(cyclic_group(2), 4))
     calls, built = [], []
@@ -173,7 +170,7 @@ def test_limits_builds_one_restriction_epimorphism(monkeypatch):
         return epimorphism(*args)
 
     monkeypatch.setattr(limits, "_epimorphism", counted)
-    rep = verify_limits(s)
+    rep = suite_report("limits", s)
     assert rep.passed, rep.render_text()
     assert len(built) == 1
     assert len(calls) == 2
@@ -181,14 +178,13 @@ def test_limits_builds_one_restriction_epimorphism(monkeypatch):
 
 def test_limits_epimorphism_failure_lands_in_each_claim(monkeypatch):
     from groupoidlab import NotWellDefined, limits
-    from groupoidlab.suite_limits import verify_limits
 
     def broken(*args):
         raise NotWellDefined(("not a homomorphism", 0, 1))
 
     monkeypatch.setattr(limits, "_epimorphism", broken)
     s = encode_double_cover(build_standard_groupoid(cyclic_group(2), 4))
-    status = {e.claim_id: (e.status, e.witness) for e in verify_limits(s).entries}
+    status = {e.claim_id: (e.status, e.witness) for e in suite_report("limits", s).entries}
     for claim in ("restriction-epimorphism", "instance.two-stage-limit"):
         assert status[claim][0] == "fail"
         assert status[claim][1].startswith("NotWellDefined")
@@ -203,6 +199,63 @@ def test_run_suites_rejects_an_unknown_suite():
     s = encode_groupoid(build_standard_groupoid(cyclic_group(2), 3))
     with pytest.raises(InvalidInput, match="section2, section3, witness, fgroupoid, limits or all"):
         run_suites(s, cyclic_group(2), "bogus", "")
+
+
+def _stripped(report):
+    return [{k: v for k, v in e.to_json().items() if k != "wall_ms"} for e in report.entries]
+
+
+def test_a_suite_whose_setup_fails_is_one_instance_error(monkeypatch):
+    # the limits tower's groups are built between its claims; when one of
+    # them cannot be, the entries limits recorded before are dropped, one
+    # instance-error entry stands for the suite and the other suites'
+    # entries are those of an unbroken run
+    from groupoidlab import RegularityFailure, witness
+    from groupoidlab.verify import run_suites
+
+    g = cyclic_group(2)
+    intact = _stripped(run_suites(encode_double_cover(build_standard_groupoid(g, 4)), g, "all", ""))
+
+    def refused(ys, a, b):
+        raise RegularityFailure(("raw", a, b))
+
+    monkeypatch.setattr(witness.YSystem, "raw_y_set", refused)
+    broken = _stripped(run_suites(encode_double_cover(build_standard_groupoid(g, 4)), g, "all", ""))
+    assert [e for e in broken if e["id"].startswith("limits.")] == [{
+        "id": "limits.instance-error",
+        "anchor": "suite limits aborted on this instance",
+        "status": "fail",
+        "witness": "RegularityFailure: group action is not regular: ('raw', 0, 1)",
+    }]
+    others = [e for e in intact if not e["id"].startswith("limits.")]
+    assert [e for e in broken if not e["id"].startswith("limits.")] == others
+    assert (len(others), len(intact)) == (26, 34)
+
+
+def test_a_budget_exceeded_inside_a_check_ends_the_run(monkeypatch, capsys):
+    from groupoidlab import BudgetExceeded, suite_limits
+    from groupoidlab.cli import main
+
+    def over_budget(**kwargs):
+        raise BudgetExceeded(301, 300)
+
+    monkeypatch.setattr(suite_limits, "validate_system", over_budget)
+    argv = ["verify", "--suite", "limits", "--group", "cyclic:2", "--objects", "3"]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
+
+
+def test_section2_cover_guard_propagates_through_run_suites(monkeypatch):
+    # run_suites hands section2 the plain encoding on a cover; handed the
+    # cover itself, the suite refuses it as an input error, not a claim
+    from groupoidlab import verify
+
+    monkeypatch.setattr(verify, "_section2_structure", lambda s, g: s)
+    g = cyclic_group(2)
+    s = encode_double_cover(build_standard_groupoid(g, 3))
+    with pytest.raises(InvalidInput, match="standard-model claims run on the plain encoding"):
+        verify.run_suites(s, g, "section2", "")
 
 
 def _all_statuses(s, g):
@@ -386,12 +439,12 @@ def test_orbit_claims_match_enumeration(case):
         s = replace(s, constants=(Constant("mark", *constant),))
     if seed is not None:
         s, _ = _relabelled(s, seed)
-    witness = {e.claim_id: e.witness for e in verify_section3(s).entries}
+    witness = {e.claim_id: e.witness for e in suite_report("section3", s).entries}
     uniform = witness["uniform-action"]
     assert uniform == _enumerated_uniform_action(s) == _orbit_uniform_action(s)
     assert witness["composite-membership"] == _enumerated_composites(s)
     w = standard_witness(s)
-    typed = {e.claim_id: e.witness for e in check_witness(w).entries}
+    typed = {e.claim_id: e.witness for e in claims_report(instance_claims(w)).entries}
     assert typed["type-equivalence"] == _orbit_type_equivalence(w)
 
 
@@ -513,7 +566,7 @@ def test_stabilizer_certificate_matches_enumeration(
         return certificates[-1][1]
 
     monkeypatch.setattr(suite_section2, "orbit_certificate", spy)
-    entries = {e.claim_id: e for e in verify_section2(s, g).entries}
+    entries = {e.claim_id: e for e in suite_report("section2", s, g).entries}
     [(base, (cell_product, alone))] = certificates
     oracle = automorphism_group(s, base)
     assert alone
@@ -552,7 +605,7 @@ def test_failing_generator_on_drawn_instances(group, objects, seed, data):
     mark = data.draw(st.none() | st.integers(0, s.sort_size("M") - 1))
     if mark is not None or seed is not None:
         s, g = _standard_section2(group, objects, None if mark is None else ("M", mark), seed)
-    entries = {e.claim_id: e for e in verify_section2(s, g).entries}
+    entries = {e.claim_id: e for e in suite_report("section2", s, g).entries}
     base = _stabiliser_base(s)
     oracle = automorphism_group(s, base)
     first, members = _walked_choice_family(s, 0, base)
@@ -576,9 +629,9 @@ def _counted_is_automorphism(monkeypatch):
 
 
 def _counted_section2(s, g, monkeypatch):
-    """verify_section2's report and its is_automorphism calls."""
+    """section2's report and its is_automorphism calls."""
     calls = _counted_is_automorphism(monkeypatch)
-    return verify_section2(s, g), len(calls)
+    return suite_report("section2", s, g), len(calls)
 
 
 def test_section2_checks_only_the_single_coordinate_families(monkeypatch):
@@ -628,5 +681,5 @@ def test_section2_holds_on_dihedral4_six_objects():
     from groupoidlab import group_from_spec
 
     g = group_from_spec("dihedral:4")
-    report = verify_section2(encode_groupoid(build_standard_groupoid(g, 6)), g)
+    report = suite_report("section2", encode_groupoid(build_standard_groupoid(g, 6)), g)
     assert report.passed, report.render_text()

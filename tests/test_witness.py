@@ -1,13 +1,12 @@
 import pytest
 
-from conftest import _relabelled
+from conftest import _relabelled, claims_report
 from groupoidlab import (
     InvalidInput,
     WitnessInstance,
     YSystem,
     build_standard_groupoid,
     center,
-    check_witness,
     compute_Y,
     cyclic_group,
     encode_double_cover,
@@ -18,6 +17,7 @@ from groupoidlab import (
     standard_witness,
     x_tuples,
 )
+from groupoidlab.suite_witness import instance_claims
 
 
 @pytest.fixture(scope="module")
@@ -139,7 +139,7 @@ def test_unique_divisor(cover_z2_4):
 
 
 def test_standard_witness_passes(cover_z2_3):
-    rep = check_witness(standard_witness(cover_z2_3))
+    rep = claims_report(instance_claims(standard_witness(cover_z2_3)))
     assert rep.passed
     status = {e.claim_id: e.status for e in rep.entries}
     assert status["isolation-surrogate"] == "surrogate-pass"
@@ -159,7 +159,7 @@ def test_witness_detects_non_composing_f02(cover_z2_3):
         f12=w.f12,
         f02=morphism_tuple(cover_z2_3, other),
     )
-    rep = check_witness(bad)
+    rep = claims_report(instance_claims(bad))
     status = {e.claim_id: e.status for e in rep.entries}
     assert status["composition-uniqueness"] == "fail"
 
@@ -175,9 +175,9 @@ def test_witness_rejects_degenerate_objects(cover_z2_3):
         f12=w.f12,
         f02=w.f02,
     )
-    rep = check_witness(degenerate)
+    rep = claims_report(instance_claims(degenerate))
     assert not rep.passed
-    assert rep.entries[0].claim_id == "objects-distinct"
+    assert [e.claim_id for e in rep.entries] == ["objects-distinct"]
 
 
 def test_standard_witness_needs_three_objects():
